@@ -3,14 +3,8 @@
 from .costs import (
     AVAILABILITY_TOL,
     SEMANTICS,
-    BenefitBreakdown,
     CostReport,
-    availability_constraint_ok,
     availability_per_object,
-    benefit,
-    delta_cost_of_add,
-    implementation_cost,
-    object_access_cost,
     object_availability,
     total_access_cost,
 )
@@ -29,18 +23,13 @@ from .heuristics import (
     SCOPES,
     Add,
     Evict,
-    FlipCandidate,
     PlacementResult,
     SolverConfig,
     StepStat,
     action_from_dict,
     action_to_dict,
-    enumerate_positive_flips,
     replay_schedule,
     solve,
-    solve_aagg,
-    solve_aagro,
-    solve_baseline,
 )
 from .model import (
     ObjectCatalog,
@@ -50,7 +39,6 @@ from .model import (
     Violation,
     build_nearest_index,
     load_placement,
-    nearest_replicator,
     primary_only_placement,
     save_placement,
     validate_placement,

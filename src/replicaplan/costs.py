@@ -1,10 +1,10 @@
-"""Scalar cost and availability arithmetic for placements.
+"""Exact cost and availability arithmetic for placements.
 
 All traffic costs are exact integers: per-object access cost is the sum over
-servers of (traffic bytes) x (per-byte cost to the nearest replicator).  The
-benefit of moving from one placement to another is the access saving minus the
-transfer bytes spent, optionally weighted by the availability of the server
-gaining the replica.
+servers of (traffic bytes) x (per-byte cost to the nearest replicator).
+Scoring a candidate flip is not done here; it lives only in the planner
+engine (:mod:`replicaplan.heuristics`), which uses this module for the
+ground-truth total and for availability checks.
 
 Two readings of object availability are supported.  Under the default
 ``corrected`` semantics servers carry failure probabilities and an object
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, PreconditionError, StructuralError
+from .errors import ParameterError, StructuralError
 
 SEMANTICS = ("corrected", "literal")
 
@@ -36,34 +36,6 @@ class CostReport:
     total: int
 
 
-@dataclass(frozen=True)
-class BenefitBreakdown:
-    """The pieces of one placement-change score."""
-
-    access_saving: int
-    impl_cost: int
-    availability_factor: float
-    benefit: float
-
-    def as_dict(self) -> dict:
-        return {
-            "access_saving": self.access_saving,
-            "impl_cost": self.impl_cost,
-            "availability_factor": self.availability_factor,
-            "benefit": self.benefit,
-        }
-
-
-def object_access_cost(k: int, x, n, r, l) -> int:
-    """Traffic cost of object ``k``: every server reads from its nearest replicator."""
-    x = np.asarray(x)
-    if not x[:, k].any():
-        raise StructuralError(f"object {k} has no replicator")
-    m = x.shape[0]
-    dist = l[np.arange(m), n[:, k]]
-    return int((dist * r[:, k]).sum())
-
-
 def total_access_cost(x, n, r, l) -> CostReport:
     """Access cost of the whole placement, per object and summed."""
     x = np.asarray(x)
@@ -74,37 +46,6 @@ def total_access_cost(x, n, r, l) -> CostReport:
     dist = l[np.arange(m)[:, None], n]
     per_object = (dist * r).sum(axis=0, dtype=np.int64)
     return CostReport(per_object=per_object, total=int(per_object.sum()))
-
-
-def delta_cost_of_add(i: int, k: int, x, n, r, l) -> int:
-    """Exact access-cost drop from placing object ``k`` on server ``i``.
-
-    Equals total cost before minus after: each server keeps its current
-    nearest unless ``i`` is cheaper.
-    """
-    x = np.asarray(x)
-    if x[i, k]:
-        raise PreconditionError(f"server {i} already replicates object {k}")
-    m = x.shape[0]
-    cur = l[np.arange(m), n[:, k]]
-    gain = np.maximum(cur - l[:, i], 0)
-    return int((gain * r[:, k]).sum())
-
-
-def implementation_cost(x_old, n_old, x_new, sizes, l) -> int:
-    """Bytes-times-distance to realize ``x_new`` from ``x_old``.
-
-    Every added replica is fetched from the old placement's nearest
-    replicator; deletions are free.
-    """
-    x_old = np.asarray(x_old)
-    x_new = np.asarray(x_new)
-    if x_old.shape != x_new.shape:
-        raise StructuralError("placements must share a shape")
-    m = x_old.shape[0]
-    added = (x_new == 1) & (x_old == 0)
-    dist_old = l[np.arange(m)[:, None], n_old]
-    return int((added * dist_old * np.asarray(sizes)[None, :]).sum())
 
 
 def replicator_availability(failure_probs, replicators, semantics: str = "corrected") -> float:
@@ -132,31 +73,3 @@ def availability_per_object(x, failure_probs, semantics: str = "corrected") -> n
         [object_availability(k, x, failure_probs, semantics) for k in range(x.shape[1])]
     )
 
-
-def availability_constraint_ok(k: int, x_old, x_new, failure_probs,
-                               semantics: str = "corrected",
-                               tol: float = AVAILABILITY_TOL) -> bool:
-    """True when object ``k`` is at least as available after the change."""
-    before = object_availability(k, x_old, failure_probs, semantics)
-    after = object_availability(k, x_new, failure_probs, semantics)
-    return after >= before - tol
-
-
-def benefit(c_old: int, c_new: int, i_cost: int, availability_factor: float) -> BenefitBreakdown:
-    """Score a placement change: (access saving - transfer spend) x factor.
-
-    ``availability_factor`` is the availability of the server gaining the
-    replica; pass 1.0 for availability-blind scoring.
-    """
-    if not 0.0 < availability_factor <= 1.0:
-        raise ParameterError(
-            f"availability factor must lie in (0, 1], got {availability_factor}"
-        )
-    saving = int(c_old) - int(c_new)
-    value = (saving - int(i_cost)) * availability_factor
-    return BenefitBreakdown(
-        access_saving=saving,
-        impl_cost=int(i_cost),
-        availability_factor=availability_factor,
-        benefit=value,
-    )

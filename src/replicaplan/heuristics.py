@@ -14,6 +14,11 @@ least-damaging-first until the newcomer fits; a candidate whose evictions
 cannot free enough space is skipped.  Scoring compares candidates with strict
 inequality while scanning in ascending (server, object) order, so ties keep
 the lowest-numbered flip.
+
+The engine is the only implementation of flip scoring: the access saving
+``delta`` of every candidate add comes from one kernel, :func:`_delta`, and
+every plan, with or without evictions, is built by one method,
+``_plan_with_evictions``.  :func:`solve` is the one entry point.
 """
 
 from __future__ import annotations
@@ -79,13 +84,6 @@ class StepStat:
     c_after: int
     transfer_cost: int
     benefit: float
-
-
-@dataclass(frozen=True)
-class FlipCandidate:
-    server: int
-    object_id: int
-    pre_benefit: float
 
 
 @dataclass(eq=False)
@@ -186,42 +184,16 @@ def replay_schedule(x_old, schedule) -> np.ndarray:
     return x
 
 
-def _delta_matrix(state: PlacementState) -> np.ndarray:
-    """Access-cost saving of every candidate add, columns chunked to bound memory."""
-    m, n = state.x.shape
-    out = np.empty((m, n), dtype=np.int64)
-    l = state.l
-    for s in range(0, n, 128):
-        e = min(s + 128, n)
-        gain = np.maximum(state.d[:, s:e][:, None, :] - l[:, :, None], 0)
-        out[:, s:e] = np.einsum("jic,jc->ic", gain, state.traffic[:, s:e])
-    return out
+def _delta(state: PlacementState, cols: slice) -> np.ndarray:
+    """Access-cost saving of adding each object in ``cols`` to each server.
 
-
-def enumerate_positive_flips(state: PlacementState, config: SolverConfig,
-                             marked=None) -> list[FlipCandidate]:
-    """Candidate flips whose single-flip score is strictly positive.
-
-    The score charges the transfer from the current nearest replicator and,
-    for availability-aware algorithms, weights by the target server's
-    availability.  Flips at the replica cap and flips in ``marked`` are
-    excluded.  Output is in ascending (server, object) order.
+    Every server keeps its current nearest replicator unless the target
+    server is cheaper; the result is the traffic-weighted sum of those
+    per-server savings, an M x len(cols) int64 matrix.
     """
-    delta = _delta_matrix(state)
-    sizes = state.objects.sizes
-    raw = delta - sizes[None, :] * state.d
-    cap_val = config.max_replicas_per_object or state.num_servers
-    eligible = (state.x == 0) & (raw > 0) & (state.replica_counts < cap_val)[None, :]
-    use_factor = config.algorithm in ("aagg", "aagro")
-    avail = 1.0 - state.servers.failure_probs
-    out = []
-    for i, k in np.argwhere(eligible):
-        i, k = int(i), int(k)
-        if marked and (i, k) in marked:
-            continue
-        pre = int(raw[i, k]) * float(avail[i]) if use_factor else int(raw[i, k])
-        out.append(FlipCandidate(i, k, pre))
-    return out
+    gain = state.d[:, cols][:, None, :] - state.l[:, :, None]
+    np.maximum(gain, 0, out=gain)  # in place: one M x M x len(cols) temporary
+    return np.einsum("jic,jc->ic", gain, state.traffic[:, cols])
 
 
 @dataclass
@@ -241,13 +213,15 @@ class _GreedyEngine:
         self.st = state.copy()
         self.cfg = config
         self.use_factor = config.algorithm in ("aagg", "aagro")
-        self.enforce = self.use_factor
         self.avail = 1.0 - self.st.servers.failure_probs
         self.tol = costs.AVAILABILITY_TOL
         self.cap_val = config.max_replicas_per_object or self.st.num_servers
         self.on_commit = on_commit
         self.on_mutation = on_mutation
-        self.delta = _delta_matrix(self.st)
+        m, n = self.st.x.shape
+        self.delta = np.empty((m, n), dtype=np.int64)
+        for s in range(0, n, 128):  # column chunks bound the M x M x 128 temporary
+            self.delta[:, s:s + 128] = _delta(self.st, slice(s, s + 128))
         self.c = costs.total_access_cost(self.st.x, self.st.n, self.st.traffic,
                                          self.st.l).total
         self.c_old = self.c
@@ -264,19 +238,19 @@ class _GreedyEngine:
         """Score every candidate in the column window; return the best plan.
 
         Candidates that fit without evictions all realize exactly their
-        pre-score, so the best of them falls out of one vectorized argmax;
-        eviction-needing candidates are walked individually in descending
-        upper-bound order with early cutoff.
+        pre-score, so the best of them falls out of one vectorized argmax
+        and only that winner is planned; eviction-needing candidates are
+        planned individually in descending upper-bound order with early
+        cutoff.
         """
         st = self.st
-        sizes = st.objects.sizes
         start = cs.start
         xs = st.x[:, cs]
         ds = st.d[:, cs]
-        sz = sizes[cs]
+        sz = st.objects.sizes[cs]
         raw = self.delta[:, cs] - sz[None, :] * ds
         eligible = (xs == 0) & (raw > 0) & (st.replica_counts[cs] < self.cap_val)[None, :]
-        if self.enforce and self.cfg.availability_semantics == "literal":
+        if self.use_factor and self.cfg.availability_semantics == "literal":
             # Literal availability shrinks with every added replica, so the
             # admission check can veto candidates outright; vectorized here.
             prods = np.where(xs == 1, self.avail[:, None], 1.0).prod(axis=0)
@@ -290,16 +264,10 @@ class _GreedyEngine:
         best_val = 0
         best_pos = None
         best_plan = None
-        vmax = masked.max()
-        if vmax > 0:
+        if masked.max() > 0:
             i, c = divmod(int(np.argmax(masked)), masked.shape[1])
-            k = start + c
-            gain = int(self.delta[i, k])
-            tcost = int(sizes[k]) * int(st.d[i, k])
-            net = gain - tcost
-            val = net * float(self.avail[i]) if self.use_factor else net
-            best_val, best_pos = val, (i, k)
-            best_plan = _Plan(i, k, gain, tcost, 0, (), val)
+            best_plan = self._plan_with_evictions(i, start + c)
+            best_val, best_pos = best_plan.benefit, (i, start + c)
 
         needing = eligible & ~space
         if needing.any():
@@ -321,13 +289,18 @@ class _GreedyEngine:
         return best_plan
 
     def _plan_with_evictions(self, i: int, k: int):
+        """Score flip (i, k), evicting least-damaging replicas only if i lacks space.
+
+        Returns None when evictions cannot free enough space or, under the
+        ``all_changed_objects`` scope, would lower an evictee's availability.
+        """
         st = self.st
         sizes = st.objects.sizes
         needed = int(sizes[k]) - int(st.free[i])
         freed = 0
         damage = 0
         taken = []
-        for dmg, kk, sz in self._evictable(i):
+        for dmg, kk, sz in (self._evictable(i) if needed > 0 else ()):
             if freed >= needed:
                 break
             taken.append(kk)
@@ -335,7 +308,7 @@ class _GreedyEngine:
             freed += sz
         if freed < needed:
             return None
-        if self.enforce and self.cfg.availability_scope == "all_changed_objects":
+        if self.use_factor and self.cfg.availability_scope == "all_changed_objects":
             for kk in taken:
                 if not self._eviction_keeps_availability(i, kk):
                     return None
@@ -416,7 +389,7 @@ class _GreedyEngine:
             self.schedule.append(Evict(i, kk))
             if self.on_mutation:
                 self.on_mutation(st)
-        if self.enforce:
+        if self.use_factor:
             avail_before = costs.replicator_availability(
                 st.servers.failure_probs, st.replicators(k), self.cfg.availability_semantics
             )
@@ -429,7 +402,7 @@ class _GreedyEngine:
         self.schedule.append(Add(i, k, source, tcost))
         if self.on_mutation:
             self.on_mutation(st)
-        if self.enforce:
+        if self.use_factor:
             avail_after = costs.replicator_availability(
                 st.servers.failure_probs, st.replicators(k), self.cfg.availability_semantics
             )
@@ -449,8 +422,7 @@ class _GreedyEngine:
             self.on_commit(st, step)
 
     def _refresh_delta_col(self, k: int) -> None:
-        gain = np.maximum(self.st.d[:, k][:, None] - self.st.l, 0)
-        self.delta[:, k] = np.einsum("ji,j->i", gain, self.st.traffic[:, k])
+        self.delta[:, k:k + 1] = _delta(self.st, slice(k, k + 1))
 
     # -- drivers ----------------------------------------------------------
 
@@ -509,23 +481,3 @@ def solve(state: PlacementState, config: SolverConfig,
     else:
         engine.run_random_object()
     return engine.result()
-
-
-def solve_aagg(state: PlacementState, config: SolverConfig, **callbacks) -> PlacementResult:
-    if config.algorithm != "aagg":
-        raise ParameterError(f"config.algorithm is {config.algorithm!r}, expected 'aagg'")
-    return solve(state, config, **callbacks)
-
-
-def solve_aagro(state: PlacementState, config: SolverConfig, **callbacks) -> PlacementResult:
-    if config.algorithm != "aagro":
-        raise ParameterError(f"config.algorithm is {config.algorithm!r}, expected 'aagro'")
-    return solve(state, config, **callbacks)
-
-
-def solve_baseline(state: PlacementState, config: SolverConfig, **callbacks) -> PlacementResult:
-    if config.algorithm not in ("gg", "gro"):
-        raise ParameterError(
-            f"config.algorithm is {config.algorithm!r}, expected 'gg' or 'gro'"
-        )
-    return solve(state, config, **callbacks)

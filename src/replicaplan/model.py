@@ -40,7 +40,7 @@ class ServerCatalog:
             raise StructuralError("failure_probs must match capacities in length")
         if (caps <= 0).any():
             raise ParameterError("capacities must be positive")
-        if (probs < 0).any() or (probs >= 1).any():
+        if not ((probs >= 0) & (probs < 1)).all():
             raise ParameterError("failure probabilities must lie in [0, 1)")
         caps.setflags(write=False)
         probs.setflags(write=False)
@@ -180,15 +180,6 @@ def primary_only_placement(servers: ServerCatalog, objects: ObjectCatalog) -> np
     return x
 
 
-def nearest_replicator(x, l, i: int, k: int) -> int:
-    """Cheapest replicator of object ``k`` as seen from server ``i`` (lowest id on ties)."""
-    x = np.asarray(x)
-    reps = np.flatnonzero(x[:, k])
-    if reps.size == 0:
-        raise StructuralError(f"object {k} has no replicator")
-    return int(reps[np.argmin(l[i, reps])])
-
-
 def build_nearest_index(x, l) -> tuple[np.ndarray, np.ndarray]:
     """Compute (nearest-id, nearest-distance) matrices for every (server, object)."""
     x = np.asarray(x)
@@ -219,6 +210,8 @@ class PlacementState:
                  traffic, x):
         if cost.m != servers.count:
             raise StructuralError("cost matrix size must match server count")
+        if (cost.l < 0).any():
+            raise ParameterError("link costs must be non-negative")
         r = np.asarray(traffic, dtype=np.int64)
         if r.shape != (servers.count, objects.count):
             raise StructuralError("traffic shape must match catalogs")

@@ -91,6 +91,7 @@ class BruteGreedy:
         self.seed = seed
         self.use_factor = algorithm in ("aagg", "aagro")
         self.commits: list[tuple[int, int]] = []
+        self.values: list = []  # committed scores, float under weighting else int
         self.schedule: list[tuple] = []  # ("evict", i, k) / ("add", i, k, src, cost)
 
     # -- helpers ----------------------------------------------------------
@@ -186,6 +187,7 @@ class BruteGreedy:
             self.schedule.append(("evict", i, kk))
         self.schedule.append(("add", i, k, src, transfer))
         self.commits.append((i, k))
+        self.values.append(value)
         self.x = trial
         return True
 

@@ -22,10 +22,10 @@ from replicaplan import (
     load_failure_trace,
     object_availability,
     solve,
-    solve_aagg,
     validate_placement,
 )
 from replicaplan.cli import RESULTS_HEADER, main
+from replicaplan.heuristics import _delta
 
 
 @contextmanager
@@ -53,7 +53,7 @@ def independent_total_cost(x, traffic, l):
 def test_criterion_1_frozen_micro_trace(micro, capsys):
     with reported(capsys, 1, "hand-checked instance reproduces the worked trace"):
         started = time.perf_counter()
-        result = solve_aagg(micro.state(), SolverConfig(algorithm="aagg"))
+        result = solve(micro.state(), SolverConfig(algorithm="aagg"))
         assert list(result.schedule) == [
             Add(server=0, object_id=1, source=2, transfer_cost=100),
             Add(server=1, object_id=0, source=0, transfer_cost=20),
@@ -105,8 +105,6 @@ def test_criterion_2_planners_match_reference_rules(capsys):
 
 def test_criterion_3_single_flip_delta_is_exact(capsys):
     with reported(capsys, 3, "incremental cost delta equals full recompute"):
-        from replicaplan import delta_cost_of_add
-
         checked = 0
         seed = 0
         while checked < 1000:
@@ -129,7 +127,7 @@ def test_criterion_3_single_flip_delta_is_exact(capsys):
                 if zeros.size == 0:
                     break
                 i, k = (int(v) for v in zeros[rng.randrange(len(zeros))])
-                predicted = delta_cost_of_add(i, k, state.x, state.n, tr, state.l)
+                predicted = int(_delta(state, slice(k, k + 1))[i, 0])
                 trial = state.x.copy()
                 trial[i, k] = 1
                 before = independent_total_cost(state.x, tr, state.l)
@@ -181,7 +179,7 @@ def test_criterion_6_eviction_scope_admission(capsys):
         state = injection_instance()
         f = state.servers.failure_probs
 
-        focal = solve_aagg(state, SolverConfig(algorithm="aagg"))
+        focal = solve(state, SolverConfig(algorithm="aagg"))
         assert list(focal.schedule) == [
             Evict(server=1, object_id=1),
             Add(server=1, object_id=0, source=2, transfer_cost=10),
@@ -191,7 +189,7 @@ def test_criterion_6_eviction_scope_admission(capsys):
         assert object_availability(1, focal.x_new, f) == 0.7
         assert object_availability(0, focal.x_new, f) == 0.98
 
-        strict = solve_aagg(
+        strict = solve(
             state,
             SolverConfig(algorithm="aagg", availability_scope="all_changed_objects"),
         )

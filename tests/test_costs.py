@@ -8,26 +8,21 @@ from hypothesis import strategies as st
 from oracle import brute_object_cost, brute_total_cost, random_instance
 from test_model import make_state
 from replicaplan import (
-    ParameterError,
-    PreconditionError,
     StructuralError,
-    availability_constraint_ok,
     availability_per_object,
-    benefit,
-    delta_cost_of_add,
-    implementation_cost,
-    object_access_cost,
     object_availability,
     primary_only_placement,
     total_access_cost,
 )
+from replicaplan.heuristics import _delta
 
 
 class TestAccessCost:
     def test_per_object_on_micro(self, micro):
         state = micro.state()
-        assert object_access_cost(0, state.x, state.n, state.traffic, state.l) == 130
-        assert object_access_cost(1, state.x, state.n, state.traffic, state.l) == 360
+        report = total_access_cost(state.x, state.n, state.traffic, state.l)
+        assert report.per_object[0] == 130
+        assert report.per_object[1] == 360
 
     def test_total_on_micro(self, micro):
         state = micro.state()
@@ -39,7 +34,8 @@ class TestAccessCost:
         state = micro.state()
         state.add_replica(1, 0)
         state.add_replica(2, 0)
-        assert object_access_cost(0, state.x, state.n, state.traffic, state.l) == 0
+        report = total_access_cost(state.x, state.n, state.traffic, state.l)
+        assert report.per_object[0] == 0
 
     def test_zero_traffic(self, micro):
         state = make_state(
@@ -70,15 +66,12 @@ class TestAccessCost:
 
 
 class TestDeltaOfAdd:
+    """The planner engine's ``delta`` kernel: access saving of one add."""
+
     def test_micro_values(self, micro):
         state = micro.state()
-        assert delta_cost_of_add(0, 1, state.x, state.n, state.traffic, state.l) == 320
-        assert delta_cost_of_add(1, 0, state.x, state.n, state.traffic, state.l) == 100
-
-    def test_existing_replica_rejected(self, micro):
-        state = micro.state()
-        with pytest.raises(PreconditionError):
-            delta_cost_of_add(0, 0, state.x, state.n, state.traffic, state.l)
+        assert _delta(state, slice(1, 2))[0, 0] == 320
+        assert _delta(state, slice(0, 1))[1, 0] == 100
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=80, deadline=None)
@@ -92,7 +85,7 @@ class TestDeltaOfAdd:
         if zeros.size == 0:
             return
         i, k = (int(v) for v in zeros[rng.randrange(len(zeros))])
-        predicted = delta_cost_of_add(i, k, state.x, state.n, state.traffic, state.l)
+        predicted = int(_delta(state, slice(k, k + 1))[i, 0])
         before = brute_total_cost(state.x.tolist(), traffic, l.tolist())
         trial = state.x.copy()
         trial[i, k] = 1
@@ -115,36 +108,6 @@ class TestDeltaOfAdd:
                 elif int(state.objects.primaries[k]) != i:
                     trial[i, k] = 0
                     assert brute_total_cost(trial.tolist(), traffic, l.tolist()) >= base
-
-
-class TestImplementationCost:
-    def test_no_change_is_free(self, micro):
-        state = micro.state()
-        assert implementation_cost(
-            state.x, state.n, state.x, micro.objects.sizes, state.l
-        ) == 0
-
-    def test_single_add(self, micro):
-        state = micro.state()
-        new = state.x.copy()
-        new[0, 1] = 1
-        assert implementation_cost(state.x, state.n, new, micro.objects.sizes, state.l) == 100
-
-    def test_two_adds_priced_against_old(self, micro):
-        state = micro.state()
-        new = state.x.copy()
-        new[0, 1] = 1
-        new[1, 0] = 1
-        assert implementation_cost(state.x, state.n, new, micro.objects.sizes, state.l) == 120
-
-    def test_deletions_free(self, micro):
-        state = micro.state()
-        state.add_replica(1, 0)
-        old_n = state.n.copy()
-        old_x = state.x.copy()
-        new = old_x.copy()
-        new[1, 0] = 0
-        assert implementation_cost(old_x, old_n, new, micro.objects.sizes, state.l) == 0
 
 
 class TestAvailability:
@@ -196,51 +159,3 @@ class TestAvailability:
         x[int(candidates[0]), k] = 1
         after = object_availability(k, x, state.servers.failure_probs)
         assert after >= before - 1e-12
-
-
-class TestAvailabilityConstraint:
-    def test_superset_ok(self, micro):
-        old = primary_only_placement(micro.servers, micro.objects)
-        new = old.copy()
-        new[0, 1] = 1
-        assert availability_constraint_ok(1, old, new, micro.servers.failure_probs)
-
-    def test_shrinking_set_fails(self, micro):
-        old = primary_only_placement(micro.servers, micro.objects)
-        old[0, 1] = 1
-        new = old.copy()
-        new[0, 1] = 0  # 0.999 -> 0.99
-        assert not availability_constraint_ok(1, old, new, micro.servers.failure_probs)
-
-    def test_unchanged_ok(self, micro):
-        x = primary_only_placement(micro.servers, micro.objects)
-        assert availability_constraint_ok(0, x, x, micro.servers.failure_probs)
-
-
-class TestBenefit:
-    def test_micro_first_flip(self):
-        breakdown = benefit(490, 170, 100, 0.9)
-        assert breakdown.access_saving == 320
-        assert breakdown.benefit == 198.0
-
-    def test_micro_second_flip(self):
-        assert benefit(490, 390, 20, 0.8).benefit == 64.0
-
-    def test_zero_saving_minus_cost(self):
-        assert benefit(100, 50, 50, 0.99).benefit == 0.0
-
-    def test_factor_domain(self):
-        with pytest.raises(ParameterError):
-            benefit(10, 5, 0, 0.0)
-        with pytest.raises(ParameterError):
-            benefit(10, 5, 0, 1.5)
-
-    @given(c_old=st.integers(0, 10**6), c_new=st.integers(0, 10**6),
-           i_cost=st.integers(0, 10**6),
-           factor=st.floats(0.01, 1.0, allow_nan=False))
-    @settings(max_examples=60, deadline=None)
-    def test_sign_matches_unweighted(self, c_old, c_new, i_cost, factor):
-        weighted = benefit(c_old, c_new, i_cost, factor).benefit
-        unweighted = (c_old - c_new) - i_cost
-        assert (weighted > 0) == (unweighted > 0)
-        assert (weighted == 0) == (unweighted == 0)

@@ -13,12 +13,8 @@ from replicaplan import (
     ParameterError,
     SolverConfig,
     action_from_dict,
-    enumerate_positive_flips,
     replay_schedule,
     solve,
-    solve_aagg,
-    solve_aagro,
-    solve_baseline,
 )
 
 AAGG = SolverConfig(algorithm="aagg")
@@ -52,45 +48,9 @@ def injection_instance():
     return make_state(l, capacities, f, sizes, primaries, traffic, x=x)
 
 
-class TestEnumerate:
-    def test_micro_candidates(self, micro):
-        flips = enumerate_positive_flips(micro.state(), AAGG)
-        assert [(c.server, c.object_id) for c in flips] == [(0, 1), (1, 0), (1, 1)]
-        by_pos = {(c.server, c.object_id): c.pre_benefit for c in flips}
-        assert by_pos[(0, 1)] == 198.0
-        assert by_pos[(1, 0)] == 64.0
-        assert by_pos[(1, 1)] == 144.0
-
-    def test_unweighted_scores(self, micro):
-        flips = enumerate_positive_flips(micro.state(), GG)
-        by_pos = {(c.server, c.object_id): c.pre_benefit for c in flips}
-        assert by_pos == {(0, 1): 220, (1, 0): 80, (1, 1): 180}
-
-    def test_replica_cap_excludes_everything(self, micro):
-        config = SolverConfig(algorithm="aagg", max_replicas_per_object=1)
-        assert enumerate_positive_flips(micro.state(), config) == []
-
-    def test_zero_traffic_has_no_candidates(self, micro):
-        state = make_state(
-            micro.cost.l, [30, 30, 30], [0.1, 0.2, 0.01], [10, 20], [0, 2],
-            np.zeros((3, 2), dtype=np.int64),
-        )
-        assert enumerate_positive_flips(state, AAGG) == []
-
-    def test_marked_flips_are_skipped(self, micro):
-        flips = enumerate_positive_flips(micro.state(), AAGG, marked={(0, 1)})
-        assert [(c.server, c.object_id) for c in flips] == [(1, 0), (1, 1)]
-
-    def test_plain_python_numbers(self, micro):
-        for c in enumerate_positive_flips(micro.state(), AAGG):
-            assert type(c.pre_benefit) is float
-        for c in enumerate_positive_flips(micro.state(), GG):
-            assert type(c.pre_benefit) is int
-
-
 class TestAaggOnMicro:
     def test_exact_trace(self, micro):
-        result = solve_aagg(micro.state(), AAGG)
+        result = solve(micro.state(), AAGG)
         assert list(result.schedule) == [
             Add(server=0, object_id=1, source=2, transfer_cost=100),
             Add(server=1, object_id=0, source=0, transfer_cost=20),
@@ -100,11 +60,12 @@ class TestAaggOnMicro:
         assert result.impl_cost_total == 120
         assert result.benefit_total == 262.0
         assert [s.benefit for s in result.steps] == [198.0, 64.0]
+        assert all(type(s.benefit) is float for s in result.steps)
         assert result.flips == 2
         assert result.evictions == 0
 
     def test_steps_monotone(self, micro):
-        result = solve_aagg(micro.state(), AAGG)
+        result = solve(micro.state(), AAGG)
         cs = [result.c_old] + [s.c_after for s in result.steps]
         assert cs[0] == 490 and cs[-1] == result.c_new
         assert all(a > b for a, b in zip(cs, cs[1:]))
@@ -112,7 +73,7 @@ class TestAaggOnMicro:
     def test_replay_reproduces_placement(self, micro):
         state = micro.state()
         x_old = state.x.copy()
-        result = solve_aagg(state, AAGG)
+        result = solve(state, AAGG)
         assert np.array_equal(replay_schedule(x_old, result.schedule), result.x_new)
         assert np.array_equal(state.x, x_old)  # input untouched
 
@@ -123,11 +84,20 @@ class TestAaggOnMicro:
         assert result.c_new == result.c_old == 490
         assert np.array_equal(result.x_new, state.x)
 
+    def test_zero_traffic_is_identity(self, micro):
+        state = make_state(
+            micro.cost.l, [30, 30, 30], [0.1, 0.2, 0.01], [10, 20], [0, 2],
+            np.zeros((3, 2), dtype=np.int64),
+        )
+        result = solve(state, AAGG)
+        assert result.schedule == ()
+        assert result.c_new == result.c_old == 0
+
     def test_tight_server_blocks_guarded_eviction(self, micro):
         # With 25 bytes on server 0 the big object cannot land there: the only
         # resident replica is server 0's own primary, which may not be evicted.
         inst = micro.with_capacities([25, 30, 30])
-        result = solve_aagg(inst.state(), AAGG)
+        result = solve(inst.state(), AAGG)
         assert list(result.schedule) == [
             Add(server=1, object_id=1, source=2, transfer_cost=60),
             Add(server=1, object_id=0, source=0, transfer_cost=20),
@@ -137,7 +107,7 @@ class TestAaggOnMicro:
         assert result.benefit_total == 208.0
 
     def test_json_round_trip(self, micro):
-        result = solve_aagg(micro.state(), AAGG)
+        result = solve(micro.state(), AAGG)
         payload = result.to_json_dict()
         assert payload["c_new"] == 70 and payload["flips"] == 2
         rebuilt = [action_from_dict(d) for d in payload["schedule"]]
@@ -146,7 +116,7 @@ class TestAaggOnMicro:
 
 class TestBaselinesOnMicro:
     def test_gg_ignores_availability(self, micro):
-        result = solve_baseline(micro.state(), GG)
+        result = solve(micro.state(), GG)
         assert [s.benefit for s in result.steps] == [220, 80]
         assert result.benefit_total == 300
         assert result.c_new == 70
@@ -154,7 +124,7 @@ class TestBaselinesOnMicro:
         assert result.c_old - result.c_new - result.impl_cost_total == 300
 
     def test_gg_benefits_are_ints(self, micro):
-        result = solve_baseline(micro.state(), GG)
+        result = solve(micro.state(), GG)
         assert all(type(s.benefit) is int for s in result.steps)
         assert type(result.benefit_total) is int
 
@@ -162,15 +132,15 @@ class TestBaselinesOnMicro:
 class TestRandomOrderVariants:
     def test_aagro_matches_aagg_endpoint_on_micro(self, micro):
         for seed in range(6):
-            result = solve_aagro(micro.state(), SolverConfig(algorithm="aagro", seed=seed))
+            result = solve(micro.state(), SolverConfig(algorithm="aagro", seed=seed))
             assert result.c_new == 70
             assert result.impl_cost_total == 120
             assert result.benefit_total == 262.0
 
     def test_same_seed_same_schedule(self, micro):
         config = SolverConfig(algorithm="aagro", seed=7)
-        a = solve_aagro(micro.state(), config)
-        b = solve_aagro(micro.state(), config)
+        a = solve(micro.state(), config)
+        b = solve(micro.state(), config)
         assert a.schedule == b.schedule
         assert np.array_equal(a.x_new, b.x_new)
 
@@ -178,16 +148,16 @@ class TestRandomOrderVariants:
         for seed in range(4):
             order = list(range(2))
             random.Random(seed).shuffle(order)
-            result = solve_aagro(micro.state(), SolverConfig(algorithm="aagro", seed=seed))
+            result = solve(micro.state(), SolverConfig(algorithm="aagro", seed=seed))
             assert [s.object_id for s in result.steps] == order
 
     def test_single_object_equals_global(self):
         l = [[0, 3], [3, 0]]
         traffic = np.array([[0], [50]])
         state = make_state(l, [10, 10], [0.1, 0.2], [5], [0], traffic)
-        global_result = solve_aagg(state, AAGG)
+        global_result = solve(state, AAGG)
         for seed in (0, 1, 99):
-            per_object = solve_aagro(
+            per_object = solve(
                 state, SolverConfig(algorithm="aagro", seed=seed)
             )
             assert per_object.schedule == global_result.schedule
@@ -205,8 +175,8 @@ class TestAvailabilityChangesChoices:
         traffic = np.array([[0], [200], [90]])
         state = make_state(l, capacities, f, sizes, primaries, traffic)
 
-        weighted = solve_aagg(state, AAGG)
-        plain = solve_baseline(state, GG)
+        weighted = solve(state, AAGG)
+        plain = solve(state, GG)
         assert weighted.schedule[0] == Add(server=2, object_id=0, source=0, transfer_cost=5)
         assert plain.schedule[0] == Add(server=1, object_id=0, source=0, transfer_cost=4)
         assert weighted.steps[0].benefit == 422.75
@@ -216,28 +186,28 @@ class TestAvailabilityChangesChoices:
 class TestLiteralSemantics:
     def test_all_unreliable_servers_freeze_placement(self, micro):
         config = SolverConfig(algorithm="aagg", availability_semantics="literal")
-        result = solve_aagg(micro.state(), config)
+        result = solve(micro.state(), config)
         assert result.schedule == ()
         assert result.c_new == 490
 
     def test_perfect_server_still_accepts(self, micro):
         inst = micro.with_failure_probs([0.0, 0.2, 0.01])
         config = SolverConfig(algorithm="aagg", availability_semantics="literal")
-        result = solve_aagg(inst.state(), config)
+        result = solve(inst.state(), config)
         assert list(result.schedule) == [Add(server=0, object_id=1, source=2,
                                              transfer_cost=100)]
         assert result.steps[0].benefit == 220.0
 
     def test_baselines_ignore_semantics(self, micro):
         config = SolverConfig(algorithm="gg", availability_semantics="literal")
-        result = solve_baseline(micro.state(), config)
+        result = solve(micro.state(), config)
         assert result.c_new == 70
 
 
 class TestEvictionScope:
     def test_focal_scope_trades_away_coverage(self):
         state = injection_instance()
-        result = solve_aagg(state, SolverConfig(algorithm="aagg"))
+        result = solve(state, SolverConfig(algorithm="aagg"))
         assert list(result.schedule) == [
             Evict(server=1, object_id=1),
             Add(server=1, object_id=0, source=2, transfer_cost=10),
@@ -250,7 +220,7 @@ class TestEvictionScope:
     def test_strict_scope_protects_evictee(self):
         state = injection_instance()
         config = SolverConfig(algorithm="aagg", availability_scope="all_changed_objects")
-        result = solve_aagg(state, config)
+        result = solve(state, config)
         assert result.schedule == ()
         assert np.array_equal(result.x_new, state.x)
         assert result.c_new == 1000
@@ -272,14 +242,6 @@ class TestConfigValidation:
     def test_unknown_semantics(self):
         with pytest.raises(ParameterError):
             SolverConfig(availability_semantics="hopeful")
-
-    def test_wrapper_guards(self, micro):
-        with pytest.raises(ParameterError):
-            solve_aagg(micro.state(), GG)
-        with pytest.raises(ParameterError):
-            solve_aagro(micro.state(), AAGG)
-        with pytest.raises(ParameterError):
-            solve_baseline(micro.state(), AAGG)
 
 
 class TestAgainstReference:
@@ -306,6 +268,7 @@ class TestAgainstReference:
         assert schedule_tuples(result.schedule) == oracle.schedule
         assert np.array_equal(result.x_new, np.array(oracle.x, dtype=np.int8))
         assert [(s.server, s.object_id) for s in result.steps] == oracle.commits
+        assert [s.benefit for s in result.steps] == oracle.values
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)

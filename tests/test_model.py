@@ -19,7 +19,6 @@ from replicaplan import (
     StructuralError,
     build_nearest_index,
     load_placement,
-    nearest_replicator,
     primary_only_placement,
     save_placement,
     validate_placement,
@@ -45,6 +44,8 @@ class TestCatalogs:
             ServerCatalog([10], [1.0])
         with pytest.raises(ParameterError):
             ServerCatalog([10], [-0.1])
+        with pytest.raises(ParameterError):
+            ServerCatalog([10], [float("nan")])
 
     def test_length_mismatch(self):
         with pytest.raises(StructuralError):
@@ -115,22 +116,21 @@ class TestPrimaryOnly:
 class TestNearest:
     def test_from_primary_only(self, micro):
         x = primary_only_placement(micro.servers, micro.objects)
-        assert nearest_replicator(x, micro.cost.l, 1, 0) == 0
-        assert nearest_replicator(x, micro.cost.l, 1, 1) == 2
+        near = build_nearest_index(x, micro.cost.l)[0]
+        assert near[1, 0] == 0
+        assert near[1, 1] == 2
 
     def test_replicator_sees_itself(self, micro):
         x = primary_only_placement(micro.servers, micro.objects)
-        assert nearest_replicator(x, micro.cost.l, 0, 0) == 0
+        assert build_nearest_index(x, micro.cost.l)[0][0, 0] == 0
 
     def test_tie_goes_to_lower_id(self):
         l = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
         x = np.array([[0], [1], [1]])
-        assert nearest_replicator(x, np.array(l), 0, 0) == 1
+        assert build_nearest_index(x, np.array(l))[0][0, 0] == 1
 
     def test_empty_column(self, micro):
         x = np.zeros((3, 2), dtype=np.int8)
-        with pytest.raises(StructuralError):
-            nearest_replicator(x, micro.cost.l, 0, 0)
         with pytest.raises(StructuralError):
             build_nearest_index(x, micro.cost.l)
 
@@ -179,6 +179,10 @@ class TestIncrementalIndex:
         x = np.zeros((3, 2), dtype=np.int8)
         with pytest.raises(ConstraintError):
             micro.state(x)
+
+    def test_negative_link_cost_rejected(self):
+        with pytest.raises(ParameterError):
+            make_state([[0, -5], [-5, 0]], [10, 10], [0.1, 0.1], [1], [0], [[1], [1]])
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=80, deadline=None)

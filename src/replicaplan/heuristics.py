@@ -11,21 +11,23 @@ availability admission check.
 
 When a target server lacks space, non-primary replicas it hosts are evicted
 least-damaging-first until the newcomer fits; a candidate whose evictions
-cannot free enough space is skipped.  Scoring compares candidates with strict
-inequality while scanning in ascending (server, object) order, so ties keep
-the lowest-numbered flip.
+cannot free enough space is skipped.  Each server keeps its evictable
+replicas sorted by (damage, object) with prefix sums of sizes and damages,
+so one binary search scores every eviction-needing candidate on it.  Ties
+keep the lowest-numbered (server, object) flip.
 
 The engine is the only implementation of flip scoring: the access saving
-``delta`` of every candidate add comes from one kernel, :func:`_delta`, and
-every plan, with or without evictions, is built by one method,
-``_plan_with_evictions``.  :func:`solve` is the one entry point.
+``delta`` of every candidate add comes from one kernel, :func:`_delta`, every
+score from the one matrix built in ``_sweep``, and the winner's plan, with or
+without evictions, from the same per-server prefix sums in ``_plan``.
+:func:`solve` is the one entry point.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -207,12 +209,30 @@ class _Plan:
     benefit: float      # realized score; int under availability-blind scoring
 
 
+class _Evictables(NamedTuple):
+    """One server's evictable (non-primary) replicas, sorted by (damage, object).
+
+    ``cum_damage`` and ``blocked`` carry one sentinel past the end (0 and
+    True), so a search that runs off ``cum_size`` lands on "cannot free
+    enough space".
+    """
+
+    objects: np.ndarray     # int64 object ids
+    damages: np.ndarray     # int64 access-cost increase of each eviction alone
+    lowers: np.ndarray      # bool: eviction lowers the evictee's availability
+    cum_size: np.ndarray    # bytes freed by evicting entries [0..t]
+    cum_damage: np.ndarray  # damage of evicting entries [0..t]
+    blocked: np.ndarray     # any of lowers[0..t] (guarded scope only)
+
+
 class _GreedyEngine:
     def __init__(self, state: PlacementState, config: SolverConfig,
                  on_commit=None, on_mutation=None):
         self.st = state.copy()
         self.cfg = config
         self.use_factor = config.algorithm in ("aagg", "aagro")
+        self.guard_evictees = (self.use_factor
+                               and config.availability_scope == "all_changed_objects")
         self.avail = 1.0 - self.st.servers.failure_probs
         self.tol = costs.AVAILABILITY_TOL
         self.cap_val = config.max_replicas_per_object or self.st.num_servers
@@ -230,21 +250,32 @@ class _GreedyEngine:
         self.impl_total = 0
         self.benefit_total = 0
         self.iterations = 0
-        self._evict_cache: dict[int, list] = {}
+        self._evict_cache: dict[int, _Evictables] = {}
 
     # -- sweeping ---------------------------------------------------------
 
     def _sweep(self, cs: slice):
         """Score every candidate in the column window; return the best plan.
 
-        Candidates that fit without evictions all realize exactly their
-        pre-score, so the best of them falls out of one vectorized argmax
-        and only that winner is planned; eviction-needing candidates are
-        planned individually in descending upper-bound order with early
-        cutoff.
+        All scores go into one M x len(cs) matrix.  A candidate that fits
+        scores its net saving ``raw`` (access saving minus transfer bytes),
+        times ``avail[i]`` under availability weighting.  One that needs
+        space evicts the shortest prefix of server ``i``'s evictable replicas
+        (sorted by (damage, object)) whose sizes cover the shortfall: a
+        binary search on the prefix sums of sizes finds it, the prefix sum of
+        damages is its damage, and the score is ``raw - damage``, weighted
+        the same way.  It scores 0 when no prefix frees enough space or,
+        under the ``all_changed_objects`` scope, when an evictee in the
+        prefix would lose availability.
+
+        Damage is never negative, so no eviction-needing candidate on a
+        server beats that server's best eviction-free score: servers are
+        visited in descending order of it and the visit stops once it drops
+        below the best score found.  The first argmax of the matrix wins, so
+        ties keep the lowest (server, object); it is planned only if its
+        score is positive.
         """
         st = self.st
-        start = cs.start
         xs = st.x[:, cs]
         ds = st.d[:, cs]
         sz = st.objects.sizes[cs]
@@ -258,80 +289,83 @@ class _GreedyEngine:
         if not eligible.any():
             return None
         space = st.free[:, None] >= sz[None, :]
-
         values = raw * self.avail[:, None] if self.use_factor else raw
-        masked = np.where(eligible & space, values, 0)
-        best_val = 0
-        best_pos = None
-        best_plan = None
-        if masked.max() > 0:
-            i, c = divmod(int(np.argmax(masked)), masked.shape[1])
-            best_plan = self._plan_with_evictions(i, start + c)
-            best_val, best_pos = best_plan.benefit, (i, start + c)
-
+        scores = np.where(eligible & space, values, 0)
         needing = eligible & ~space
-        if needing.any():
-            icol, ccol = np.nonzero(needing)
-            uppers = raw[icol, ccol] * self.avail[icol] if self.use_factor \
-                else raw[icol, ccol]
-            order = np.lexsort((ccol, icol, -uppers))
-            for t in order:
-                if uppers[t] < best_val:
-                    break  # sorted descending: nothing later can win
-                plan = self._plan_with_evictions(int(icol[t]), start + int(ccol[t]))
-                if plan is None:
-                    continue
-                pos = (plan.server, plan.object_id)
-                if plan.benefit > best_val or (
-                    plan.benefit == best_val and best_pos is not None and pos < best_pos
-                ):
-                    best_val, best_pos, best_plan = plan.benefit, pos, plan
-        return best_plan
-
-    def _plan_with_evictions(self, i: int, k: int):
-        """Score flip (i, k), evicting least-damaging replicas only if i lacks space.
-
-        Returns None when evictions cannot free enough space or, under the
-        ``all_changed_objects`` scope, would lower an evictee's availability.
-        """
-        st = self.st
-        sizes = st.objects.sizes
-        needed = int(sizes[k]) - int(st.free[i])
-        freed = 0
-        damage = 0
-        taken = []
-        for dmg, kk, sz in (self._evictable(i) if needed > 0 else ()):
-            if freed >= needed:
-                break
-            taken.append(kk)
-            damage += dmg
-            freed += sz
-        if freed < needed:
+        rows = np.flatnonzero(needing.any(axis=1))
+        if rows.size:
+            best = scores.max()
+            uppers = np.where(needing[rows], values[rows], 0).max(axis=1)
+            for r in np.argsort(-uppers, kind="stable"):
+                if uppers[r] < best:
+                    break
+                i = int(rows[r])
+                cols = np.flatnonzero(needing[i])
+                ev = self._evictable(i)
+                t = np.searchsorted(ev.cum_size, sz[cols] - st.free[i])
+                net = raw[i, cols] - ev.cum_damage[t]
+                if self.use_factor:
+                    net = net * self.avail[i]
+                row = np.where(ev.blocked[t], 0, net)
+                scores[i, cols] = row
+                best = max(best, row.max())
+        flat = int(np.argmax(scores))
+        if scores.flat[flat] <= 0:
             return None
-        if self.use_factor and self.cfg.availability_scope == "all_changed_objects":
-            for kk in taken:
-                if not self._eviction_keeps_availability(i, kk):
-                    return None
+        i, c = divmod(flat, scores.shape[1])
+        plan = self._plan(i, cs.start + c)
+        if plan.benefit != scores.flat[flat]:
+            raise RuntimeError("winning plan diverged from its score")
+        return plan
+
+    def _plan(self, i: int, k: int) -> _Plan:
+        """Plan flip (i, k), evicting the prefix ``_sweep`` scored if i lacks space."""
+        st = self.st
+        size = int(st.objects.sizes[k])
+        needed = size - int(st.free[i])
+        taken, damage = (), 0
+        if needed > 0:
+            ev = self._evictable(i)
+            t = int(np.searchsorted(ev.cum_size, needed))
+            taken = tuple(int(kk) for kk in ev.objects[:t + 1])
+            damage = int(ev.cum_damage[t])
         gain = int(self.delta[i, k])
-        tcost = int(sizes[k]) * int(st.d[i, k])
+        tcost = size * int(st.d[i, k])
         net = gain - damage - tcost
         val = net * float(self.avail[i]) if self.use_factor else net
-        return _Plan(i, k, gain, tcost, damage, tuple(taken), val)
+        return _Plan(i, k, gain, tcost, damage, taken, val)
 
-    def _evictable(self, i: int) -> list:
-        """Non-primary replicas on server i, cheapest-to-lose first."""
+    def _evictable(self, i: int) -> _Evictables:
+        """Server i's evictable replicas with their prefix sums, built on first use."""
         cached = self._evict_cache.get(i)
         if cached is None:
-            st = self.st
-            cached = []
-            for kk in np.flatnonzero(st.x[i]):
-                kk = int(kk)
-                if int(st.objects.primaries[kk]) == i:
-                    continue
-                cached.append((self._removal_damage(i, kk), kk, int(st.objects.sizes[kk])))
-            cached.sort()
+            objs = np.flatnonzero(self.st.x[i])
+            cached = self._evictables(*self._entries(i, objs))
             self._evict_cache[i] = cached
         return cached
+
+    def _entries(self, i: int, objs: np.ndarray) -> tuple:
+        """(objects, damages, lowers) of the non-primary replicas among ``objs`` on i."""
+        st = self.st
+        objs = objs[(st.x[i, objs] == 1) & (st.objects.primaries[objs] != i)]
+        damages = np.array([self._removal_damage(i, int(kk)) for kk in objs], dtype=np.int64)
+        lowers = np.zeros(objs.size, dtype=bool)
+        if self.guard_evictees:
+            lowers[:] = [not self._eviction_keeps_availability(i, int(kk)) for kk in objs]
+        return objs, damages, lowers
+
+    def _evictables(self, objs, damages, lowers) -> _Evictables:
+        """Sort entries by (damage, object) and take their prefix sums."""
+        order = np.lexsort((objs, damages))
+        objs, damages, lowers = objs[order], damages[order], lowers[order]
+        return _Evictables(
+            objects=objs,
+            damages=damages,
+            lowers=lowers,
+            cum_size=np.cumsum(self.st.objects.sizes[objs]),
+            cum_damage=np.append(np.cumsum(damages), 0),
+            blocked=np.append(np.logical_or.accumulate(lowers), True),
+        )
 
     def _removal_damage(self, i: int, kk: int) -> int:
         """Access-cost increase if replica (i, kk) were dropped right now."""
@@ -345,27 +379,26 @@ class _GreedyEngine:
         return int(((rerouted - st.d[affected, kk]) * st.traffic[affected, kk]).sum())
 
     def _update_evictables(self, i: int, k: int, evictions: tuple) -> None:
-        """Re-score only cache entries whose columns a commit touched.
+        """Re-score the cached entries of the columns a commit touched.
 
-        Removal damage depends solely on its own column's placement and
-        nearest index, so entries for untouched columns stay valid; the
-        committing server additionally gains an entry for the new replica
-        and loses the evicted ones.
+        An entry's damage and availability flag depend only on its own
+        column's placement and nearest index, so only the servers holding a
+        touched column, plus ``i`` (which gains k and loses the evictees),
+        have entries to change.
         """
         st = self.st
-        touched = {k, *evictions}
-        for j, entries in self._evict_cache.items():
-            if not any(kk in touched for _, kk, _ in entries) and j != i:
+        touched = np.array([k, *evictions], dtype=np.int64)
+        for j in {i, *np.flatnonzero(st.x[:, touched].any(axis=1)).tolist()}:
+            ev = self._evict_cache.get(j)
+            if ev is None:
                 continue
-            fresh = [
-                (self._removal_damage(j, kk), kk, szv) if kk in touched else (dmg, kk, szv)
-                for dmg, kk, szv in entries
-                if st.x[j, kk]
-            ]
-            if j == i and int(st.objects.primaries[k]) != i:
-                fresh.append((self._removal_damage(i, k), k, int(st.objects.sizes[k])))
-            fresh.sort()
-            self._evict_cache[j] = fresh
+            keep = ~np.isin(ev.objects, touched)
+            objs, damages, lowers = self._entries(j, touched)
+            self._evict_cache[j] = self._evictables(
+                np.concatenate((ev.objects[keep], objs)),
+                np.concatenate((ev.damages[keep], damages)),
+                np.concatenate((ev.lowers[keep], lowers)),
+            )
 
     def _eviction_keeps_availability(self, i: int, kk: int) -> bool:
         st = self.st

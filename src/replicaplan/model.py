@@ -23,6 +23,55 @@ from .errors import (
 )
 from .topology import CostMatrix
 
+INT64_LIMIT = 2**63
+
+
+def _integral(values, what: str) -> np.ndarray:
+    """``values`` as an array, refused unless every entry is an int64-sized integer.
+
+    Checked before any int64 cast, which would truncate 1.7 to 1 and wrap
+    NaN, inf and out-of-range values silently.
+    """
+    raw = np.asarray(values)
+    kind = raw.dtype.kind
+    if kind == "f":
+        ok = (np.isfinite(raw) & (raw == np.floor(raw))
+              & (raw >= -INT64_LIMIT) & (raw < INT64_LIMIT))
+    elif kind == "u":
+        ok = raw < INT64_LIMIT
+    elif kind == "i":
+        return raw
+    else:
+        raise ParameterError(f"{what} must be integers below 2**63, got {raw.dtype} values")
+    if not ok.all():
+        raise ParameterError(f"{what} must be finite integers below 2**63")
+    return raw
+
+
+def _check_int64_headroom(l: np.ndarray, sizes: np.ndarray, traffic: np.ndarray) -> None:
+    """Refuse instances whose exact integer costs could leave int64.
+
+    Every access cost, saving and eviction damage (and every prefix sum of
+    damages) is at most ``max(l) * sum(traffic)``, and every transfer cost
+    at most ``max(size) * max(l)``.
+    """
+    max_l = int(l.max(initial=0))
+    if int(traffic.max(initial=0)) <= (INT64_LIMIT - 1) // max(traffic.size, 1):
+        total = int(traffic.sum())
+    else:  # the int64 sum itself could wrap
+        total = sum(int(v) for v in traffic.ravel())
+    if max_l * total >= INT64_LIMIT:
+        raise ParameterError(
+            f"max link cost {max_l} x total traffic {total} reaches 2**63; "
+            "costs would overflow int64"
+        )
+    max_size = int(sizes.max(initial=0))
+    if max_size * max_l >= INT64_LIMIT:
+        raise ParameterError(
+            f"max object size {max_size} x max link cost {max_l} reaches 2**63; "
+            "transfer costs would overflow int64"
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class ServerCatalog:
@@ -32,7 +81,7 @@ class ServerCatalog:
     failure_probs: np.ndarray
 
     def __post_init__(self):
-        caps = np.array(self.capacities, dtype=np.int64)
+        caps = np.array(_integral(self.capacities, "capacities"), dtype=np.int64)
         probs = np.array(self.failure_probs, dtype=np.float64)
         if caps.ndim != 1 or caps.size == 0:
             raise StructuralError("capacities must be a non-empty vector")
@@ -60,8 +109,8 @@ class ObjectCatalog:
     primaries: np.ndarray
 
     def __post_init__(self):
-        sizes = np.array(self.sizes, dtype=np.int64)
-        prim = np.array(self.primaries, dtype=np.int64)
+        sizes = np.array(_integral(self.sizes, "object sizes"), dtype=np.int64)
+        prim = np.array(_integral(self.primaries, "primary ids"), dtype=np.int64)
         if sizes.ndim != 1:
             raise StructuralError("sizes must be a vector")
         if prim.shape != sizes.shape:
@@ -90,7 +139,7 @@ class Scenario:
     meta: dict | None = None
 
     def __post_init__(self):
-        r = np.array(self.traffic, dtype=np.int64)
+        r = np.array(_integral(self.traffic, "traffic"), dtype=np.int64)
         m, n = self.servers.count, self.objects.count
         if r.shape != (m, n):
             raise StructuralError(f"traffic must be {m}x{n}, got {r.shape}")
@@ -212,11 +261,12 @@ class PlacementState:
             raise StructuralError("cost matrix size must match server count")
         if (cost.l < 0).any():
             raise ParameterError("link costs must be non-negative")
-        r = np.asarray(traffic, dtype=np.int64)
+        r = np.asarray(_integral(traffic, "traffic"), dtype=np.int64)
         if r.shape != (servers.count, objects.count):
             raise StructuralError("traffic shape must match catalogs")
         if (r < 0).any():
             raise ParameterError("traffic entries must be non-negative")
+        _check_int64_headroom(cost.l, objects.sizes, r)
         violations = validate_placement(x, servers, objects)
         if violations:
             raise ConstraintError(

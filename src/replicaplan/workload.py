@@ -16,6 +16,7 @@ time inside the horizon not covered by a ``down`` record counts as up.
 from __future__ import annotations
 
 import csv
+import math
 import random
 from dataclasses import dataclass
 
@@ -152,6 +153,9 @@ def load_failure_trace(path) -> FailureTrace:
                 raise TraceError(f"{path}:{lineno}: state must be 'up' or 'down', got {row[3]!r}")
             if node < 0:
                 raise TraceError(f"{path}:{lineno}: negative node id {node}")
+            if not (math.isfinite(start) and math.isfinite(end)):
+                raise TraceError(f"{path}:{lineno}: interval times must be finite, "
+                                 f"got start {start} and end {end}")
             if end <= start:
                 raise TraceError(f"{path}:{lineno}: interval end {end} <= start {start}")
             records.append(TraceRecord(node, start, end, state))

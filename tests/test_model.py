@@ -16,11 +16,13 @@ from replicaplan import (
     PreconditionError,
     Scenario,
     ServerCatalog,
+    SolverConfig,
     StructuralError,
     build_nearest_index,
     load_placement,
     primary_only_placement,
     save_placement,
+    solve,
     validate_placement,
 )
 
@@ -54,6 +56,26 @@ class TestCatalogs:
     def test_object_sizes_positive(self):
         with pytest.raises(ParameterError):
             ObjectCatalog([0], [0])
+
+    @pytest.mark.parametrize("bad", [1.7, float("nan"), float("inf"), 1e30, 2**70, "5"])
+    def test_non_integral_inputs_rejected(self, micro, bad):
+        # An int64 cast would truncate 1.7 to 1 and wrap the rest silently.
+        with pytest.raises(ParameterError):
+            ObjectCatalog([bad], [0])
+        with pytest.raises(ParameterError):
+            ObjectCatalog([10], [bad])
+        with pytest.raises(ParameterError):
+            ServerCatalog([bad], [0.1])
+        traffic = [[bad, 0], [0, 0], [0, 0]]
+        with pytest.raises(ParameterError):
+            Scenario(micro.servers, micro.objects, traffic)
+        with pytest.raises(ParameterError):
+            PlacementState(micro.cost, micro.servers, micro.objects, traffic,
+                           primary_only_placement(micro.servers, micro.objects))
+
+    def test_integral_floats_accepted(self):
+        assert ObjectCatalog([10.0, 2], [0, 0]).sizes.tolist() == [10, 2]
+        assert ServerCatalog([30.0], [0.1]).capacities.tolist() == [30]
 
 
 class TestScenario:
@@ -183,6 +205,18 @@ class TestIncrementalIndex:
     def test_negative_link_cost_rejected(self):
         with pytest.raises(ParameterError):
             make_state([[0, -5], [-5, 0]], [10, 10], [0.1, 0.1], [1], [0], [[1], [1]])
+
+    def test_int64_overflow_rejected(self):
+        l = [[0, 10**9], [10**9, 0]]
+        # 1e9 x 1e10 would wrap the access cost to -8446744073709551616.
+        with pytest.raises(ParameterError, match="total traffic"):
+            make_state(l, [10, 10], [0.1, 0.1], [1], [0], [[0], [10**10]])
+        with pytest.raises(ParameterError, match="object size"):
+            make_state(l, [2**40, 10], [0.1, 0.1], [2**40], [0], [[0], [1]])
+        state = make_state(l, [10, 10], [0.1, 0.1], [1], [0], [[0], [9 * 10**9]])
+        result = solve(state, SolverConfig(algorithm="gg"))
+        assert result.c_old == 9 * 10**18
+        assert result.c_new == 0
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=80, deadline=None)

@@ -164,6 +164,13 @@ class TestTraceParsing:
         with pytest.raises(TraceError, match="end"):
             load_failure_trace(path)
 
+    @pytest.mark.parametrize("row", ["0,20,nan,down", "0,nan,30,up", "0,20,inf,down",
+                                     "0,-inf,30,up"])
+    def test_non_finite_time_names_the_line(self, tmp_path, row):
+        path = write_trace(tmp_path, f"0,0,10,up\n{row}\n")
+        with pytest.raises(TraceError, match=":3: interval times must be finite"):
+            load_failure_trace(path)
+
     def test_overlap(self, tmp_path):
         path = write_trace(tmp_path, "0,0,100,up\n0,50,150,down\n")
         with pytest.raises(TraceError, match="overlap"):

@@ -5,7 +5,6 @@ from .costs import (
     SEMANTICS,
     CostReport,
     availability_per_object,
-    object_availability,
     total_access_cost,
 )
 from .errors import (

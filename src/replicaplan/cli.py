@@ -52,27 +52,6 @@ def derive_seed(master: int, label: str) -> int:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Generation knobs; field defaults are the reference desk-scale setup."""
-
-    nodes: int = 50
-    m_links: int = 1
-    cost_lo: int = 1
-    cost_hi: int = 10
-    objects: int = 1000
-    size_lo: int = 1000
-    size_hi: int = 5000
-    traffic: str = "zipf"
-    zipf_skew: float = 0.8
-    traffic_volume: int = 50_000_000
-    trace: str | None = None
-    synthetic_availability: str = "uniform:0.0:0.3"
-    capacity_policy: str = "slack:1.5"
-    caps: tuple[int, ...] = (1, 2, 3, 4, 5)
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class ResultRow:
     algorithm: str
     cap: int | None
@@ -162,38 +141,41 @@ def _capacities(policy: str, caps: tuple[int, ...], objects, n_servers: int) -> 
     raise ReplicaPlanError(f"unknown capacity policy {policy!r}")
 
 
-def _build_instance(cfg: ExperimentConfig) -> tuple[topology.Graph, topology.CostMatrix, Scenario]:
-    graph = topology.generate_ba_topology(cfg.nodes, cfg.m_links, derive_seed(cfg.seed, "topology"))
-    graph = topology.assign_link_costs(graph, cfg.cost_lo, cfg.cost_hi, derive_seed(cfg.seed, "costs"))
+def _build_instance(args) -> tuple[topology.Graph, topology.CostMatrix, Scenario]:
+    """Generate the instance the ``gen`` flags describe."""
+    seed = args.seed
+    graph = topology.generate_ba_topology(args.nodes, args.m_links, derive_seed(seed, "topology"))
+    graph = topology.assign_link_costs(graph, args.cost_lo, args.cost_hi,
+                                       derive_seed(seed, "costs"))
     matrix = topology.all_pairs_shortest_paths(graph)
     catalog = workload.generate_object_catalog(
-        cfg.objects, cfg.size_lo, cfg.size_hi, cfg.nodes, derive_seed(cfg.seed, "catalog")
+        args.objects, args.size_lo, args.size_hi, args.nodes, derive_seed(seed, "catalog")
     )
     model = workload.TrafficModel(
-        kind=cfg.traffic,
-        zipf_skew=cfg.zipf_skew,
-        total_volume=cfg.traffic_volume,
-        seed=derive_seed(cfg.seed, "traffic"),
+        kind=args.traffic,
+        zipf_skew=args.zipf_skew,
+        total_volume=args.traffic_volume,
+        seed=derive_seed(seed, "traffic"),
     )
-    traffic = workload.generate_traffic(model, cfg.nodes, cfg.objects, sizes=catalog.sizes)
+    traffic = workload.generate_traffic(model, args.nodes, args.objects)
     meta: dict = {
-        "master_seed": cfg.seed,
-        "capacity_policy": cfg.capacity_policy,
-        "caps": list(cfg.caps),
-        "traffic_model": {"kind": cfg.traffic, "zipf_skew": cfg.zipf_skew,
-                          "total_volume": cfg.traffic_volume},
+        "master_seed": seed,
+        "capacity_policy": args.capacity_policy,
+        "caps": list(args.caps),
+        "traffic_model": {"kind": args.traffic, "zipf_skew": args.zipf_skew,
+                          "total_volume": args.traffic_volume},
     }
-    if cfg.trace is not None:
-        trace = workload.load_failure_trace(cfg.trace)
-        failure_probs = workload.trace_availability_for_servers(trace, cfg.nodes)
-        meta["availability_source"] = {"trace": str(cfg.trace),
+    if args.trace is not None:
+        trace = workload.load_failure_trace(args.trace)
+        failure_probs = workload.trace_availability_for_servers(trace, args.nodes)
+        meta["availability_source"] = {"trace": str(args.trace),
                                        "node_mapping": "trace node id modulo server count"}
     else:
         failure_probs = workload.synthetic_availability(
-            cfg.nodes, cfg.synthetic_availability, derive_seed(cfg.seed, "availability")
+            args.nodes, args.synthetic_availability, derive_seed(seed, "availability")
         )
-        meta["availability_source"] = {"synthetic": cfg.synthetic_availability}
-    capacities = _capacities(cfg.capacity_policy, cfg.caps, catalog, cfg.nodes)
+        meta["availability_source"] = {"synthetic": args.synthetic_availability}
+    capacities = _capacities(args.capacity_policy, args.caps, catalog, args.nodes)
     servers = ServerCatalog(capacities, failure_probs)
     scenario = Scenario(servers, catalog, traffic, meta=meta)
     return graph, matrix, scenario
@@ -244,24 +226,7 @@ def _run_cell(matrix, scenario, algorithm: str, cap: int | None, args,
 
 
 def cmd_gen(args) -> int:
-    cfg = ExperimentConfig(
-        nodes=args.nodes,
-        m_links=args.m_links,
-        cost_lo=args.cost_lo,
-        cost_hi=args.cost_hi,
-        objects=args.objects,
-        size_lo=args.size_lo,
-        size_hi=args.size_hi,
-        traffic=args.traffic,
-        zipf_skew=args.zipf_skew,
-        traffic_volume=args.traffic_volume,
-        trace=args.trace,
-        synthetic_availability=args.synthetic_availability,
-        capacity_policy=args.capacity_policy,
-        caps=args.caps,
-        seed=args.seed,
-    )
-    graph, matrix, scenario = _build_instance(cfg)
+    graph, matrix, scenario = _build_instance(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     topology.save_topology(graph, out / "topology.json")

@@ -60,16 +60,11 @@ def replicator_availability(failure_probs, replicators, semantics: str = "correc
     return math.prod(1.0 - float(failure_probs[i]) for i in sorted(ids))
 
 
-def object_availability(k: int, x, failure_probs, semantics: str = "corrected") -> float:
-    """Availability of object ``k`` under placement ``x``."""
-    x = np.asarray(x)
-    return replicator_availability(failure_probs, np.flatnonzero(x[:, k]), semantics)
-
-
 def availability_per_object(x, failure_probs, semantics: str = "corrected") -> np.ndarray:
-    """Vector of object availabilities (harness convenience)."""
+    """Vector of object availabilities under placement ``x``."""
     x = np.asarray(x)
     return np.array(
-        [object_availability(k, x, failure_probs, semantics) for k in range(x.shape[1])]
+        [replicator_availability(failure_probs, np.flatnonzero(x[:, k]), semantics)
+         for k in range(x.shape[1])]
     )
 

@@ -459,25 +459,23 @@ class _GreedyEngine:
 
     # -- drivers ----------------------------------------------------------
 
-    def run_global(self) -> None:
-        n = self.st.num_objects
-        if n == 0:
-            return
-        full = slice(0, n)
-        while True:
-            self.iterations += 1
-            plan = self._sweep(full)
-            if plan is None:
-                break
-            self._commit(plan)
+    def run(self) -> None:
+        """Commit each column window's best flip until none is positive.
 
-    def run_random_object(self) -> None:
-        order = list(range(self.st.num_objects))
-        random.Random(self.cfg.seed).shuffle(order)
-        for k in order:
+        The global planners use one window holding every object, the
+        random-order planners one window per object, in seeded order.
+        """
+        n = self.st.num_objects
+        if self.cfg.algorithm in ("aagg", "gg"):
+            windows = [slice(0, n)] if n else []
+        else:
+            order = list(range(n))
+            random.Random(self.cfg.seed).shuffle(order)
+            windows = [slice(k, k + 1) for k in order]
+        for window in windows:
             while True:
                 self.iterations += 1
-                plan = self._sweep(slice(k, k + 1))
+                plan = self._sweep(window)
                 if plan is None:
                     break
                 self._commit(plan)
@@ -509,8 +507,5 @@ def solve(state: PlacementState, config: SolverConfig,
     engine's working state and must not mutate it.
     """
     engine = _GreedyEngine(state, config, on_commit=on_commit, on_mutation=on_mutation)
-    if config.algorithm in ("aagg", "gg"):
-        engine.run_global()
-    else:
-        engine.run_random_object()
+    engine.run()
     return engine.result()

@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .topology import CostMatrix
+from .topology import CostMatrix, _whole
 
 INT64_LIMIT = 2**63
 
@@ -46,6 +46,16 @@ def _integral(values, what: str) -> np.ndarray:
     if not ok.all():
         raise ParameterError(f"{what} must be finite integers below 2**63")
     return raw
+
+
+def _traffic(values, m: int, n: int) -> np.ndarray:
+    """``values`` as an m x n int64 traffic matrix; an int64 array is not copied."""
+    r = np.asarray(_integral(values, "traffic"), dtype=np.int64)
+    if r.shape != (m, n):
+        raise StructuralError(f"traffic must be {m}x{n}, got {r.shape}")
+    if (r < 0).any():
+        raise ParameterError("traffic entries must be non-negative")
+    return r
 
 
 def _check_int64_headroom(l: np.ndarray, sizes: np.ndarray, traffic: np.ndarray) -> None:
@@ -139,12 +149,8 @@ class Scenario:
     meta: dict | None = None
 
     def __post_init__(self):
-        r = np.array(_integral(self.traffic, "traffic"), dtype=np.int64)
-        m, n = self.servers.count, self.objects.count
-        if r.shape != (m, n):
-            raise StructuralError(f"traffic must be {m}x{n}, got {r.shape}")
-        if (r < 0).any():
-            raise ParameterError("traffic entries must be non-negative")
+        m = self.servers.count
+        r = np.array(_traffic(self.traffic, m, self.objects.count))  # frozen copy
         if (self.objects.primaries >= m).any():
             raise ParameterError("primary ids must reference existing servers")
         r.setflags(write=False)
@@ -168,13 +174,16 @@ class Scenario:
     def load(cls, path) -> "Scenario":
         with open(path) as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise StructuralError(f"scenario file {path} must hold a JSON object")
         try:
             servers = ServerCatalog(payload["capacities"], payload["failure_probs"])
             objects = ObjectCatalog(payload["sizes"], payload["primaries"])
-            traffic = payload["traffic"]
+            return cls(servers, objects, payload["traffic"], meta=payload.get("meta"))
         except KeyError as exc:
             raise StructuralError(f"scenario file {path} is missing field {exc}") from exc
-        return cls(servers, objects, traffic, meta=payload.get("meta"))
+        except TypeError as exc:  # e.g. a JSON object where numbers belong
+            raise StructuralError(f"malformed scenario file {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -229,21 +238,24 @@ def primary_only_placement(servers: ServerCatalog, objects: ObjectCatalog) -> np
     return x
 
 
+def _nearest(l, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each server's cheapest replicator among ``reps`` (lowest id on ties) and its cost."""
+    sub = l[:, reps]
+    pos = sub.argmin(axis=1)  # first minimum = lowest replicator id
+    return reps[pos], sub[np.arange(sub.shape[0]), pos]
+
+
 def build_nearest_index(x, l) -> tuple[np.ndarray, np.ndarray]:
     """Compute (nearest-id, nearest-distance) matrices for every (server, object)."""
     x = np.asarray(x)
     m, n = x.shape
     near = np.empty((m, n), dtype=np.int64)
     dist = np.empty((m, n), dtype=np.int64)
-    rows = np.arange(m)
     for k in range(n):
         reps = np.flatnonzero(x[:, k])
         if reps.size == 0:
             raise StructuralError(f"object {k} has no replicator")
-        sub = l[:, reps]
-        pos = sub.argmin(axis=1)  # first minimum = lowest replicator id
-        near[:, k] = reps[pos]
-        dist[:, k] = sub[rows, pos]
+        near[:, k], dist[:, k] = _nearest(l, reps)
     return near, dist
 
 
@@ -261,11 +273,7 @@ class PlacementState:
             raise StructuralError("cost matrix size must match server count")
         if (cost.l < 0).any():
             raise ParameterError("link costs must be non-negative")
-        r = np.asarray(_integral(traffic, "traffic"), dtype=np.int64)
-        if r.shape != (servers.count, objects.count):
-            raise StructuralError("traffic shape must match catalogs")
-        if (r < 0).any():
-            raise ParameterError("traffic entries must be non-negative")
+        r = _traffic(traffic, servers.count, objects.count)
         _check_int64_headroom(cost.l, objects.sizes, r)
         violations = validate_placement(x, servers, objects)
         if violations:
@@ -344,11 +352,7 @@ class PlacementState:
         self.x[i, k] = 0
         self.free[i] += self.objects.sizes[k]
         self.replica_counts[k] -= 1
-        reps = np.flatnonzero(self.x[:, k])
-        sub = self.l[:, reps]
-        pos = sub.argmin(axis=1)
-        new_n = reps[pos]
-        new_d = sub[np.arange(self.num_servers), pos]
+        new_n, new_d = _nearest(self.l, np.flatnonzero(self.x[:, k]))
         changed = np.flatnonzero((new_n != self.n[:, k]) | (new_d != self.d[:, k]))
         self.n[:, k] = new_n
         self.d[:, k] = new_d
@@ -374,11 +378,11 @@ def load_placement(path, m: int, n: int) -> np.ndarray:
     try:
         entries = payload["objects"]
         for entry in entries:
-            k = int(entry["id"])
+            k = _whole(entry["id"], "object id")
             if not 0 <= k < n:
                 raise StructuralError(f"placement references unknown object {k}")
             for i in entry["replicators"]:
-                i = int(i)
+                i = _whole(i, "server id")
                 if not 0 <= i < m:
                     raise StructuralError(f"placement references unknown server {i}")
                 x[i, k] = 1

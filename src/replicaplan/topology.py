@@ -8,8 +8,8 @@ cheapest-path costs between every pair of servers.
 from __future__ import annotations
 
 import json
+import numbers
 import random
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,27 +17,46 @@ import numpy as np
 from .errors import ConnectivityError, ParameterError, StructuralError
 
 # Sentinel for "no path yet" during the shortest-path sweep.  Kept far below
-# the int64 overflow line so sentinel + sentinel stays representable.
+# the int64 overflow line so sentinel + sentinel stays representable.  Graph
+# keeps the sum of its edge costs below it, so no path, however long, reaches
+# it: a distance still at the sentinel after the sweep means "unreachable".
 _UNREACHED = np.int64(2) ** 41
+
+
+def _whole(value, what: str) -> int:
+    """``value`` as an int; refuses bools, strings and fractional or non-finite floats.
+
+    ``10.0`` is accepted as 10, where ``int()`` would also turn 1.7 into 1.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise StructuralError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected server network; each edge carries a positive integer cost."""
+    """Undirected server network; each edge carries a positive integer cost.
+
+    Edge costs must sum to less than 2**41, which keeps every path cost exact
+    and below the shortest-path sweep's "unreached" sentinel.
+    """
 
     node_count: int
     edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        if self.node_count < 1:
+        node_count = _whole(self.node_count, "node count")
+        if node_count < 1:
             raise ParameterError("node_count must be >= 1")
         seen = set()
         normalized = []
         for edge in self.edges:
-            u, v, cost = int(edge[0]), int(edge[1]), int(edge[2])
+            u, v, cost = (_whole(value, "edge entry") for value in edge)
             if u == v:
                 raise StructuralError(f"self-loop at node {u}")
-            if not (0 <= u < self.node_count and 0 <= v < self.node_count):
+            if not (0 <= u < node_count and 0 <= v < node_count):
                 raise StructuralError(f"edge ({u}, {v}) references a missing node")
             if cost <= 0:
                 raise ParameterError(f"edge ({u}, {v}) has non-positive cost {cost}")
@@ -46,28 +65,12 @@ class Graph:
                 raise StructuralError(f"duplicate edge {key}")
             seen.add(key)
             normalized.append((key[0], key[1], cost))
+        total = sum(cost for _, _, cost in normalized)
+        if total >= int(_UNREACHED):
+            raise ParameterError(f"edge costs sum to {total}, which reaches 2**41")
         normalized.sort()
+        object.__setattr__(self, "node_count", node_count)
         object.__setattr__(self, "edges", tuple(normalized))
-
-    def is_connected(self) -> bool:
-        if self.node_count == 1:
-            return True
-        adj: list[list[int]] = [[] for _ in range(self.node_count)]
-        for u, v, _ in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = [False] * self.node_count
-        seen[0] = True
-        queue = deque([0])
-        reached = 1
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    reached += 1
-                    queue.append(v)
-        return reached == self.node_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,19 +156,24 @@ def assign_link_costs(graph: Graph, cost_lo: int, cost_hi: int, seed: int) -> Gr
 
 def all_pairs_shortest_paths(graph: Graph) -> CostMatrix:
     """Reduce a connected graph to its cheapest-path cost matrix."""
-    if not graph.is_connected():
-        raise ConnectivityError(
-            f"graph with {graph.node_count} nodes and {len(graph.edges)} edges is not connected"
-        )
     m = graph.node_count
-    dist = np.full((m, m), _UNREACHED, dtype=np.int64)
-    np.fill_diagonal(dist, 0)
-    for u, v, cost in graph.edges:
-        if cost < dist[u, v]:
-            dist[u, v] = cost
-            dist[v, u] = cost
-    for h in range(m):
-        np.minimum(dist, dist[:, h, None] + dist[None, h, :], out=dist)
+    # Fewer than m - 1 edges cannot connect m nodes; checked first so that a
+    # huge node count with few edges never allocates the m x m matrix.
+    connected = len(graph.edges) >= m - 1
+    if connected:
+        dist = np.full((m, m), _UNREACHED, dtype=np.int64)
+        np.fill_diagonal(dist, 0)
+        for u, v, cost in graph.edges:
+            if cost < dist[u, v]:
+                dist[u, v] = cost
+                dist[v, u] = cost
+        for h in range(m):
+            np.minimum(dist, dist[:, h, None] + dist[None, h, :], out=dist)
+        connected = not (dist == _UNREACHED).any()
+    if not connected:
+        raise ConnectivityError(
+            f"graph with {m} nodes and {len(graph.edges)} edges is not connected"
+        )
     matrix = CostMatrix(m, dist)
     matrix.validate()
     return matrix
@@ -182,8 +190,8 @@ def load_topology(path) -> Graph:
     with open(path) as fh:
         payload = json.load(fh)
     try:
-        nodes = int(payload["nodes"])
-        edges = tuple((int(u), int(v), int(c)) for u, v, c in payload["edges"])
+        nodes = payload["nodes"]
+        edges = tuple((u, v, c) for u, v, c in payload["edges"])
     except (KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"malformed topology file {path}: {exc}") from exc
     return Graph(nodes, edges)

@@ -26,6 +26,10 @@ from .errors import ParameterError, TraceError
 from .model import ObjectCatalog
 
 
+# Highest failure probability a trace estimate may take.
+_F_MAX = 0.99
+
+
 @dataclass(frozen=True)
 class TrafficModel:
     """How request volume is spread over objects and servers."""
@@ -96,12 +100,11 @@ def _apportion(total: int, weights, rng: random.Random | None = None) -> np.ndar
     return shares
 
 
-def generate_traffic(model: TrafficModel, n_servers: int, n_objects: int,
-                     sizes=None) -> np.ndarray:
+def generate_traffic(model: TrafficModel, n_servers: int, n_objects: int) -> np.ndarray:
     """Build the request matrix for ``model``.
 
-    ``sizes`` is accepted for interface symmetry with the catalog generator;
-    volume is split by popularity alone so column shares stay exactly Zipf.
+    Volume is split by popularity alone, not by object size, so column shares
+    stay exactly Zipf.
     """
     if n_servers < 1 or n_objects < 1:
         raise ParameterError("traffic needs at least one server and one object")
@@ -175,48 +178,46 @@ def load_failure_trace(path) -> FailureTrace:
     return FailureTrace(records=tuple(records), horizons=horizons)
 
 
-def estimate_availability(trace: FailureTrace, n_servers: int,
-                          f_max: float = 0.99) -> np.ndarray:
-    """Failure probability per server: downtime share of the node's horizon.
+def _failure_shares(trace: FailureTrace) -> dict[int, float]:
+    """Each traced node's downtime share of its horizon, clamped to [0, 0.99].
 
-    Nodes absent from the trace are assumed never to fail.  Estimates are
-    clamped to [0, f_max] so a permanently dead node cannot zero out every
+    The clamp keeps a permanently dead node from zeroing out every
     availability product it joins.
     """
-    if not 0 <= f_max < 1:
-        raise ParameterError("f_max must lie in [0, 1)")
-    f = np.zeros(n_servers, dtype=np.float64)
     downtime: dict[int, float] = {}
     for rec in trace.records:
-        if rec.node >= n_servers:
-            raise ParameterError(
-                f"trace node {rec.node} out of range for {n_servers} servers"
-            )
         if rec.state == "down":
             downtime[rec.node] = downtime.get(rec.node, 0.0) + (rec.end - rec.start)
-    for node, (t0, t1) in trace.horizons.items():
-        span = t1 - t0
-        fi = downtime.get(node, 0.0) / span
-        f[node] = min(max(fi, 0.0), f_max)
+    return {node: min(max(downtime.get(node, 0.0) / (t1 - t0), 0.0), _F_MAX)
+            for node, (t0, t1) in trace.horizons.items()}
+
+
+def estimate_availability(trace: FailureTrace, n_servers: int) -> np.ndarray:
+    """Failure probability per server: downtime share of the node's horizon.
+
+    Nodes absent from the trace are assumed never to fail.
+    """
+    f = np.zeros(n_servers, dtype=np.float64)
+    for node, share in _failure_shares(trace).items():
+        if node >= n_servers:
+            raise ParameterError(f"trace node {node} out of range for {n_servers} servers")
+        f[node] = share
     return f
 
 
-def trace_availability_for_servers(trace: FailureTrace, n_servers: int,
-                                   f_max: float = 0.99) -> np.ndarray:
+def trace_availability_for_servers(trace: FailureTrace, n_servers: int) -> np.ndarray:
     """Fold a trace of arbitrary node ids onto ``n_servers`` servers.
 
     Node ids map to servers modulo the server count; when several nodes land
     on one server their estimates are averaged.  Servers with no mapped node
-    get failure probability 0.
+    get failure probability 0.  No array is sized by the node ids, so a huge
+    id costs nothing.
     """
-    if not trace.horizons:
-        return np.zeros(n_servers, dtype=np.float64)
-    universe = max(trace.horizons) + 1
-    per_node = estimate_availability(trace, universe, f_max=f_max)
+    shares = _failure_shares(trace)
     f = np.zeros(n_servers, dtype=np.float64)
     hits = np.zeros(n_servers, dtype=np.int64)
     for node in trace.nodes:
-        f[node % n_servers] += per_node[node]
+        f[node % n_servers] += shares[node]
         hits[node % n_servers] += 1
     nonzero = hits > 0
     f[nonzero] /= hits[nonzero]

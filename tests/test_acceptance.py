@@ -17,10 +17,10 @@ from replicaplan import (
     Add,
     Evict,
     SolverConfig,
+    availability_per_object,
     build_nearest_index,
     estimate_availability,
     load_failure_trace,
-    object_availability,
     solve,
     validate_placement,
 )
@@ -185,9 +185,9 @@ def test_criterion_6_eviction_scope_admission(capsys):
             Add(server=1, object_id=0, source=2, transfer_cost=10),
         ]
         assert (focal.c_old, focal.c_new) == (1000, 5)
-        assert object_availability(1, state.x, f) == 0.94
-        assert object_availability(1, focal.x_new, f) == 0.7
-        assert object_availability(0, focal.x_new, f) == 0.98
+        assert availability_per_object(state.x, f)[1] == 0.94
+        assert availability_per_object(focal.x_new, f)[1] == 0.7
+        assert availability_per_object(focal.x_new, f)[0] == 0.98
 
         strict = solve(
             state,

@@ -12,18 +12,22 @@ from replicaplan.cli import (
 )
 
 
+MICRO_TOPOLOGY = {"nodes": 3, "edges": [[0, 1, 2], [1, 2, 3]]}
+MICRO_SCENARIO = {
+    "capacities": [30, 30, 30],
+    "failure_probs": [0.1, 0.2, 0.01],
+    "sizes": [10, 20],
+    "primaries": [0, 2],
+    "traffic": [[0, 60], [40, 20], [10, 0]],
+}
+
+
 def write_micro_instance(tmp_path):
     """The hand-checkable path instance, in the on-disk formats the CLI reads."""
     topo_path = tmp_path / "topology.json"
-    topo_path.write_text(json.dumps({"nodes": 3, "edges": [[0, 1, 2], [1, 2, 3]]}))
+    topo_path.write_text(json.dumps(MICRO_TOPOLOGY))
     scenario_path = tmp_path / "scenario.json"
-    scenario_path.write_text(json.dumps({
-        "capacities": [30, 30, 30],
-        "failure_probs": [0.1, 0.2, 0.01],
-        "sizes": [10, 20],
-        "primaries": [0, 2],
-        "traffic": [[0, 60], [40, 20], [10, 0]],
-    }))
+    scenario_path.write_text(json.dumps(MICRO_SCENARIO))
     return topo_path, scenario_path
 
 
@@ -193,6 +197,13 @@ class TestSolve:
                                "--x-old", str(start)))
         assert code == 1
         assert "invalid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[]", "3", "null", '"scenario"'])
+    def test_non_object_scenario_exits_1(self, tmp_path, capsys, text):
+        topo, scen = write_micro_instance(tmp_path)
+        scen.write_text(text)
+        assert main(solve_args(topo, scen, tmp_path / "run", "--alg", "aagg")) == 1
+        assert str(scen) in capsys.readouterr().err
 
     def test_unknown_algorithm_exits_2(self, tmp_path):
         topo, scen = write_micro_instance(tmp_path)

@@ -10,10 +10,10 @@ from test_model import make_state
 from replicaplan import (
     StructuralError,
     availability_per_object,
-    object_availability,
     primary_only_placement,
     total_access_cost,
 )
+from replicaplan.costs import replicator_availability
 from replicaplan.heuristics import _delta
 
 
@@ -113,36 +113,37 @@ class TestDeltaOfAdd:
 class TestAvailability:
     def test_single_replicator(self, micro):
         x = primary_only_placement(micro.servers, micro.objects)
-        assert object_availability(1, x, micro.servers.failure_probs) == pytest.approx(0.99)
+        assert availability_per_object(x, micro.servers.failure_probs)[1] == pytest.approx(0.99)
 
     def test_extra_replica_raises_availability(self, micro):
         x = primary_only_placement(micro.servers, micro.objects)
         x[0, 1] = 1
-        value = object_availability(1, x, micro.servers.failure_probs)
+        value = availability_per_object(x, micro.servers.failure_probs)[1]
         assert value == pytest.approx(0.999)
 
     def test_perfect_server_dominates(self, micro):
         inst = micro.with_failure_probs([0.0, 0.2, 0.01])
         x = primary_only_placement(inst.servers, inst.objects)
-        assert object_availability(0, x, inst.servers.failure_probs) == 1.0
+        assert availability_per_object(x, inst.servers.failure_probs)[0] == 1.0
 
     def test_literal_semantics_multiplies_availabilities(self, micro):
         x = primary_only_placement(micro.servers, micro.objects)
         x[0, 1] = 1
-        value = object_availability(1, x, micro.servers.failure_probs, semantics="literal")
+        value = availability_per_object(x, micro.servers.failure_probs, semantics="literal")[1]
         assert value == pytest.approx(0.9 * 0.99)
 
     def test_empty_column_rejected(self, micro):
         x = np.zeros((3, 2), dtype=np.int8)
         with pytest.raises(StructuralError):
-            object_availability(0, x, micro.servers.failure_probs)
+            availability_per_object(x, micro.servers.failure_probs)[0]
 
     def test_vectorized_matches_scalar(self, micro):
         x = primary_only_placement(micro.servers, micro.objects)
         x[1, 0] = 1
         vec = availability_per_object(x, micro.servers.failure_probs)
         for k in range(2):
-            assert vec[k] == object_availability(k, x, micro.servers.failure_probs)
+            reps = np.flatnonzero(x[:, k])
+            assert vec[k] == replicator_availability(micro.servers.failure_probs, reps)
 
     @given(seed=st.integers(0, 5000))
     @settings(max_examples=40, deadline=None)
@@ -155,7 +156,7 @@ class TestAvailability:
         candidates = np.flatnonzero(x[:, k] == 0)
         if candidates.size == 0:
             return
-        before = object_availability(k, x, state.servers.failure_probs)
+        before = availability_per_object(x, state.servers.failure_probs)[k]
         x[int(candidates[0]), k] = 1
-        after = object_availability(k, x, state.servers.failure_probs)
+        after = availability_per_object(x, state.servers.failure_probs)[k]
         assert after >= before - 1e-12

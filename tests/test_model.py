@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -263,6 +264,20 @@ class TestPlacementFiles:
         assert '"replicators":[1,2]' in text
         again = load_placement(path, 3, 2)
         assert (again == state.x).all()
+
+    @pytest.mark.parametrize("entry", [{"id": 0.7, "replicators": [0]},
+                                       {"id": 0, "replicators": [1.9]},
+                                       {"id": 0, "replicators": [True]}])
+    def test_non_integer_ids_refused(self, tmp_path, entry):
+        path = tmp_path / "placement.json"
+        path.write_text(json.dumps({"objects": [entry]}))
+        with pytest.raises(StructuralError, match="must be an integer"):
+            load_placement(path, 3, 1)
+
+    def test_integral_float_ids_accepted(self, tmp_path):
+        path = tmp_path / "placement.json"
+        path.write_text('{"objects":[{"id":1.0,"replicators":[2.0]}]}')
+        assert load_placement(path, 3, 2).tolist() == [[0, 0], [0, 0], [0, 1]]
 
     def test_unknown_server_rejected(self, tmp_path):
         path = tmp_path / "placement.json"

@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -32,7 +33,7 @@ class TestGenerate:
     def test_tree_at_fifty(self):
         g = generate_ba_topology(50, 1, 123)
         assert len(g.edges) == 49
-        assert g.is_connected()
+        all_pairs_shortest_paths(g)  # raises ConnectivityError unless connected
 
     def test_deterministic(self):
         a = generate_ba_topology(30, 2, 99)
@@ -55,7 +56,7 @@ class TestGenerate:
         if m_links >= n:
             return
         g = generate_ba_topology(n, m_links, seed)
-        assert g.is_connected()
+        all_pairs_shortest_paths(g)  # raises ConnectivityError unless connected
         keys = [(u, v) for u, v, _ in g.edges]
         assert len(keys) == len(set(keys))
 
@@ -101,6 +102,20 @@ class TestShortestPaths:
         with pytest.raises(ConnectivityError):
             all_pairs_shortest_paths(g)
 
+    def test_isolated_node_with_enough_edges_rejected(self):
+        g = Graph(4, ((0, 1, 1), (1, 2, 1), (0, 2, 1)))
+        with pytest.raises(ConnectivityError):
+            all_pairs_shortest_paths(g)
+
+    def test_too_few_edges_rejected_before_allocating(self):
+        # an n x n matrix for a million nodes would need 8 TB
+        with pytest.raises(ConnectivityError):
+            all_pairs_shortest_paths(Graph(10**6, ((0, 1, 1),)))
+
+    def test_longest_allowed_path_is_exact(self):
+        g = Graph(3, ((0, 1, 2**40), (1, 2, 2**40 - 1)))
+        assert all_pairs_shortest_paths(g).l[0, 2] == 2**41 - 1
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_matches_dijkstra(self, seed):
@@ -140,6 +155,13 @@ class TestGraphValidation:
         with pytest.raises(StructuralError):
             Graph(2, ((0, 5, 1),))
 
+    @pytest.mark.parametrize("edges", [((0, 1, 2**42), (1, 2, 1)),
+                                       ((0, 1, 2**40), (1, 2, 2**40))])
+    def test_edge_cost_sum_bounded(self, edges):
+        # the shortest-path sweep would clip such a cost to its 2**41 sentinel
+        with pytest.raises(ParameterError, match="2\\*\\*41"):
+            Graph(3, edges)
+
 
 class TestSerialization:
     def test_json_round_trip(self, tmp_path):
@@ -149,6 +171,25 @@ class TestSerialization:
         again = load_topology(path)
         assert again.node_count == g.node_count
         assert again.edges == g.edges
+
+    @pytest.mark.parametrize("payload", [
+        {"nodes": 2.9, "edges": [[0, 1, 1]]},
+        {"nodes": 3, "edges": [[0, 1, 2.5], [1, 2, 1]]},
+        {"nodes": 3, "edges": [[0, 1.5, 2], [1, 2, 1]]},
+        {"nodes": "3", "edges": [[0, 1, 2], [1, 2, 1]]},
+    ])
+    def test_non_integers_refused(self, tmp_path, payload):
+        path = tmp_path / "topology.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(StructuralError, match="must be an integer"):
+            load_topology(path)
+
+    def test_integral_floats_accepted(self, tmp_path):
+        path = tmp_path / "topology.json"
+        path.write_text(json.dumps({"nodes": 3.0, "edges": [[0, 1, 2.0], [1.0, 2, 3]]}))
+        g = load_topology(path)
+        assert (g.node_count, g.edges) == (3, ((0, 1, 2), (1, 2, 3)))
+        assert all(type(v) is int for edge in g.edges for v in edge)
 
     def test_cost_matrix_csv(self, tmp_path):
         matrix = all_pairs_shortest_paths(Graph(3, ((0, 1, 2), (1, 2, 3))))

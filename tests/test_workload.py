@@ -216,11 +216,6 @@ class TestAvailabilityEstimate:
         with pytest.raises(ParameterError, match="out of range"):
             estimate_availability(trace, 3)
 
-    def test_bad_f_max(self, tmp_path):
-        trace = load_failure_trace(write_trace(tmp_path, "0,0,10,up\n"))
-        with pytest.raises(ParameterError):
-            estimate_availability(trace, 1, f_max=1.0)
-
 
 class TestTraceFolding:
     def test_modulo_mapping_with_average(self, tmp_path):
@@ -240,6 +235,13 @@ class TestTraceFolding:
         f = trace_availability_for_servers(trace, 4)
         assert f[0] == pytest.approx(0.5)
         assert (f[1:] == 0.0).all()
+
+    def test_huge_node_id_folds_without_allocating(self, tmp_path):
+        # an array indexed by node id would need 7 TiB here
+        node = 10**12
+        trace = load_failure_trace(write_trace(tmp_path, f"{node},0,10,down\n{node},10,20,up\n"))
+        f = trace_availability_for_servers(trace, 4)
+        assert f.tolist() == [0.5, 0.0, 0.0, 0.0]
 
     def test_empty_trace(self):
         f = trace_availability_for_servers(FailureTrace(records=(), horizons={}), 3)

@@ -16,11 +16,21 @@ replicas sorted by (damage, object) with prefix sums of sizes and damages,
 so one binary search scores every eviction-needing candidate on it.  Ties
 keep the lowest-numbered (server, object) flip.
 
+Scores are kept exact and incremental.  The engine caches the score matrix
+of the column window it sweeps.  A commit on server i that adds object k and
+evicts some objects dirties the columns of k and the evictees and the rows of
+i and of every holder of those columns; the next sweep of the window scores
+only those rows and columns again.  An eviction-needing candidate first
+holds its eviction-free score, an upper bound, and is scored exactly only
+when that bound reaches the top of the matrix.
+
 The engine is the only implementation of flip scoring: the access saving
 ``delta`` of every candidate add comes from one kernel, :func:`_delta`, every
-score from the one matrix built in ``_sweep``, and the winner's plan, with or
-without evictions, from the same per-server prefix sums in ``_plan``.
-:func:`solve` is the one entry point.
+score from one block kernel, ``_score``, plus ``_resolve`` for eviction
+damage, and the winner's plan, with or without evictions, from the same
+per-server prefix sums in ``_plan``.  :func:`solve` is the one entry point.
+Availability-weighted scores are floats, so instances whose scores could
+reach 2**53 are refused.
 """
 
 from __future__ import annotations
@@ -33,10 +43,11 @@ import numpy as np
 
 from . import costs
 from .errors import ParameterError
-from .model import PlacementState, validate_placement
+from .model import PlacementState, total_traffic, validate_placement
 
 ALGORITHMS = ("aagg", "aagro", "gg", "gro")
 SCOPES = ("focal_object", "all_changed_objects")
+FLOAT_EXACT_LIMIT = 2**53
 
 
 @dataclass(frozen=True)
@@ -198,6 +209,22 @@ def _delta(state: PlacementState, cols: slice) -> np.ndarray:
     return np.einsum("jic,jc->ic", gain, state.traffic[:, cols])
 
 
+def _check_float_headroom(state: PlacementState) -> None:
+    """Refuse instances whose weighted scores could leave float64's exact integers.
+
+    Availability-weighted scores are floats; every saving, damage and net
+    score they scale is at most ``max(l) * max(sum(traffic), max(size))``
+    in magnitude, so below 2**53 each is exact and ties compare exactly.
+    """
+    max_l = int(state.l.max(initial=0))
+    bound = max_l * max(total_traffic(state.traffic), int(state.objects.sizes.max(initial=0)))
+    if bound >= FLOAT_EXACT_LIMIT:
+        raise ParameterError(
+            f"max link cost {max_l} x max(total traffic, max object size) is {bound}, "
+            "reaching 2**53; availability-weighted scores would lose float precision"
+        )
+
+
 @dataclass
 class _Plan:
     server: int
@@ -231,6 +258,8 @@ class _GreedyEngine:
         self.st = state.copy()
         self.cfg = config
         self.use_factor = config.algorithm in ("aagg", "aagro")
+        if self.use_factor:
+            _check_float_headroom(self.st)
         self.guard_evictees = (self.use_factor
                                and config.availability_scope == "all_changed_objects")
         self.avail = 1.0 - self.st.servers.failure_probs
@@ -251,72 +280,103 @@ class _GreedyEngine:
         self.benefit_total = 0
         self.iterations = 0
         self._evict_cache: dict[int, _Evictables] = {}
+        # Scores of the last swept column window, kept across commits.
+        self._window: slice | None = None
+        self._scores: np.ndarray | None = None   # M x W; an upper bound where pending
+        self._pending: np.ndarray | None = None  # bool M x W: eviction damage not yet scored
+        self._dirty_rows: set[int] = set()
+        self._dirty_cols: set[int] = set()       # object ids, inside the window or not
 
     # -- sweeping ---------------------------------------------------------
 
     def _sweep(self, cs: slice):
-        """Score every candidate in the column window; return the best plan.
+        """Return the best plan of the column window ``cs``, or None if none is positive.
 
-        All scores go into one M x len(cs) matrix.  A candidate that fits
-        scores its net saving ``raw`` (access saving minus transfer bytes),
-        times ``avail[i]`` under availability weighting.  One that needs
-        space evicts the shortest prefix of server ``i``'s evictable replicas
+        The window's M x len(cs) score matrix is kept across commits.  A new
+        window is scored whole; on the same window only the rows and columns
+        a commit made dirty are scored again (see ``_invalidate``).  A
+        candidate that fits holds its exact score: its net saving ``raw``
+        (access saving minus transfer bytes), times ``avail[i]`` under
+        availability weighting.  A candidate that needs space holds its
+        eviction-free value as an upper bound and is marked pending: eviction
+        damage is never negative, and a blocked candidate scores 0.
+
+        The first argmax of the matrix wins.  While it is pending, all of its
+        server's pending candidates are resolved exactly (``_resolve``) and
+        the argmax is taken again.  Bounds never fall below exact scores, so
+        a non-pending argmax is also the first argmax of the exact scores:
+        ties keep the lowest (server, object).  It is planned only if its
+        score is positive.
+        """
+        if cs != self._window:
+            self._window = cs
+            self._scores, self._pending = self._score(slice(None), cs)
+        else:
+            cols = [k - cs.start for k in self._dirty_cols if cs.start <= k < cs.stop]
+            if cols:
+                block = self._score(slice(None), np.array(cols) + cs.start)
+                self._scores[:, cols], self._pending[:, cols] = block
+            if self._dirty_rows and len(cols) < cs.stop - cs.start:  # else all rescored
+                rows = list(self._dirty_rows)
+                self._scores[rows], self._pending[rows] = self._score(rows, cs)
+        self._dirty_rows.clear()
+        self._dirty_cols.clear()
+        scores = self._scores
+        while True:
+            i, c = divmod(int(np.argmax(scores)), scores.shape[1])
+            if not self._pending[i, c]:
+                break
+            self._resolve(i)
+        if scores[i, c] <= 0:
+            return None
+        plan = self._plan(i, cs.start + c)
+        if plan.benefit != scores[i, c]:
+            raise RuntimeError("winning plan diverged from its score")
+        return plan
+
+    def _score(self, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+        """Scores and pending mask of the block ``rows`` x ``cols``.
+
+        One of the two is a slice and the other a slice or an index list.
+        Ineligible candidates (held, at the replica cap, not saving anything,
+        or vetoed by literal availability) score 0.
+        """
+        st = self.st
+        sz = st.objects.sizes[cols]
+        raw = self.delta[rows, cols] - sz * st.d[rows, cols]
+        eligible = (st.x[rows, cols] == 0) & (raw > 0) & (st.replica_counts[cols] < self.cap_val)
+        if self.use_factor and self.cfg.availability_semantics == "literal":
+            # Literal availability shrinks with every added replica, so the
+            # admission check can veto candidates outright.
+            prods = np.where(st.x[:, cols] == 1, self.avail[:, None], 1.0).prod(axis=0)
+            eligible &= prods * self.avail[rows, None] >= prods - self.tol
+        if not eligible.any():  # common in one-column windows late in a run
+            return np.zeros(raw.shape, float if self.use_factor else raw.dtype), eligible
+        values = raw * self.avail[rows, None] if self.use_factor else raw
+        return np.where(eligible, values, 0), eligible & (st.free[rows, None] < sz)
+
+    def _resolve(self, i: int) -> None:
+        """Replace server i's pending bounds in the window by exact scores.
+
+        Each candidate evicts the shortest prefix of i's evictable replicas
         (sorted by (damage, object)) whose sizes cover the shortfall: a
         binary search on the prefix sums of sizes finds it, the prefix sum of
         damages is its damage, and the score is ``raw - damage``, weighted
-        the same way.  It scores 0 when no prefix frees enough space or,
+        like the rest.  It scores 0 when no prefix frees enough space or,
         under the ``all_changed_objects`` scope, when an evictee in the
         prefix would lose availability.
-
-        Damage is never negative, so no eviction-needing candidate on a
-        server beats that server's best eviction-free score: servers are
-        visited in descending order of it and the visit stops once it drops
-        below the best score found.  The first argmax of the matrix wins, so
-        ties keep the lowest (server, object); it is planned only if its
-        score is positive.
         """
         st = self.st
-        xs = st.x[:, cs]
-        ds = st.d[:, cs]
-        sz = st.objects.sizes[cs]
-        raw = self.delta[:, cs] - sz[None, :] * ds
-        eligible = (xs == 0) & (raw > 0) & (st.replica_counts[cs] < self.cap_val)[None, :]
-        if self.use_factor and self.cfg.availability_semantics == "literal":
-            # Literal availability shrinks with every added replica, so the
-            # admission check can veto candidates outright; vectorized here.
-            prods = np.where(xs == 1, self.avail[:, None], 1.0).prod(axis=0)
-            eligible &= prods[None, :] * self.avail[:, None] >= prods[None, :] - self.tol
-        if not eligible.any():
-            return None
-        space = st.free[:, None] >= sz[None, :]
-        values = raw * self.avail[:, None] if self.use_factor else raw
-        scores = np.where(eligible & space, values, 0)
-        needing = eligible & ~space
-        rows = np.flatnonzero(needing.any(axis=1))
-        if rows.size:
-            best = scores.max()
-            uppers = np.where(needing[rows], values[rows], 0).max(axis=1)
-            for r in np.argsort(-uppers, kind="stable"):
-                if uppers[r] < best:
-                    break
-                i = int(rows[r])
-                cols = np.flatnonzero(needing[i])
-                ev = self._evictable(i)
-                t = np.searchsorted(ev.cum_size, sz[cols] - st.free[i])
-                net = raw[i, cols] - ev.cum_damage[t]
-                if self.use_factor:
-                    net = net * self.avail[i]
-                row = np.where(ev.blocked[t], 0, net)
-                scores[i, cols] = row
-                best = max(best, row.max())
-        flat = int(np.argmax(scores))
-        if scores.flat[flat] <= 0:
-            return None
-        i, c = divmod(flat, scores.shape[1])
-        plan = self._plan(i, cs.start + c)
-        if plan.benefit != scores.flat[flat]:
-            raise RuntimeError("winning plan diverged from its score")
-        return plan
+        local = np.flatnonzero(self._pending[i])
+        ks = self._window.start + local
+        sz = st.objects.sizes[ks]
+        ev = self._evictable(i)
+        t = np.searchsorted(ev.cum_size, sz - st.free[i])
+        net = self.delta[i, ks] - sz * st.d[i, ks] - ev.cum_damage[t]
+        if self.use_factor:
+            net = net * self.avail[i]
+        self._scores[i, local] = np.where(ev.blocked[t], 0, net)
+        self._pending[i, local] = False
 
     def _plan(self, i: int, k: int) -> _Plan:
         """Plan flip (i, k), evicting the prefix ``_sweep`` scored if i lacks space."""
@@ -378,17 +438,19 @@ class _GreedyEngine:
         rerouted = st.l[affected[:, None], reps[None, :]].min(axis=1)
         return int(((rerouted - st.d[affected, kk]) * st.traffic[affected, kk]).sum())
 
-    def _update_evictables(self, i: int, k: int, evictions: tuple) -> None:
-        """Re-score the cached entries of the columns a commit touched.
+    def _invalidate(self, i: int, touched: np.ndarray) -> None:
+        """Bring the caches up to date after a commit on server i.
 
-        An entry's damage and availability flag depend only on its own
-        column's placement and nearest index, so only the servers holding a
-        touched column, plus ``i`` (which gains k and loses the evictees),
-        have entries to change.
+        ``touched`` holds the added object and the evicted ones.  Their
+        columns' ``delta``, nearest index, placement and replica counts
+        changed, so their scores are dirty.  An evictable entry's damage and
+        availability flag depend only on its own column, so only the servers
+        holding a touched column, plus ``i`` (whose free space changed), have
+        cached entries and row scores to redo.
         """
         st = self.st
-        touched = np.array([k, *evictions], dtype=np.int64)
-        for j in {i, *np.flatnonzero(st.x[:, touched].any(axis=1)).tolist()}:
+        rows = {i, *np.flatnonzero(st.x[:, touched].any(axis=1)).tolist()}
+        for j in rows:
             ev = self._evict_cache.get(j)
             if ev is None:
                 continue
@@ -399,6 +461,8 @@ class _GreedyEngine:
                 np.concatenate((ev.damages[keep], damages)),
                 np.concatenate((ev.lowers[keep], lowers)),
             )
+        self._dirty_rows |= rows
+        self._dirty_cols.update(touched.tolist())
 
     def _eviction_keeps_availability(self, i: int, kk: int) -> bool:
         st = self.st
@@ -450,7 +514,7 @@ class _GreedyEngine:
         self.c = c_after
         self.impl_total += tcost
         self.benefit_total = self.benefit_total + plan.benefit
-        self._update_evictables(i, k, plan.evictions)
+        self._invalidate(i, np.array([k, *plan.evictions], dtype=np.int64))
         if self.on_commit:
             self.on_commit(st, step)
 

@@ -58,6 +58,13 @@ def _traffic(values, m: int, n: int) -> np.ndarray:
     return r
 
 
+def total_traffic(traffic: np.ndarray) -> int:
+    """Exact sum of a non-negative int64 traffic matrix."""
+    if int(traffic.max(initial=0)) <= (INT64_LIMIT - 1) // max(traffic.size, 1):
+        return int(traffic.sum())
+    return sum(int(v) for v in traffic.ravel())  # the int64 sum itself could wrap
+
+
 def _check_int64_headroom(l: np.ndarray, sizes: np.ndarray, traffic: np.ndarray) -> None:
     """Refuse instances whose exact integer costs could leave int64.
 
@@ -66,10 +73,7 @@ def _check_int64_headroom(l: np.ndarray, sizes: np.ndarray, traffic: np.ndarray)
     at most ``max(size) * max(l)``.
     """
     max_l = int(l.max(initial=0))
-    if int(traffic.max(initial=0)) <= (INT64_LIMIT - 1) // max(traffic.size, 1):
-        total = int(traffic.sum())
-    else:  # the int64 sum itself could wrap
-        total = sum(int(v) for v in traffic.ravel())
+    total = total_traffic(traffic)
     if max_l * total >= INT64_LIMIT:
         raise ParameterError(
             f"max link cost {max_l} x total traffic {total} reaches 2**63; "
@@ -92,7 +96,10 @@ class ServerCatalog:
 
     def __post_init__(self):
         caps = np.array(_integral(self.capacities, "capacities"), dtype=np.int64)
-        probs = np.array(self.failure_probs, dtype=np.float64)
+        raw = np.asarray(self.failure_probs)
+        if raw.dtype.kind not in "fiu":  # as in _integral; a float64 cast reads "0.1" as 0.1
+            raise ParameterError(f"failure probabilities must be numbers, got {raw.dtype} values")
+        probs = np.array(raw, dtype=np.float64)
         if caps.ndim != 1 or caps.size == 0:
             raise StructuralError("capacities must be a non-empty vector")
         if probs.shape != caps.shape:

@@ -205,6 +205,16 @@ class TestSolve:
         assert main(solve_args(topo, scen, tmp_path / "run", "--alg", "aagg")) == 1
         assert str(scen) in capsys.readouterr().err
 
+    def test_float_score_bound_exits_1(self, tmp_path, capsys):
+        topo, scen = tmp_path / "topology.json", tmp_path / "scenario.json"
+        topo.write_text(json.dumps({"nodes": 2, "edges": [[0, 1, 1]]}))
+        scen.write_text(json.dumps({"capacities": [10, 10], "failure_probs": [0.1, 0.1],
+                                    "sizes": [1], "primaries": [0],
+                                    "traffic": [[0], [2**53]]}))
+        assert main(solve_args(topo, scen, tmp_path / "aagg", "--alg", "aagg")) == 1
+        assert "2**53" in capsys.readouterr().err
+        assert main(solve_args(topo, scen, tmp_path / "gg", "--alg", "gg")) == 0
+
     def test_unknown_algorithm_exits_2(self, tmp_path):
         topo, scen = write_micro_instance(tmp_path)
         assert main(solve_args(topo, scen, tmp_path / "run", "--alg", "anneal")) == 2

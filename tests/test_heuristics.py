@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import (
@@ -16,9 +16,12 @@ from test_model import make_state
 from replicaplan import (
     Add,
     Evict,
+    ObjectCatalog,
     ParameterError,
+    ServerCatalog,
     SolverConfig,
     action_from_dict,
+    primary_only_placement,
     replay_schedule,
     solve,
 )
@@ -326,6 +329,16 @@ def tie_heavy_instance(rng: random.Random):
     return l, capacities, f, [size] * n, primaries, traffic, x
 
 
+def drawn_instance(kind: str, rng: random.Random):
+    """A tie-heavy instance, or a random one with slack <= 3 started from its primaries."""
+    if kind == "ties":
+        return tie_heavy_instance(rng)
+    l, capacities, f, sizes, primaries, traffic = random_instance(
+        rng, m_max=5, n_max=5, slack_max=3)
+    x = primary_only_placement(ServerCatalog(capacities, f), ObjectCatalog(sizes, primaries))
+    return l, capacities, f, sizes, primaries, traffic, x
+
+
 class TestAgainstReferenceOnTies:
     @pytest.mark.parametrize("scope", SCOPES)
     @pytest.mark.parametrize("algorithm", ["aagg", "aagro", "gg", "gro"])
@@ -344,6 +357,91 @@ class TestAgainstReferenceOnTies:
         ).run()
         assert schedule_tuples(result.schedule) == oracle.schedule
         assert [s.benefit for s in result.steps] == oracle.values
+
+
+class TestLiteralAgainstReference:
+    @pytest.mark.parametrize("kind", ["random", "ties"])
+    @pytest.mark.parametrize("scope", SCOPES)
+    @pytest.mark.parametrize("algorithm", ["aagg", "aagro"])
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_brute_greedy(self, algorithm, scope, kind, seed):
+        rng = random.Random(seed)
+        l, capacities, f, sizes, primaries, traffic, x = drawn_instance(kind, rng)
+        if kind == "random":
+            # Literal availability admits a new replica only on a perfect server.
+            f = [0.0 if rng.random() < 0.5 else p for p in f]
+        state = make_state(l, capacities, f, sizes, primaries, traffic, x=x)
+        config = SolverConfig(algorithm=algorithm, availability_scope=scope,
+                              availability_semantics="literal", seed=rng.randrange(100))
+        result = solve(state, config)
+        oracle = BruteGreedy(
+            l, capacities, f, sizes, primaries, traffic, x,
+            algorithm=algorithm, scope=scope, semantics="literal", seed=config.seed,
+        ).run()
+        assert schedule_tuples(result.schedule) == oracle.schedule
+        assert [s.benefit for s in result.steps] == oracle.values
+
+
+class TestSweepCache:
+    @pytest.mark.parametrize("kind", ["random", "ties"])
+    @pytest.mark.parametrize("scope", SCOPES)
+    @pytest.mark.parametrize("algorithm", ["aagg", "gg"])
+    @given(seed=st.integers(0, 10_000))
+    @example(seed=17).via("stale holder row")      # ties: every algorithm and scope
+    @example(seed=40).via("stale holder row")      # random: all but aagg strict scope
+    @example(seed=47).via("stale evicted column")  # ties: every algorithm and scope
+    @settings(max_examples=40, deadline=None)
+    def test_next_plan_matches_fresh_engine(self, algorithm, scope, kind, seed):
+        """After every commit the cached window agrees with a fresh engine's sweep.
+
+        The plans are equal, every settled cached score equals the exact
+        score, and every pending bound is at least the exact score.  The
+        pinned seeds catch a cache that leaves the holders of a touched
+        column, or the evicted columns, out of the dirty set; a random draw
+        of such a case is rare (under 5% and under 1% of seeds).
+        """
+        rng = random.Random(seed)
+        l, capacities, f, sizes, primaries, traffic, x = drawn_instance(kind, rng)
+        state = make_state(l, capacities, f, sizes, primaries, traffic, x=x)
+        config = SolverConfig(algorithm=algorithm, availability_scope=scope)
+        engine = _GreedyEngine(state, config)
+        window = slice(0, state.num_objects)
+        plan = engine._sweep(window)
+        while plan is not None:
+            engine._commit(plan)
+            plan = engine._sweep(window)
+            fresh = _GreedyEngine(engine.st, config)
+            assert plan == fresh._sweep(window)
+            for i in np.flatnonzero(fresh._pending.any(axis=1)):
+                fresh._resolve(int(i))
+            settled = ~engine._pending
+            assert np.array_equal(engine._scores[settled], fresh._scores[settled])
+            assert (engine._scores[~settled] >= fresh._scores[~settled]).all()
+
+
+class TestFloatScoreBound:
+    """Weighted scores are floats, so they must stay below 2**53 to compare exactly."""
+
+    L = [[0, 1], [1, 0]]
+
+    @pytest.mark.parametrize("sizes, capacities, traffic", [
+        ([1], [10, 10], [[0], [2**53]]),
+        ([2**53], [2**53, 2**53], [[0], [1]]),
+    ])
+    def test_weighted_planners_refuse(self, sizes, capacities, traffic):
+        state = make_state(self.L, capacities, [0.1, 0.1], sizes, [0], traffic)
+        for algorithm in ("aagg", "aagro"):
+            with pytest.raises(ParameterError, match=r"2\*\*53"):
+                solve(state, SolverConfig(algorithm=algorithm))
+        for algorithm in ("gg", "gro"):  # exact int64 scores
+            assert solve(state, SolverConfig(algorithm=algorithm)).c_old == traffic[1][0]
+
+    def test_largest_allowed_volume_is_exact(self):
+        state = make_state(self.L, [10, 10], [0.1, 0.1], [1], [0], [[0], [2**53 - 1]])
+        result = solve(state, AAGG)
+        assert result.c_new == 0
+        assert result.steps[0].benefit == (2**53 - 2) * (1.0 - 0.1)
 
 
 class TestEvictionCache:

@@ -74,6 +74,12 @@ class TestCatalogs:
             PlacementState(micro.cost, micro.servers, micro.objects, traffic,
                            primary_only_placement(micro.servers, micro.objects))
 
+    @pytest.mark.parametrize("bad", [{}, "0.1", None, False])
+    def test_non_numeric_failure_probs_rejected(self, bad):
+        # A float64 cast raises TypeError on {} and reads "0.1" as 0.1.
+        with pytest.raises(ParameterError):
+            ServerCatalog([10], [bad])
+
     def test_integral_floats_accepted(self):
         assert ObjectCatalog([10.0, 2], [0, 0]).sizes.tolist() == [10, 2]
         assert ServerCatalog([30.0], [0.1]).capacities.tolist() == [30]

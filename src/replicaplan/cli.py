@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 import time
 from dataclasses import dataclass
@@ -250,9 +249,7 @@ def cmd_solve(args) -> int:
     save_placement(result.x_new, out / "placement.json")
     payload = {"algorithm": args.alg, "cap": args.cap, "seed": args.seed}
     payload.update(result.to_json_dict())
-    with open(out / "result.json", "w") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    topology._write_json(out / "result.json", payload)
     with open(out / "results.csv", "w", newline="") as fh:
         fh.write(RESULTS_HEADER + "\n")
         fh.write(row.to_csv_line() + "\n")
@@ -331,9 +328,7 @@ def cmd_inspect(args) -> int:
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "report.json", "w") as fh:
-            json.dump(report, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        topology._write_json(out / "report.json", report)
     return 0 if not violations else 1
 
 

@@ -2,20 +2,22 @@
 
 All traffic costs are exact integers: per-object access cost is the sum over
 servers of (traffic bytes) x (per-byte cost to the nearest replicator).
-Scoring a candidate flip is not done here; it lives only in the planner
-engine (:mod:`replicaplan.heuristics`), which uses this module for the
-ground-truth total and for availability checks.
+Flip scoring lives only in the planner engine (:mod:`replicaplan.heuristics`),
+which takes its ground-truth total and every availability from this module.
 
 Two readings of object availability are supported.  Under the default
 ``corrected`` semantics servers carry failure probabilities and an object
 survives unless every replicator fails: A = 1 - prod(f_i).  The ``literal``
 semantics instead multiplies server availabilities: A = prod(1 - f_i), which
 penalizes every added replica; it is kept runnable for comparison studies.
+Every availability in the package comes from one kernel, ``_availability``,
+over a bool server x object matrix.  Its product runs down the server axis
+in ascending server order, so each value is the same float as the product
+over the sorted replicator ids.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,23 +50,29 @@ def total_access_cost(x, n, r, l) -> CostReport:
     return CostReport(per_object=per_object, total=int(per_object.sum()))
 
 
+def _availability(held, failure_probs, semantics: str) -> np.ndarray:
+    """Availability of each column of the bool server x object matrix ``held``."""
+    probs = np.asarray(failure_probs, dtype=np.float64)[:, None]
+    if semantics == "corrected":
+        return 1.0 - np.where(held, probs, 1.0).prod(axis=0)
+    if semantics == "literal":
+        return np.where(held, 1.0 - probs, 1.0).prod(axis=0)
+    raise ParameterError(f"unknown availability semantics {semantics!r}")
+
+
 def replicator_availability(failure_probs, replicators, semantics: str = "corrected") -> float:
     """Availability of an object held by the given replicator set."""
-    if semantics not in SEMANTICS:
-        raise ParameterError(f"unknown availability semantics {semantics!r}")
-    ids = [int(i) for i in replicators]
-    if not ids:
+    held = np.zeros((len(failure_probs), 1), dtype=bool)
+    held[np.asarray(replicators, dtype=np.int64)] = True
+    if not held.any():
         raise StructuralError("availability of an unreplicated object is undefined")
-    if semantics == "corrected":
-        return 1.0 - math.prod(float(failure_probs[i]) for i in sorted(ids))
-    return math.prod(1.0 - float(failure_probs[i]) for i in sorted(ids))
+    return float(_availability(held, failure_probs, semantics)[0])
 
 
 def availability_per_object(x, failure_probs, semantics: str = "corrected") -> np.ndarray:
     """Vector of object availabilities under placement ``x``."""
-    x = np.asarray(x)
-    return np.array(
-        [replicator_availability(failure_probs, np.flatnonzero(x[:, k]), semantics)
-         for k in range(x.shape[1])]
-    )
-
+    held = np.asarray(x) != 0
+    unreplicated = np.flatnonzero(~held.any(axis=0))
+    if unreplicated.size:
+        raise StructuralError(f"object {unreplicated[0]} has no replicator")
+    return _availability(held, failure_probs, semantics)

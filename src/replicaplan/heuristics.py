@@ -11,10 +11,11 @@ availability admission check.
 
 When a target server lacks space, non-primary replicas it hosts are evicted
 least-damaging-first until the newcomer fits; a candidate whose evictions
-cannot free enough space is skipped.  Each server keeps its evictable
-replicas sorted by (damage, object) with prefix sums of sizes and damages,
-so one binary search scores every eviction-needing candidate on it.  Ties
-keep the lowest-numbered (server, object) flip.
+cannot free enough space is skipped.  A replica's damage is the cost of
+rerouting the servers it serves to their next-cheapest replicator; one
+vectorized pass per server prices all its replicas, kept sorted by (damage,
+object) with prefix sums of sizes and damages, so one binary search scores
+every eviction-needing candidate on it.  Ties keep the lowest (server, object).
 
 Scores are kept exact and incremental.  The engine caches the score matrix
 of the column window it sweeps.  A commit on server i that adds object k and
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import costs
 from .errors import ParameterError
-from .model import PlacementState, total_traffic, validate_placement
+from .model import PlacementState, exact_sum, validate_placement
 
 ALGORITHMS = ("aagg", "aagro", "gg", "gro")
 SCOPES = ("focal_object", "all_changed_objects")
@@ -217,7 +218,7 @@ def _check_float_headroom(state: PlacementState) -> None:
     in magnitude, so below 2**53 each is exact and ties compare exactly.
     """
     max_l = int(state.l.max(initial=0))
-    bound = max_l * max(total_traffic(state.traffic), int(state.objects.sizes.max(initial=0)))
+    bound = max_l * max(exact_sum(state.traffic), int(state.objects.sizes.max(initial=0)))
     if bound >= FLOAT_EXACT_LIMIT:
         raise ParameterError(
             f"max link cost {max_l} x max(total traffic, max object size) is {bound}, "
@@ -348,7 +349,7 @@ class _GreedyEngine:
         if self.use_factor and self.cfg.availability_semantics == "literal":
             # Literal availability shrinks with every added replica, so the
             # admission check can veto candidates outright.
-            prods = np.where(st.x[:, cols] == 1, self.avail[:, None], 1.0).prod(axis=0)
+            prods = costs._availability(st.x[:, cols] == 1, st.servers.failure_probs, "literal")
             eligible &= prods * self.avail[rows, None] >= prods - self.tol
         if not eligible.any():  # common in one-column windows late in a run
             return np.zeros(raw.shape, float if self.use_factor else raw.dtype), eligible
@@ -405,13 +406,27 @@ class _GreedyEngine:
         return cached
 
     def _entries(self, i: int, objs: np.ndarray) -> tuple:
-        """(objects, damages, lowers) of the non-primary replicas among ``objs`` on i."""
+        """(objects, damages, lowers) of the non-primary replicas among ``objs`` on i.
+
+        The damage of (i, k) is ``sum_j [n[j,k] == i] * (r[j,k] - d[j,k]) * traffic[j,k]``,
+        with r[j,k] j's cost to its cheapest replicator of k other than i (second-nearest,
+        ties counted twice): one ``reduceat`` over the other replicators' columns, none
+        empty as the primary stays.  ``lowers`` compares availability without and with row i.
+        """
         st = self.st
         objs = objs[(st.x[i, objs] == 1) & (st.objects.primaries[objs] != i)]
-        damages = np.array([self._removal_damage(i, int(kk)) for kk in objs], dtype=np.int64)
+        others = st.x[:, objs] == 1
+        others[i] = False
+        col, rep = np.nonzero(others.T)  # grouped by column, servers ascending
+        r = np.minimum.reduceat(st.l[:, rep], np.searchsorted(col, np.arange(objs.size)), axis=1)
+        extra = (r - st.d[:, objs]) * st.traffic[:, objs]
+        damages = np.where(st.n[:, objs] == i, extra, 0).sum(axis=0)
         lowers = np.zeros(objs.size, dtype=bool)
         if self.guard_evictees:
-            lowers[:] = [not self._eviction_keeps_availability(i, int(kk)) for kk in objs]
+            both = np.hstack((others, st.x[:, objs] == 1))  # without row i, then with it
+            after, before = np.split(costs._availability(
+                both, st.servers.failure_probs, self.cfg.availability_semantics), 2)
+            lowers = after < before - self.tol
         return objs, damages, lowers
 
     def _evictables(self, objs, damages, lowers) -> _Evictables:
@@ -426,17 +441,6 @@ class _GreedyEngine:
             cum_damage=np.append(np.cumsum(damages), 0),
             blocked=np.append(np.logical_or.accumulate(lowers), True),
         )
-
-    def _removal_damage(self, i: int, kk: int) -> int:
-        """Access-cost increase if replica (i, kk) were dropped right now."""
-        st = self.st
-        reps = np.flatnonzero(st.x[:, kk])
-        reps = reps[reps != i]
-        affected = np.flatnonzero(st.n[:, kk] == i)
-        if affected.size == 0:
-            return 0
-        rerouted = st.l[affected[:, None], reps[None, :]].min(axis=1)
-        return int(((rerouted - st.d[affected, kk]) * st.traffic[affected, kk]).sum())
 
     def _invalidate(self, i: int, touched: np.ndarray) -> None:
         """Bring the caches up to date after a commit on server i.
@@ -464,16 +468,6 @@ class _GreedyEngine:
         self._dirty_rows |= rows
         self._dirty_cols.update(touched.tolist())
 
-    def _eviction_keeps_availability(self, i: int, kk: int) -> bool:
-        st = self.st
-        reps = np.flatnonzero(st.x[:, kk])
-        sem = self.cfg.availability_semantics
-        before = costs.replicator_availability(st.servers.failure_probs, reps, sem)
-        after = costs.replicator_availability(
-            st.servers.failure_probs, reps[reps != i], sem
-        )
-        return after >= before - self.tol
-
     # -- committing -------------------------------------------------------
 
     def _commit(self, plan: _Plan) -> None:
@@ -486,10 +480,6 @@ class _GreedyEngine:
             self.schedule.append(Evict(i, kk))
             if self.on_mutation:
                 self.on_mutation(st)
-        if self.use_factor:
-            avail_before = costs.replicator_availability(
-                st.servers.failure_probs, st.replicators(k), self.cfg.availability_semantics
-            )
         source = int(st.n[i, k])
         tcost = int(st.objects.sizes[k]) * int(st.d[i, k])
         if tcost != plan.transfer_cost:
@@ -500,10 +490,11 @@ class _GreedyEngine:
         if self.on_mutation:
             self.on_mutation(st)
         if self.use_factor:
-            avail_after = costs.replicator_availability(
-                st.servers.failure_probs, st.replicators(k), self.cfg.availability_semantics
-            )
-            if avail_after < avail_before - self.tol:
+            held = np.repeat(st.x[:, [k]] == 1, 2, axis=1)  # the focal column after, then before
+            held[i, 1] = False
+            after, before = costs._availability(held, st.servers.failure_probs,
+                                                self.cfg.availability_semantics)
+            if after < before - self.tol:
                 raise RuntimeError("focal object availability regressed on commit")
         bad = validate_placement(st.x, st.servers, st.objects)
         if bad:

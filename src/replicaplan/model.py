@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .topology import CostMatrix, _whole
+from .topology import CostMatrix, _whole, _write_json
 
 INT64_LIMIT = 2**63
 
@@ -58,11 +58,16 @@ def _traffic(values, m: int, n: int) -> np.ndarray:
     return r
 
 
-def total_traffic(traffic: np.ndarray) -> int:
-    """Exact sum of a non-negative int64 traffic matrix."""
-    if int(traffic.max(initial=0)) <= (INT64_LIMIT - 1) // max(traffic.size, 1):
-        return int(traffic.sum())
-    return sum(int(v) for v in traffic.ravel())  # the int64 sum itself could wrap
+def exact_sum(values: np.ndarray) -> int:
+    """Exact sum of a non-negative int64 array, such as traffic or object sizes."""
+    if int(values.max(initial=0)) <= (INT64_LIMIT - 1) // max(values.size, 1):
+        return int(values.sum())
+    return sum(int(v) for v in values.ravel())  # the int64 sum itself could wrap
+
+
+def _loads(x, sizes: np.ndarray) -> np.ndarray:
+    """Exact int64 bytes per server under ``x`` (sizes sum below 2**63); ``x`` is not copied."""
+    return np.einsum("ij,j->i", x, sizes)
 
 
 def _check_int64_headroom(l: np.ndarray, sizes: np.ndarray, traffic: np.ndarray) -> None:
@@ -73,7 +78,7 @@ def _check_int64_headroom(l: np.ndarray, sizes: np.ndarray, traffic: np.ndarray)
     at most ``max(size) * max(l)``.
     """
     max_l = int(l.max(initial=0))
-    total = total_traffic(traffic)
+    total = exact_sum(traffic)
     if max_l * total >= INT64_LIMIT:
         raise ParameterError(
             f"max link cost {max_l} x total traffic {total} reaches 2**63; "
@@ -136,6 +141,8 @@ class ObjectCatalog:
             raise ParameterError("object sizes must be positive")
         if (prim < 0).any():
             raise ParameterError("primary ids must be non-negative")
+        if exact_sum(sizes) >= INT64_LIMIT:  # server loads could wrap in int64
+            raise ParameterError("object sizes must sum to less than 2**63")
         sizes.setflags(write=False)
         prim.setflags(write=False)
         object.__setattr__(self, "sizes", sizes)
@@ -173,9 +180,7 @@ class Scenario:
         }
         if self.meta is not None:
             payload["meta"] = self.meta
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        _write_json(path, payload)
 
     @classmethod
     def load(cls, path) -> "Scenario":
@@ -209,7 +214,7 @@ def validate_placement(x, servers: ServerCatalog, objects: ObjectCatalog) -> lis
     if x.shape != (m, n):
         raise StructuralError(f"placement must be {m}x{n}, got {x.shape}")
     violations = []
-    loads = x.astype(np.int64) @ objects.sizes
+    loads = _loads(x, objects.sizes)
     for i in np.flatnonzero(loads > servers.capacities):
         violations.append(
             Violation(
@@ -235,7 +240,7 @@ def primary_only_placement(servers: ServerCatalog, objects: ObjectCatalog) -> np
     m, n = servers.count, objects.count
     x = np.zeros((m, n), dtype=np.int8)
     x[objects.primaries, np.arange(n)] = 1
-    loads = x.astype(np.int64) @ objects.sizes
+    loads = _loads(x, objects.sizes)
     over = np.flatnonzero(loads > servers.capacities)
     if over.size:
         i = int(over[0])
@@ -294,8 +299,7 @@ class PlacementState:
         self.traffic = r
         self.x = np.array(x, dtype=np.int8)
         self.n, self.d = build_nearest_index(self.x, self.l)
-        loads = self.x.astype(np.int64) @ objects.sizes
-        self.free = servers.capacities - loads
+        self.free = servers.capacities - _loads(self.x, objects.sizes)
         self.replica_counts = self.x.sum(axis=0, dtype=np.int64)
 
     @classmethod
@@ -311,9 +315,6 @@ class PlacementState:
     @property
     def num_objects(self) -> int:
         return self.objects.count
-
-    def replicators(self, k: int) -> np.ndarray:
-        return np.flatnonzero(self.x[:, k])
 
     def copy(self) -> "PlacementState":
         dup = object.__new__(PlacementState)
@@ -373,9 +374,7 @@ def save_placement(x, path) -> None:
         {"id": int(k), "replicators": [int(i) for i in np.flatnonzero(x[:, k])]}
         for k in range(x.shape[1])
     ]
-    with open(path, "w") as fh:
-        json.dump({"objects": objects}, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    _write_json(path, {"objects": objects})
 
 
 def load_placement(path, m: int, n: int) -> np.ndarray:

@@ -179,11 +179,15 @@ def all_pairs_shortest_paths(graph: Graph) -> CostMatrix:
     return matrix
 
 
+def _write_json(path, payload) -> None:
+    """Write ``payload`` as compact, key-sorted JSON plus a newline, in one write."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+
+
 def save_topology(graph: Graph, path) -> None:
     payload = {"nodes": graph.node_count, "edges": [[u, v, c] for u, v, c in graph.edges]}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    _write_json(path, payload)
 
 
 def load_topology(path) -> Graph:

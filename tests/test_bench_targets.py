@@ -1,0 +1,29 @@
+"""The benchmark's tracer wraps package callables by name; each must still exist.
+
+``bench/tracing.py`` patches the functions and methods listed in its
+``_targets``.  Renaming or deleting one breaks ``bench/run.py --trace 1``,
+so this guard loads the tracer by path and resolves every target.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from replicaplan import cli, costs, heuristics, model, topology, workload
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def test_every_traced_callable_resolves(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ untouched
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    mods = {"topology": topology, "workload": workload, "model": model, "costs": costs,
+            "heuristics": heuristics, "cli": cli}
+    targets = tracing._targets(mods)
+    assert targets
+    for owner, attr, name in targets:
+        found = owner.__dict__.get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
+        assert found is not None, f"{name}: {owner.__name__}.{attr} is gone"
+        assert name in tracing.LAYER or name == "heuristics.solve", name

@@ -215,6 +215,16 @@ class TestSolve:
         assert "2**53" in capsys.readouterr().err
         assert main(solve_args(topo, scen, tmp_path / "gg", "--alg", "gg")) == 0
 
+    def test_size_total_at_2_63_exits_1(self, tmp_path, capsys):
+        topo, scen = tmp_path / "topology.json", tmp_path / "scenario.json"
+        topo.write_text(json.dumps({"nodes": 2, "edges": [[0, 1, 1]]}))
+        scen.write_text(json.dumps({"capacities": [2**62, 2**62], "failure_probs": [0.1, 0.1],
+                                    "sizes": [2**62, 2**62], "primaries": [0, 0],
+                                    "traffic": [[0, 0], [1, 1]]}))
+        assert main(solve_args(topo, scen, tmp_path / "run", "--alg", "gg")) == 1
+        assert "2**63" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_algorithm_exits_2(self, tmp_path):
         topo, scen = write_micro_instance(tmp_path)
         assert main(solve_args(topo, scen, tmp_path / "run", "--alg", "anneal")) == 2

@@ -2,10 +2,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import brute_object_cost, brute_total_cost, random_instance
+from oracle import brute_availability, brute_object_cost, brute_total_cost, random_instance
 from test_model import make_state
 from replicaplan import (
     StructuralError,
@@ -13,7 +13,7 @@ from replicaplan import (
     primary_only_placement,
     total_access_cost,
 )
-from replicaplan.costs import replicator_availability
+from replicaplan.costs import SEMANTICS, replicator_availability
 from replicaplan.heuristics import _delta
 
 
@@ -137,13 +137,27 @@ class TestAvailability:
         with pytest.raises(StructuralError):
             availability_per_object(x, micro.servers.failure_probs)[0]
 
-    def test_vectorized_matches_scalar(self, micro):
-        x = primary_only_placement(micro.servers, micro.objects)
-        x[1, 0] = 1
-        vec = availability_per_object(x, micro.servers.failure_probs)
-        for k in range(2):
-            reps = np.flatnonzero(x[:, k])
-            assert vec[k] == replicator_availability(micro.servers.failure_probs, reps)
+    @given(seed=st.integers(0, 10_000))
+    @example(seed=0)  # the micro placement with one extra replica
+    @settings(max_examples=60, deadline=None)
+    def test_vectorized_matches_scalar(self, seed):
+        """Both entry points equal the product over sorted replicator ids, bit for bit."""
+        if seed == 0:
+            f = np.array([0.1, 0.2, 0.01])
+            x = np.array([[1, 0], [1, 0], [0, 1]], dtype=np.int8)
+        else:
+            rng = np.random.default_rng(seed)
+            m, n = int(rng.integers(1, 201)), int(rng.integers(1, 6))
+            f = np.where(rng.random(m) < 0.1, 0.0, rng.uniform(0.0, 0.99, m))
+            x = (rng.random((m, n)) < rng.uniform(0.0, 0.5)).astype(np.int8)
+            x[rng.integers(0, m, n), np.arange(n)] = 1
+        for semantics in SEMANTICS:
+            vec = availability_per_object(x, f, semantics)
+            for k in range(x.shape[1]):
+                reps = np.flatnonzero(x[:, k])
+                want = brute_availability(reps.tolist(), f, semantics)
+                assert vec[k] == want
+                assert replicator_availability(f, reps, semantics) == want
 
     @given(seed=st.integers(0, 5000))
     @settings(max_examples=40, deadline=None)

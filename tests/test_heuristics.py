@@ -6,7 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import (
+    TOL,
     BruteGreedy,
+    brute_availability,
     brute_total_cost,
     dijkstra_matrix,
     random_connected_graph,
@@ -25,6 +27,7 @@ from replicaplan import (
     replay_schedule,
     solve,
 )
+from replicaplan.costs import SEMANTICS
 from replicaplan.heuristics import SCOPES, _GreedyEngine
 
 AAGG = SolverConfig(algorithm="aagg")
@@ -315,18 +318,25 @@ def tie_heavy_instance(rng: random.Random):
     capacities = [max(loads[i], 1) + rng.randint(0, 3) for i in range(m)]
     f = [rng.choice([0.0, 0.1, 0.5])] * m
     traffic = [[rng.choice([0, 3, 6]) for _ in range(n)] for _ in range(m)]
+    x = crowded_start(rng, capacities, [size] * n, primaries)
+    return l, capacities, f, [size] * n, primaries, traffic, x
+
+
+def crowded_start(rng: random.Random, capacities, sizes, primaries) -> np.ndarray:
+    """Primaries plus, in shuffled order, each other replica that fits with probability 1/2."""
+    m, n = len(capacities), len(sizes)
     x = np.zeros((m, n), dtype=np.int8)
     free = list(capacities)
     for k, p in enumerate(primaries):
         x[p, k] = 1
-        free[p] -= size
+        free[p] -= sizes[k]
     pairs = [(i, k) for i in range(m) for k in range(n)]
     rng.shuffle(pairs)
     for i, k in pairs:
-        if not x[i, k] and free[i] >= size and rng.random() < 0.5:
+        if not x[i, k] and free[i] >= sizes[k] and rng.random() < 0.5:
             x[i, k] = 1
-            free[i] -= size
-    return l, capacities, f, [size] * n, primaries, traffic, x
+            free[i] -= sizes[k]
+    return x
 
 
 def drawn_instance(kind: str, rng: random.Random):
@@ -466,6 +476,45 @@ class TestEvictionCache:
                 for name, got, want in zip(cached._fields, cached, fresh._evictable(i)):
                     assert got.dtype == want.dtype, (i, name)
                     assert np.array_equal(got, want), (i, name)
+
+
+class TestEvictionEntries:
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    @pytest.mark.parametrize("scope", SCOPES)
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_entries_match_definitions(self, scope, semantics, seed):
+        """Every non-primary replica's damage and evictee flag, against first principles.
+
+        The damage of (i, k) is the full access cost after dropping it minus
+        the cost before.  Under the ``all_changed_objects`` scope the flag
+        says whether dropping it lowers k's availability, computed as the
+        product over sorted replicator ids; under the focal scope no
+        evictee is guarded.
+        """
+        rng = random.Random(seed)
+        l, capacities, f, sizes, primaries, traffic = random_instance(
+            rng, m_max=6, n_max=6, slack_max=10)
+        f = [0.0 if rng.random() < 0.3 else p for p in f]  # ties in availability
+        x = crowded_start(rng, capacities, sizes, primaries)
+        state = make_state(l, capacities, f, sizes, primaries, traffic, x=x)
+        config = SolverConfig(algorithm="aagg", availability_scope=scope,
+                              availability_semantics=semantics)
+        engine = _GreedyEngine(state, config)
+        before = brute_total_cost(x.tolist(), traffic, l.tolist())
+        for i in range(state.num_servers):
+            objs, damages, lowers = engine._entries(i, np.arange(state.num_objects))
+            held = [k for k in range(state.num_objects) if x[i, k] and primaries[k] != i]
+            assert objs.tolist() == held
+            assert damages.dtype == np.int64 and lowers.dtype == bool
+            for k, damage, lowered in zip(held, damages.tolist(), lowers.tolist()):
+                trial = x.copy()
+                trial[i, k] = 0
+                assert damage == brute_total_cost(trial.tolist(), traffic, l.tolist()) - before
+                reps = np.flatnonzero(x[:, k]).tolist()
+                drop = (brute_availability([j for j in reps if j != i], f, semantics)
+                        < brute_availability(reps, f, semantics) - TOL)
+                assert lowered == (scope == "all_changed_objects" and drop)
 
 
 class TestResultInvariants:

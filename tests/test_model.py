@@ -80,6 +80,19 @@ class TestCatalogs:
         with pytest.raises(ParameterError):
             ServerCatalog([10], [bad])
 
+    def test_size_total_must_stay_below_int64(self):
+        # 2**62 + 2**62 bytes on one server would wrap its load to -2**63.
+        with pytest.raises(ParameterError, match=r"2\*\*63"):
+            ObjectCatalog([2**62, 2**62], [0, 0])
+        objects = ObjectCatalog([2**62, 2**62 - 1], [0, 0])
+        servers = ServerCatalog([2**62, 2**62], [0.1, 0.1])
+        with pytest.raises(CapacityError):
+            primary_only_placement(servers, objects)
+        x = np.array([[1, 1], [0, 0]], dtype=np.int8)
+        violations = validate_placement(x, servers, objects)
+        assert [(v.kind, v.index) for v in violations] == [("storage", 0)]
+        assert str(2**63 - 1) in violations[0].detail
+
     def test_integral_floats_accepted(self):
         assert ObjectCatalog([10.0, 2], [0, 0]).sizes.tolist() == [10, 2]
         assert ServerCatalog([30.0], [0.1]).capacities.tolist() == [30]

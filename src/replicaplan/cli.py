@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -27,8 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from . import costs, heuristics, topology, workload
-from .errors import ReplicaPlanError
+from .errors import ParameterError, ReplicaPlanError
 from .model import (
+    INT64_LIMIT,
     PlacementState,
     Scenario,
     ServerCatalog,
@@ -119,25 +121,29 @@ def _capacities(policy: str, caps: tuple[int, ...], objects, n_servers: int) -> 
 
     ``slack:F``: each server gets its primary load plus F times the storage an
     even spread of the largest swept cap would need.  ``unbounded``: every
-    server can hold the full catalog.
+    server can hold the full catalog.  Capacities must stay below 2**63.
     """
     sizes = objects.sizes
     primary_load = np.zeros(n_servers, dtype=np.int64)
     np.add.at(primary_load, objects.primaries, sizes)
     total_size = int(sizes.sum())
     if policy == "unbounded":
-        return np.maximum(primary_load, 1) + total_size
-    if policy.startswith("slack:"):
+        extra = total_size
+    elif policy.startswith("slack:"):
         try:
             factor = float(policy.split(":", 1)[1])
         except ValueError as exc:
             raise ReplicaPlanError(f"bad capacity policy {policy!r}") from exc
-        if factor < 0:
-            raise ReplicaPlanError("slack factor must be >= 0")
+        if not (math.isfinite(factor) and factor >= 0):
+            raise ParameterError(f"slack factor must be a finite number >= 0, got {factor}")
         extra_replicas = max(caps) - 1
-        slack = int(factor * total_size * extra_replicas / n_servers)
-        return np.maximum(primary_load, 1) + slack
-    raise ReplicaPlanError(f"unknown capacity policy {policy!r}")
+        # Capped at 2**63 (an inf product included) so the check below refuses it.
+        extra = int(min(factor * total_size * extra_replicas / n_servers, INT64_LIMIT))
+    else:
+        raise ReplicaPlanError(f"unknown capacity policy {policy!r}")
+    if int(primary_load.max(initial=1)) + extra >= INT64_LIMIT:
+        raise ParameterError(f"capacity policy {policy!r} gives capacities reaching 2**63")
+    return np.maximum(primary_load, 1) + extra
 
 
 def _build_instance(args) -> tuple[topology.Graph, topology.CostMatrix, Scenario]:

@@ -26,16 +26,20 @@ holds its eviction-free score, an upper bound, and is scored exactly only
 when that bound reaches the top of the matrix.
 
 The engine is the only implementation of flip scoring: the access saving
-``delta`` of every candidate add comes from one kernel, :func:`_delta`, every
-score from one block kernel, ``_score``, plus ``_resolve`` for eviction
-damage, and the winner's plan, with or without evictions, from the same
-per-server prefix sums in ``_plan``.  :func:`solve` is the one entry point.
-Availability-weighted scores are floats, so instances whose scores could
-reach 2**53 are refused.
+``delta`` of every candidate add comes from one per-column kernel,
+:func:`_delta`, ``delta[:, k] = traffic[:, k] @ max(d[:, k, None] - l, 0)``,
+run over every column at set-up and over a commit's touched columns by
+``_invalidate``.  Every score comes from one block kernel, ``_score``, plus
+``_resolve`` for eviction damage, and the winner's plan, with or without
+evictions, from the same per-server prefix sums in ``_plan``.  :func:`solve`
+is the one entry point.  Availability-weighted scores are floats, so
+instances whose scores could reach 2**53 are refused.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -44,7 +48,7 @@ import numpy as np
 
 from . import costs
 from .errors import ParameterError
-from .model import PlacementState, exact_sum, validate_placement
+from .model import PlacementState, _check_headroom, validate_placement
 
 ALGORITHMS = ("aagg", "aagro", "gg", "gro")
 SCOPES = ("focal_object", "all_changed_objects")
@@ -198,32 +202,20 @@ def replay_schedule(x_old, schedule) -> np.ndarray:
     return x
 
 
-def _delta(state: PlacementState, cols: slice) -> np.ndarray:
+def _delta(state: PlacementState, cols) -> np.ndarray:
     """Access-cost saving of adding each object in ``cols`` to each server.
 
-    Every server keeps its current nearest replicator unless the target
-    server is cheaper; the result is the traffic-weighted sum of those
-    per-server savings, an M x len(cols) int64 matrix.
+    ``cols`` is a slice or an index array.  Every server keeps its current
+    nearest replicator unless the target server is cheaper, so column k of
+    the M x len(cols) int64 result is
+    ``traffic[:, k] @ max(d[:, k, None] - l, 0)``: one M x M gain matrix at
+    a time, summed exactly in int64 under the model's headroom check.
     """
-    gain = state.d[:, cols][:, None, :] - state.l[:, :, None]
-    np.maximum(gain, 0, out=gain)  # in place: one M x M x len(cols) temporary
-    return np.einsum("jic,jc->ic", gain, state.traffic[:, cols])
-
-
-def _check_float_headroom(state: PlacementState) -> None:
-    """Refuse instances whose weighted scores could leave float64's exact integers.
-
-    Availability-weighted scores are floats; every saving, damage and net
-    score they scale is at most ``max(l) * max(sum(traffic), max(size))``
-    in magnitude, so below 2**53 each is exact and ties compare exactly.
-    """
-    max_l = int(state.l.max(initial=0))
-    bound = max_l * max(exact_sum(state.traffic), int(state.objects.sizes.max(initial=0)))
-    if bound >= FLOAT_EXACT_LIMIT:
-        raise ParameterError(
-            f"max link cost {max_l} x max(total traffic, max object size) is {bound}, "
-            "reaching 2**53; availability-weighted scores would lose float precision"
-        )
+    d, traffic = state.d[:, cols], state.traffic[:, cols]
+    out = np.empty(d.shape, dtype=np.int64)
+    for c in range(d.shape[1]):
+        out[:, c] = traffic[:, c] @ np.maximum(d[:, c, None] - state.l, 0)
+    return out
 
 
 @dataclass
@@ -259,8 +251,9 @@ class _GreedyEngine:
         self.st = state.copy()
         self.cfg = config
         self.use_factor = config.algorithm in ("aagg", "aagro")
-        if self.use_factor:
-            _check_float_headroom(self.st)
+        if self.use_factor:  # weighted scores are floats, exact only below 2**53
+            _check_headroom(self.st.l, self.st.objects.sizes, self.st.traffic,
+                            FLOAT_EXACT_LIMIT)
         self.guard_evictees = (self.use_factor
                                and config.availability_scope == "all_changed_objects")
         self.avail = 1.0 - self.st.servers.failure_probs
@@ -268,17 +261,12 @@ class _GreedyEngine:
         self.cap_val = config.max_replicas_per_object or self.st.num_servers
         self.on_commit = on_commit
         self.on_mutation = on_mutation
-        m, n = self.st.x.shape
-        self.delta = np.empty((m, n), dtype=np.int64)
-        for s in range(0, n, 128):  # column chunks bound the M x M x 128 temporary
-            self.delta[:, s:s + 128] = _delta(self.st, slice(s, s + 128))
+        self.delta = _delta(self.st, slice(None))
         self.c = costs.total_access_cost(self.st.x, self.st.n, self.st.traffic,
                                          self.st.l).total
         self.c_old = self.c
         self.schedule: list = []
         self.steps: list = []
-        self.impl_total = 0
-        self.benefit_total = 0
         self.iterations = 0
         self._evict_cache: dict[int, _Evictables] = {}
         # Scores of the last swept column window, kept across commits.
@@ -446,13 +434,15 @@ class _GreedyEngine:
         """Bring the caches up to date after a commit on server i.
 
         ``touched`` holds the added object and the evicted ones.  Their
-        columns' ``delta``, nearest index, placement and replica counts
-        changed, so their scores are dirty.  An evictable entry's damage and
-        availability flag depend only on its own column, so only the servers
-        holding a touched column, plus ``i`` (whose free space changed), have
-        cached entries and row scores to redo.
+        columns' nearest index, placement and replica counts changed, so
+        their ``delta`` columns are recomputed here, once all of the commit's
+        mutations are done, and their scores are dirty.  An evictable entry's
+        damage and availability flag depend only on its own column, so only
+        the servers holding a touched column, plus ``i`` (whose free space
+        changed), have cached entries and row scores to redo.
         """
         st = self.st
+        self.delta[:, touched] = _delta(st, touched)
         rows = {i, *np.flatnonzero(st.x[:, touched].any(axis=1)).tolist()}
         for j in rows:
             ev = self._evict_cache.get(j)
@@ -476,7 +466,6 @@ class _GreedyEngine:
         c_before = self.c
         for kk in plan.evictions:
             st.remove_replica(i, kk)
-            self._refresh_delta_col(kk)
             self.schedule.append(Evict(i, kk))
             if self.on_mutation:
                 self.on_mutation(st)
@@ -485,7 +474,6 @@ class _GreedyEngine:
         if tcost != plan.transfer_cost:
             raise RuntimeError("planned transfer cost diverged from state")
         st.add_replica(i, k)
-        self._refresh_delta_col(k)
         self.schedule.append(Add(i, k, source, tcost))
         if self.on_mutation:
             self.on_mutation(st)
@@ -503,14 +491,9 @@ class _GreedyEngine:
         step = StepStat(i, k, c_before, c_after, tcost, plan.benefit)
         self.steps.append(step)
         self.c = c_after
-        self.impl_total += tcost
-        self.benefit_total = self.benefit_total + plan.benefit
         self._invalidate(i, np.array([k, *plan.evictions], dtype=np.int64))
         if self.on_commit:
             self.on_commit(st, step)
-
-    def _refresh_delta_col(self, k: int) -> None:
-        self.delta[:, k:k + 1] = _delta(self.st, slice(k, k + 1))
 
     # -- drivers ----------------------------------------------------------
 
@@ -546,8 +529,9 @@ class _GreedyEngine:
             steps=tuple(self.steps),
             c_old=self.c_old,
             c_new=self.c,
-            impl_cost_total=self.impl_total,
-            benefit_total=self.benefit_total,
+            impl_cost_total=sum(s.transfer_cost for s in self.steps),
+            # Left to right from 0: builtin sum compensates float sums from Python 3.12.
+            benefit_total=functools.reduce(operator.add, (s.benefit for s in self.steps), 0),
             iterations=self.iterations,
         )
 

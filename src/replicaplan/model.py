@@ -70,25 +70,20 @@ def _loads(x, sizes: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", x, sizes)
 
 
-def _check_int64_headroom(l: np.ndarray, sizes: np.ndarray, traffic: np.ndarray) -> None:
-    """Refuse instances whose exact integer costs could leave int64.
+def _check_headroom(l: np.ndarray, sizes: np.ndarray, traffic: np.ndarray, limit: int) -> None:
+    """Refuse instances whose exact costs could reach ``limit``, a power of two.
 
     Every access cost, saving and eviction damage (and every prefix sum of
     damages) is at most ``max(l) * sum(traffic)``, and every transfer cost
-    at most ``max(size) * max(l)``.
+    at most ``max(l) * max(size)``.  The model keeps them below 2**63, the
+    float-scored planners below 2**53.
     """
     max_l = int(l.max(initial=0))
-    total = exact_sum(traffic)
-    if max_l * total >= INT64_LIMIT:
+    total, max_size = exact_sum(traffic), int(sizes.max(initial=0))
+    if max_l * max(total, max_size) >= limit:
         raise ParameterError(
-            f"max link cost {max_l} x total traffic {total} reaches 2**63; "
-            "costs would overflow int64"
-        )
-    max_size = int(sizes.max(initial=0))
-    if max_size * max_l >= INT64_LIMIT:
-        raise ParameterError(
-            f"max object size {max_size} x max link cost {max_l} reaches 2**63; "
-            "transfer costs would overflow int64"
+            f"max link cost {max_l} x max(total traffic {total}, max object size {max_size}) "
+            f"reaches 2**{limit.bit_length() - 1}; costs and scores would not stay exact"
         )
 
 
@@ -286,13 +281,12 @@ class PlacementState:
         if (cost.l < 0).any():
             raise ParameterError("link costs must be non-negative")
         r = _traffic(traffic, servers.count, objects.count)
-        _check_int64_headroom(cost.l, objects.sizes, r)
+        _check_headroom(cost.l, objects.sizes, r, INT64_LIMIT)
         violations = validate_placement(x, servers, objects)
         if violations:
             raise ConstraintError(
                 "invalid starting placement: " + "; ".join(v.detail for v in violations)
             )
-        self.cost = cost
         self.l = cost.l
         self.servers = servers
         self.objects = objects
@@ -318,7 +312,6 @@ class PlacementState:
 
     def copy(self) -> "PlacementState":
         dup = object.__new__(PlacementState)
-        dup.cost = self.cost
         dup.l = self.l
         dup.servers = self.servers
         dup.objects = self.objects

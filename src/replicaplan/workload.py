@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, TraceError
-from .model import ObjectCatalog
+from .model import INT64_LIMIT, ObjectCatalog
 
 
 # Highest failure probability a trace estimate may take.
@@ -42,10 +42,10 @@ class TrafficModel:
     def __post_init__(self):
         if self.kind not in ("uniform", "zipf"):
             raise ParameterError(f"unknown traffic kind {self.kind!r}")
-        if self.zipf_skew < 0:
-            raise ParameterError("zipf skew must be >= 0")
-        if self.total_volume <= 0:
-            raise ParameterError("total volume must be positive")
+        if not (math.isfinite(self.zipf_skew) and self.zipf_skew >= 0):
+            raise ParameterError(f"zipf skew must be a finite number >= 0, got {self.zipf_skew}")
+        if not 0 < self.total_volume < INT64_LIMIT:
+            raise ParameterError("total volume must be positive and below 2**63")
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,12 @@ def _apportion(total: int, weights, rng: random.Random | None = None) -> np.ndar
     if total == 0 or wsum == 0:
         return np.zeros(len(weights), dtype=np.int64)
     quota = total * (weights / wsum)
-    shares = np.floor(quota).astype(np.int64)
-    leftover = int(total - shares.sum())
+    floors = [math.floor(q) for q in quota.tolist()]  # exact ints: no int64 cast to wrap
+    leftover = total - sum(floors)
+    if not 0 <= leftover <= len(floors):  # float quotas are inexact above 2**53
+        raise ParameterError(f"volume {total} is too large to split exactly over "
+                             f"{len(floors)} weights")
+    shares = np.array(floors, dtype=np.int64)
     if leftover:
         frac = quota - shares
         # Stable sort: ties go to the lower index, keeping output seed-free here.

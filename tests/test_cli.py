@@ -107,6 +107,25 @@ class TestGen:
     def test_invalid_knob_exits_1(self, tmp_path):
         assert main(["gen", "--nodes", "0", "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--capacity-policy", "slack:inf"], "slack factor"),
+        (["--capacity-policy", "slack:nan"], "slack factor"),
+        (["--capacity-policy", "slack:1e300"], "2**63"),
+        (["--traffic-volume", str(10**20)], "2**63"),
+        (["--traffic-volume", str(2**63 - 1)], "split exactly"),  # zipf sum fell 501 short
+        (["--traffic-volume", str(2**62)], "split exactly"),
+        (["--zipf-skew", "nan"], "zipf skew"),
+        (["--zipf-skew", "inf"], "zipf skew"),
+    ], ids=["slack-inf", "slack-nan", "slack-1e300", "volume-1e20", "volume-2^63-1",
+            "volume-2^62", "skew-nan", "skew-inf"])
+    def test_out_of_range_flag_exits_1(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "inst"
+        args = ["gen", "--nodes", "5", "--objects", "10", *flags, "--out", str(out)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
     def test_trace_availability(self, tmp_path):
         trace = tmp_path / "trace.csv"
         trace.write_text(

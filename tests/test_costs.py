@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,13 +74,17 @@ class TestDeltaOfAdd:
         assert _delta(state, slice(1, 2))[0, 0] == 320
         assert _delta(state, slice(0, 1))[1, 0] == 100
 
-    @given(seed=st.integers(0, 10_000))
+    @given(seed=st.integers(0, 10_000), asymmetric=st.booleans())
     @settings(max_examples=80, deadline=None)
-    def test_equals_full_recompute(self, seed):
+    def test_equals_full_recompute(self, seed, asymmetric):
+        """``l[j, i]`` is j's cost to reach i; an asymmetric matrix tells it from ``l.T``."""
         rng = random.Random(seed)
         l, capacities, f, sizes, primaries, traffic = random_instance(
             rng, m_max=6, n_max=5, slack_max=30
         )
+        if asymmetric:
+            l = np.array([[c + (rng.randint(0, 4) if a != b else 0) for b, c in enumerate(row)]
+                          for a, row in enumerate(l.tolist())])
         state = make_state(l, capacities, f, sizes, primaries, traffic)
         zeros = np.argwhere(state.x == 0)
         if zeros.size == 0:
@@ -91,6 +96,22 @@ class TestDeltaOfAdd:
         trial[i, k] = 1
         after = brute_total_cost(trial.tolist(), traffic, l.tolist())
         assert predicted == before - after
+
+    def test_peak_memory_stays_per_column(self):
+        """Set-up over every column holds the result plus M x M temporaries, no M x M x N."""
+        rng = np.random.default_rng(3)
+        m, n = 40, 600
+        l = rng.integers(1, 50, size=(m, m))
+        np.fill_diagonal(l, 0)
+        state = make_state(l, [10**6] * m, [0.1] * m, [1] * n, rng.integers(0, m, size=n),
+                           rng.integers(0, 1000, size=(m, n)))
+        tracemalloc.start()
+        try:
+            _delta(state, slice(None))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * m * n * 8 + 16 * m * m * 8
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)

@@ -405,11 +405,11 @@ class TestSweepCache:
     def test_next_plan_matches_fresh_engine(self, algorithm, scope, kind, seed):
         """After every commit the cached window agrees with a fresh engine's sweep.
 
-        The plans are equal, every settled cached score equals the exact
-        score, and every pending bound is at least the exact score.  The
-        pinned seeds catch a cache that leaves the holders of a touched
-        column, or the evicted columns, out of the dirty set; a random draw
-        of such a case is rare (under 5% and under 1% of seeds).
+        The ``delta`` matrices and the plans are equal, every settled cached
+        score equals the exact score, and every pending bound is at least the
+        exact score.  The pinned seeds catch a cache that leaves the holders
+        of a touched column, or the evicted columns, out of the dirty set; a
+        random draw of such a case is rare (under 5% and under 1% of seeds).
         """
         rng = random.Random(seed)
         l, capacities, f, sizes, primaries, traffic, x = drawn_instance(kind, rng)
@@ -422,6 +422,7 @@ class TestSweepCache:
             engine._commit(plan)
             plan = engine._sweep(window)
             fresh = _GreedyEngine(engine.st, config)
+            assert np.array_equal(engine.delta, fresh.delta)
             assert plan == fresh._sweep(window)
             for i in np.flatnonzero(fresh._pending.any(axis=1)):
                 fresh._resolve(int(i))

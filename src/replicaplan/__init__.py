@@ -55,11 +55,9 @@ from .workload import (
     FailureTrace,
     TraceRecord,
     TrafficModel,
-    estimate_availability,
     generate_object_catalog,
     generate_traffic,
     load_failure_trace,
-    parse_availability_spec,
     synthetic_availability,
     trace_availability_for_servers,
 )

@@ -22,7 +22,7 @@ import hashlib
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +38,6 @@ from .model import (
     primary_only_placement,
     save_placement,
     validate_placement,
-)
-
-RESULTS_HEADER = (
-    "algorithm,cap,seed,c_old,c_new,impl_cost,benefit_total,flips,evictions,"
-    "min_avail_old,min_avail_new,runtime_ms"
 )
 
 
@@ -68,24 +63,18 @@ class ResultRow:
     runtime_ms: int
 
     def to_csv_line(self) -> str:
-        cap = "unlimited" if self.cap is None else str(self.cap)
-        return ",".join(
-            [
-                self.algorithm,
-                cap,
-                str(self.seed),
-                str(self.c_old),
-                str(self.c_new),
-                str(self.impl_cost),
-                repr(self.benefit_total) if isinstance(self.benefit_total, float)
-                else str(self.benefit_total),
-                str(self.flips),
-                str(self.evictions),
-                repr(self.min_avail_old),
-                repr(self.min_avail_new),
-                str(self.runtime_ms),
-            ]
-        )
+        return ",".join("unlimited" if v is None else v if isinstance(v, str) else repr(v)
+                        for v in astuple(self))
+
+
+RESULTS_HEADER = ",".join(f.name for f in fields(ResultRow))
+
+
+def _write_results(path: Path, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(RESULTS_HEADER + "\n")
+        for row in rows:
+            fh.write(row.to_csv_line() + "\n")
 
 
 def _parse_caps(text: str) -> tuple[int, ...]:
@@ -114,6 +103,14 @@ def _parse_cap(text: str) -> int | None:
     if cap < 1:
         raise argparse.ArgumentTypeError("cap must be >= 1")
     return cap
+
+
+def _parse_algs(text: str) -> tuple[str, ...]:
+    algs = tuple(text.split(","))
+    unknown = [a for a in algs if a not in heuristics.ALGORITHMS]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown algorithm(s) {', '.join(unknown)}")
+    return algs
 
 
 def _capacities(policy: str, caps: tuple[int, ...], objects, n_servers: int) -> np.ndarray:
@@ -256,9 +253,7 @@ def cmd_solve(args) -> int:
     payload = {"algorithm": args.alg, "cap": args.cap, "seed": args.seed}
     payload.update(result.to_json_dict())
     topology._write_json(out / "result.json", payload)
-    with open(out / "results.csv", "w", newline="") as fh:
-        fh.write(RESULTS_HEADER + "\n")
-        fh.write(row.to_csv_line() + "\n")
+    _write_results(out / "results.csv", [row])
     print(RESULTS_HEADER)
     print(row.to_csv_line())
     return 0
@@ -273,10 +268,7 @@ def cmd_sweep(args) -> int:
             rows.append(row)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "results.csv", "w", newline="") as fh:
-        fh.write(RESULTS_HEADER + "\n")
-        for row in rows:
-            fh.write(row.to_csv_line() + "\n")
+    _write_results(out / "results.csv", rows)
     if args.gnuplot:
         _write_gnuplot(out, sorted(args.algs))
     print(f"wrote {len(rows)} result rows to {out / 'results.csv'}")
@@ -389,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run planners across replica caps")
     add_solver_flags(sweep)
-    sweep.add_argument("--algs", type=lambda s: tuple(s.split(",")), default=("aagg", "gg"),
+    sweep.add_argument("--algs", type=_parse_algs, default=("aagg", "gg"),
                        help="comma-separated planner list")
     sweep.add_argument("--caps", type=_parse_caps, default=(1, 2, 3, 4, 5))
     sweep.add_argument("--gnuplot", action="store_true",
@@ -413,11 +405,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "command", None) == "sweep":
-        unknown = [a for a in args.algs if a not in heuristics.ALGORITHMS]
-        if unknown:
-            print(f"error: unknown algorithm(s) {', '.join(unknown)}", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except (ReplicaPlanError, ValueError) as exc:

@@ -47,7 +47,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import costs
-from .errors import ParameterError
+from .errors import ParameterError, StructuralError
 from .model import PlacementState, _check_headroom, validate_placement
 
 ALGORITHMS = ("aagg", "aagro", "gg", "gro")
@@ -176,8 +176,6 @@ def action_from_dict(payload: dict):
 
 def replay_schedule(x_old, schedule) -> np.ndarray:
     """Re-apply a schedule to a placement; raises if any step is inconsistent."""
-    from .errors import StructuralError
-
     x = np.array(x_old, dtype=np.int8)
     for action in schedule:
         if isinstance(action, Add):
@@ -258,7 +256,7 @@ class _GreedyEngine:
                                and config.availability_scope == "all_changed_objects")
         self.avail = 1.0 - self.st.servers.failure_probs
         self.tol = costs.AVAILABILITY_TOL
-        self.cap_val = config.max_replicas_per_object or self.st.num_servers
+        self.cap_val = config.max_replicas_per_object or self.st.servers.count
         self.on_commit = on_commit
         self.on_mutation = on_mutation
         self.delta = _delta(self.st, slice(None))
@@ -503,7 +501,7 @@ class _GreedyEngine:
         The global planners use one window holding every object, the
         random-order planners one window per object, in seeded order.
         """
-        n = self.st.num_objects
+        n = self.st.objects.count
         if self.cfg.algorithm in ("aagg", "gg"):
             windows = [slice(0, n)] if n else []
         else:

@@ -21,31 +21,7 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .topology import CostMatrix, _whole, _write_json
-
-INT64_LIMIT = 2**63
-
-
-def _integral(values, what: str) -> np.ndarray:
-    """``values`` as an array, refused unless every entry is an int64-sized integer.
-
-    Checked before any int64 cast, which would truncate 1.7 to 1 and wrap
-    NaN, inf and out-of-range values silently.
-    """
-    raw = np.asarray(values)
-    kind = raw.dtype.kind
-    if kind == "f":
-        ok = (np.isfinite(raw) & (raw == np.floor(raw))
-              & (raw >= -INT64_LIMIT) & (raw < INT64_LIMIT))
-    elif kind == "u":
-        ok = raw < INT64_LIMIT
-    elif kind == "i":
-        return raw
-    else:
-        raise ParameterError(f"{what} must be integers below 2**63, got {raw.dtype} values")
-    if not ok.all():
-        raise ParameterError(f"{what} must be finite integers below 2**63")
-    return raw
+from .topology import INT64_LIMIT, CostMatrix, _array, _integral, _whole, _write_json
 
 
 def _traffic(values, m: int, n: int) -> np.ndarray:
@@ -96,7 +72,7 @@ class ServerCatalog:
 
     def __post_init__(self):
         caps = np.array(_integral(self.capacities, "capacities"), dtype=np.int64)
-        raw = np.asarray(self.failure_probs)
+        raw = _array(self.failure_probs, "failure probabilities")
         if raw.dtype.kind not in "fiu":  # as in _integral; a float64 cast reads "0.1" as 0.1
             raise ParameterError(f"failure probabilities must be numbers, got {raw.dtype} values")
         probs = np.array(raw, dtype=np.float64)
@@ -282,6 +258,10 @@ class PlacementState:
             raise ParameterError("link costs must be non-negative")
         r = _traffic(traffic, servers.count, objects.count)
         _check_headroom(cost.l, objects.sizes, r, INT64_LIMIT)
+        x = _integral(x, "placement")
+        # Whole numbers in [0, 1]; the int8 cast below would keep -1 and 2.
+        if x.min(initial=0) < 0 or x.max(initial=0) > 1:
+            raise ParameterError("placement entries must be 0 or 1")
         violations = validate_placement(x, servers, objects)
         if violations:
             raise ConstraintError(
@@ -301,14 +281,6 @@ class PlacementState:
         if x is None:
             x = primary_only_placement(scenario.servers, scenario.objects)
         return cls(cost, scenario.servers, scenario.objects, scenario.traffic, x)
-
-    @property
-    def num_servers(self) -> int:
-        return self.servers.count
-
-    @property
-    def num_objects(self) -> int:
-        return self.objects.count
 
     def copy(self) -> "PlacementState":
         dup = object.__new__(PlacementState)

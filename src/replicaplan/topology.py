@@ -22,6 +22,38 @@ from .errors import ConnectivityError, ParameterError, StructuralError
 # it: a distance still at the sentinel after the sweep means "unreachable".
 _UNREACHED = np.int64(2) ** 41
 
+INT64_LIMIT = 2**63
+
+
+def _array(values, what: str) -> np.ndarray:
+    """``values`` as an array; a ragged nested list is a StructuralError."""
+    try:
+        return np.asarray(values)
+    except ValueError as exc:  # numpy refuses inhomogeneous shapes
+        raise StructuralError(f"{what} must be a rectangular array: {exc}") from exc
+
+
+def _integral(values, what: str) -> np.ndarray:
+    """``values`` as an array, refused unless every entry is an int64-sized integer.
+
+    Checked before any int64 cast, which would truncate 1.7 to 1 and wrap
+    NaN, inf and out-of-range values silently.
+    """
+    raw = _array(values, what)
+    kind = raw.dtype.kind
+    if kind == "f":
+        ok = (np.isfinite(raw) & (raw == np.floor(raw))
+              & (raw >= -INT64_LIMIT) & (raw < INT64_LIMIT))
+    elif kind == "u":
+        ok = raw < INT64_LIMIT
+    elif kind == "i":
+        return raw
+    else:
+        raise ParameterError(f"{what} must be integers below 2**63, got {raw.dtype} values")
+    if not ok.all():
+        raise ParameterError(f"{what} must be finite integers below 2**63")
+    return raw
+
 
 def _whole(value, what: str) -> int:
     """``value`` as an int; refuses bools, strings and fractional or non-finite floats.
@@ -53,7 +85,10 @@ class Graph:
         seen = set()
         normalized = []
         for edge in self.edges:
-            u, v, cost = (_whole(value, "edge entry") for value in edge)
+            try:
+                u, v, cost = (_whole(value, "edge entry") for value in edge)
+            except (TypeError, ValueError) as exc:  # not iterable, or not three entries
+                raise StructuralError(f"edge {edge!r} must be a (u, v, cost) triple") from exc
             if u == v:
                 raise StructuralError(f"self-loop at node {u}")
             if not (0 <= u < node_count and 0 <= v < node_count):
@@ -81,7 +116,7 @@ class CostMatrix:
     l: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.l, dtype=np.int64)
+        arr = np.array(_integral(self.l, "link costs"), dtype=np.int64)
         if arr.shape != (self.m, self.m):
             raise StructuralError(f"cost matrix must be {self.m}x{self.m}, got {arr.shape}")
         arr.setflags(write=False)

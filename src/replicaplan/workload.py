@@ -83,7 +83,7 @@ def generate_object_catalog(n_objects: int, size_lo: int, size_hi: int,
     return ObjectCatalog(sizes, primaries)
 
 
-def _apportion(total: int, weights, rng: random.Random | None = None) -> np.ndarray:
+def _apportion(total: int, weights) -> np.ndarray:
     """Split ``total`` into integer shares proportional to ``weights``, summing exactly."""
     weights = np.asarray(weights, dtype=np.float64)
     wsum = weights.sum()
@@ -196,19 +196,6 @@ def _failure_shares(trace: FailureTrace) -> dict[int, float]:
             for node, (t0, t1) in trace.horizons.items()}
 
 
-def estimate_availability(trace: FailureTrace, n_servers: int) -> np.ndarray:
-    """Failure probability per server: downtime share of the node's horizon.
-
-    Nodes absent from the trace are assumed never to fail.
-    """
-    f = np.zeros(n_servers, dtype=np.float64)
-    for node, share in _failure_shares(trace).items():
-        if node >= n_servers:
-            raise ParameterError(f"trace node {node} out of range for {n_servers} servers")
-        f[node] = share
-    return f
-
-
 def trace_availability_for_servers(trace: FailureTrace, n_servers: int) -> np.ndarray:
     """Fold a trace of arbitrary node ids onto ``n_servers`` servers.
 
@@ -228,31 +215,21 @@ def trace_availability_for_servers(trace: FailureTrace, n_servers: int) -> np.nd
     return f
 
 
-def parse_availability_spec(spec: str) -> tuple[str, float, float]:
-    """Parse 'constant:F' or 'uniform:LO:HI' into (kind, lo, hi)."""
-    parts = spec.split(":")
+def synthetic_availability(n_servers: int, spec: str, seed: int) -> np.ndarray:
+    """Draw per-server failure probabilities from 'constant:F' or 'uniform:LO:HI'."""
+    if n_servers < 1:
+        raise ParameterError("need at least one server")
+    kind, *bounds = spec.split(":")
+    if (kind, len(bounds)) not in (("constant", 1), ("uniform", 2)):
+        raise ParameterError(
+            f"availability spec must be 'constant:F' or 'uniform:LO:HI', got {spec!r}"
+        )
     try:
-        if parts[0] == "constant" and len(parts) == 2:
-            value = float(parts[1])
-            lo = hi = value
-        elif parts[0] == "uniform" and len(parts) == 3:
-            lo, hi = float(parts[1]), float(parts[2])
-        else:
-            raise ParameterError(
-                f"availability spec must be 'constant:F' or 'uniform:LO:HI', got {spec!r}"
-            )
+        lo, hi = float(bounds[0]), float(bounds[-1])
     except ValueError as exc:
         raise ParameterError(f"malformed availability spec {spec!r}: {exc}") from exc
     if not (0.0 <= lo <= hi < 1.0):
         raise ParameterError(f"availability spec bounds must satisfy 0 <= lo <= hi < 1: {spec!r}")
-    return parts[0], lo, hi
-
-
-def synthetic_availability(n_servers: int, spec: str, seed: int) -> np.ndarray:
-    """Draw per-server failure probabilities from a small distribution spec."""
-    if n_servers < 1:
-        raise ParameterError("need at least one server")
-    kind, lo, hi = parse_availability_spec(spec)
     if kind == "constant":
         return np.full(n_servers, lo, dtype=np.float64)
     rng = random.Random(seed)

@@ -19,9 +19,9 @@ from replicaplan import (
     SolverConfig,
     availability_per_object,
     build_nearest_index,
-    estimate_availability,
     load_failure_trace,
     solve,
+    trace_availability_for_servers,
     validate_placement,
 )
 from replicaplan.cli import RESULTS_HEADER, main
@@ -241,7 +241,7 @@ def test_criterion_8_trace_driven_failure_estimates(tmp_path, capsys):
             "3,0,400,down\n"
             "4,0,500,up\n4,500,600,down\n4,600,2000,up\n"
         )
-        f = estimate_availability(load_failure_trace(trace_path), 6)
+        f = trace_availability_for_servers(load_failure_trace(trace_path), 6)
         expected = [0.1, 0.0, 0.5, 0.99, 0.05, 0.0]
         assert f.shape == (6,)
         for got, want in zip(f, expected):

@@ -5,6 +5,7 @@ import pytest
 from replicaplan import Scenario, load_placement
 from replicaplan.cli import (
     RESULTS_HEADER,
+    ResultRow,
     _parse_cap,
     _parse_caps,
     derive_seed,
@@ -69,6 +70,20 @@ class TestArgParsing:
     def test_cap_rejects(self, text):
         with pytest.raises(Exception):
             _parse_cap(text)
+
+
+class TestResultsCsv:
+    def test_header_columns(self):
+        assert RESULTS_HEADER == ("algorithm,cap,seed,c_old,c_new,impl_cost,benefit_total,"
+                                  "flips,evictions,min_avail_old,min_avail_new,runtime_ms")
+
+    @pytest.mark.parametrize("cap, benefit, line", [
+        (None, 0.1 + 0.2, "gg,unlimited,7,490,70,120,0.30000000000000004,2,0,0.9,0.99,5"),
+        (3, 120, "gg,3,7,490,70,120,120,2,0,0.9,0.99,5"),
+    ])
+    def test_row_cells(self, cap, benefit, line):
+        row = ResultRow("gg", cap, 7, 490, 70, 120, benefit, 2, 0, 0.9, 0.99, 5)
+        assert row.to_csv_line() == line
 
 
 class TestGen:

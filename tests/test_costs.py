@@ -60,7 +60,7 @@ class TestAccessCost:
         state = make_state(l, capacities, f, sizes, primaries, traffic)
         report = total_access_cost(state.x, state.n, state.traffic, state.l)
         assert report.total == brute_total_cost(state.x.tolist(), traffic, l.tolist())
-        for k in range(state.num_objects):
+        for k in range(state.objects.count):
             assert report.per_object[k] == brute_object_cost(
                 k, state.x.tolist(), traffic, l.tolist()
             )
@@ -120,8 +120,8 @@ class TestDeltaOfAdd:
         l, capacities, f, sizes, primaries, traffic = random_instance(rng, m_max=5, n_max=4)
         state = make_state(l, capacities, f, sizes, primaries, traffic)
         base = brute_total_cost(state.x.tolist(), traffic, l.tolist())
-        for i in range(state.num_servers):
-            for k in range(state.num_objects):
+        for i in range(state.servers.count):
+            for k in range(state.objects.count):
                 trial = state.x.copy()
                 if state.x[i, k] == 0:
                     trial[i, k] = 1
@@ -187,7 +187,7 @@ class TestAvailability:
         l, capacities, f, sizes, primaries, traffic = random_instance(rng, m_max=5, n_max=3)
         state = make_state(l, capacities, f, sizes, primaries, traffic)
         x = state.x.copy()
-        k = rng.randrange(state.num_objects)
+        k = rng.randrange(state.objects.count)
         candidates = np.flatnonzero(x[:, k] == 0)
         if candidates.size == 0:
             return

@@ -416,7 +416,7 @@ class TestSweepCache:
         state = make_state(l, capacities, f, sizes, primaries, traffic, x=x)
         config = SolverConfig(algorithm=algorithm, availability_scope=scope)
         engine = _GreedyEngine(state, config)
-        window = slice(0, state.num_objects)
+        window = slice(0, state.objects.count)
         plan = engine._sweep(window)
         while plan is not None:
             engine._commit(plan)
@@ -467,9 +467,9 @@ class TestEvictionCache:
         state = make_state(l, capacities, f, sizes, primaries, traffic)
         config = SolverConfig(algorithm="aagg", availability_scope=scope)
         engine = _GreedyEngine(state, config)
-        for i in range(state.num_servers):
+        for i in range(state.servers.count):
             engine._evictable(i)
-        full = slice(0, state.num_objects)
+        full = slice(0, state.objects.count)
         while (plan := engine._sweep(full)) is not None:
             engine._commit(plan)
             fresh = _GreedyEngine(engine.st, config)
@@ -503,9 +503,9 @@ class TestEvictionEntries:
                               availability_semantics=semantics)
         engine = _GreedyEngine(state, config)
         before = brute_total_cost(x.tolist(), traffic, l.tolist())
-        for i in range(state.num_servers):
-            objs, damages, lowers = engine._entries(i, np.arange(state.num_objects))
-            held = [k for k in range(state.num_objects) if x[i, k] and primaries[k] != i]
+        for i in range(state.servers.count):
+            objs, damages, lowers = engine._entries(i, np.arange(state.objects.count))
+            held = [k for k in range(state.objects.count) if x[i, k] and primaries[k] != i]
             assert objs.tolist() == held
             assert damages.dtype == np.int64 and lowers.dtype == bool
             for k, damage, lowered in zip(held, damages.tolist(), lowers.tolist()):

@@ -62,6 +62,8 @@ class TestCatalogs:
     def test_non_integral_inputs_rejected(self, micro, bad):
         # An int64 cast would truncate 1.7 to 1 and wrap the rest silently.
         with pytest.raises(ParameterError):
+            CostMatrix(2, [[0, bad], [bad, 0]])
+        with pytest.raises(ParameterError):
             ObjectCatalog([bad], [0])
         with pytest.raises(ParameterError):
             ObjectCatalog([10], [bad])
@@ -96,6 +98,17 @@ class TestCatalogs:
     def test_integral_floats_accepted(self):
         assert ObjectCatalog([10.0, 2], [0, 0]).sizes.tolist() == [10, 2]
         assert ServerCatalog([30.0], [0.1]).capacities.tolist() == [30]
+        assert CostMatrix(2, [[0, 3.0], [3.0, 0]]).l.tolist() == [[0, 3], [3, 0]]
+
+    @pytest.mark.parametrize("build", [
+        lambda: ServerCatalog([1, [2]], [0.1, 0.1]),
+        lambda: ServerCatalog([1, 2], [0.1, [0.1]]),
+        lambda: ObjectCatalog([1, 2], [0, [0]]),
+        lambda: CostMatrix(2, [[0, 1], [1]]),
+    ])
+    def test_ragged_inputs_rejected(self, build):
+        with pytest.raises(StructuralError, match="rectangular"):
+            build()
 
 
 class TestScenario:
@@ -113,6 +126,15 @@ class TestScenario:
     def test_primary_out_of_range(self, micro):
         with pytest.raises(ParameterError):
             Scenario(micro.servers, ObjectCatalog([10], [7]), [[0], [0], [0]])
+
+    def test_ragged_traffic_file_rejected(self, micro, tmp_path):
+        path = tmp_path / "scenario.json"
+        Scenario(micro.servers, micro.objects, micro.traffic).save(path)
+        payload = json.loads(path.read_text())
+        payload["traffic"] = [[1, 2], [3]]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(StructuralError, match="rectangular"):
+            Scenario.load(path)
 
     def test_negative_traffic(self, micro):
         bad = np.array([[0, -1], [0, 0], [0, 0]])
@@ -222,6 +244,18 @@ class TestIncrementalIndex:
         with pytest.raises(ConstraintError):
             micro.state(x)
 
+    @pytest.mark.parametrize("bad", [-1, 2, 0.5])
+    def test_non_binary_start_rejected(self, micro, bad):
+        # -1 and 2 would survive the int8 cast and corrupt free space and
+        # replica counts; 0.5 would be truncated to 0.
+        x = [[1, 1], [0, bad], [0, 1]]
+        with pytest.raises(ParameterError, match="placement"):
+            micro.state(x)
+
+    def test_ragged_start_rejected(self, micro):
+        with pytest.raises(StructuralError, match="rectangular"):
+            micro.state([[1, 0], [0], [0, 1]])
+
     def test_negative_link_cost_rejected(self):
         with pytest.raises(ParameterError):
             make_state([[0, -5], [-5, 0]], [10, 10], [0.1, 0.1], [1], [0], [[1], [1]])
@@ -247,8 +281,8 @@ class TestIncrementalIndex:
         )
         state = make_state(l, capacities, f, sizes, primaries, traffic)
         for _ in range(12):
-            i = rng.randrange(state.num_servers)
-            k = rng.randrange(state.num_objects)
+            i = rng.randrange(state.servers.count)
+            k = rng.randrange(state.objects.count)
             if state.x[i, k] == 0 and state.free[i] >= state.objects.sizes[k]:
                 state.add_replica(i, k)
             elif state.x[i, k] == 1 and int(state.objects.primaries[k]) != i:
@@ -258,8 +292,8 @@ class TestIncrementalIndex:
             n_ref, d_ref = build_nearest_index(state.x, state.l)
             assert (state.n == n_ref).all()
             assert (state.d == d_ref).all()
-            for j in range(state.num_servers):
-                for kk in range(state.num_objects):
+            for j in range(state.servers.count):
+                for kk in range(state.objects.count):
                     assert state.d[j, kk] == state.l[j, brute_nearest(state.x, state.l, j, kk)]
             assert validate_placement(state.x, state.servers, state.objects) == []
 

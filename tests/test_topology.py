@@ -162,6 +162,11 @@ class TestGraphValidation:
         with pytest.raises(ParameterError, match="2\\*\\*41"):
             Graph(3, edges)
 
+    @pytest.mark.parametrize("edge", [(0, 1), (0, 1, 1, 1), 5])
+    def test_edge_must_be_a_triple(self, edge):
+        with pytest.raises(StructuralError, match="triple"):
+            Graph(3, (edge,))
+
 
 class TestSerialization:
     def test_json_round_trip(self, tmp_path):

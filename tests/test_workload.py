@@ -6,11 +6,9 @@ from replicaplan import (
     ParameterError,
     TraceError,
     TrafficModel,
-    estimate_availability,
     generate_object_catalog,
     generate_traffic,
     load_failure_trace,
-    parse_availability_spec,
     synthetic_availability,
     trace_availability_for_servers,
 )
@@ -193,7 +191,7 @@ class TestAvailabilityEstimate:
             tmp_path,
             "0,0,100,down\n0,100,1000,up\n1,0,1000,up\n",
         ))
-        f = estimate_availability(trace, 3)
+        f = trace_availability_for_servers(trace, 3)
         assert f[0] == pytest.approx(0.1, abs=1e-12)
         assert f[1] == 0.0
         assert f[2] == 0.0  # absent from the trace
@@ -203,18 +201,13 @@ class TestAvailabilityEstimate:
             tmp_path,
             "0,0,100,down\n0,900,1000,up\n",
         ))
-        f = estimate_availability(trace, 1)
+        f = trace_availability_for_servers(trace, 1)
         assert f[0] == pytest.approx(0.1, abs=1e-12)
 
     def test_always_down_clamps(self, tmp_path):
         trace = load_failure_trace(write_trace(tmp_path, "0,0,500,down\n0,500,900,down\n"))
-        f = estimate_availability(trace, 1)
+        f = trace_availability_for_servers(trace, 1)
         assert f[0] == 0.99
-
-    def test_out_of_range_node(self, tmp_path):
-        trace = load_failure_trace(write_trace(tmp_path, "5,0,10,up\n"))
-        with pytest.raises(ParameterError, match="out of range"):
-            estimate_availability(trace, 3)
 
 
 class TestTraceFolding:
@@ -270,8 +263,11 @@ class TestSyntheticAvailability:
     )
     def test_bad_specs(self, spec):
         with pytest.raises(ParameterError):
-            parse_availability_spec(spec)
+            synthetic_availability(3, spec, seed=1)
 
-    def test_parse_shapes(self):
-        assert parse_availability_spec("constant:0.25") == ("constant", 0.25, 0.25)
-        assert parse_availability_spec("uniform:0.1:0.3") == ("uniform", 0.1, 0.3)
+    def test_unknown_kind_reported_once(self):
+        with pytest.raises(ParameterError) as info:
+            synthetic_availability(3, "gauss:0.1", seed=1)
+        assert str(info.value) == (
+            "availability spec must be 'constant:F' or 'uniform:LO:HI', got 'gauss:0.1'"
+        )

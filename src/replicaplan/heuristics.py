@@ -19,25 +19,26 @@ every eviction-needing candidate on it.  Ties keep the lowest (server, object).
 
 Scores are kept exact and incremental.  The engine caches the score matrix
 of the column window it sweeps.  A commit on server i that adds object k and
-evicts some objects dirties the columns of k and the evictees and the rows of
-i and of every holder of those columns; the next sweep of the window scores
-only those rows and columns again.  An eviction-needing candidate first
-holds its eviction-free score, an upper bound, and is scored exactly only
-when that bound reaches the top of the matrix.
+evicts some objects re-scores, before it returns, the columns of k and the
+evictees and the rows of i and of every holder of those columns.  An
+eviction-needing candidate first holds its eviction-free score, an upper
+bound, and is scored exactly only when that bound reaches the top of the
+matrix.
 
 The engine is the only implementation of flip scoring: the access saving
 ``delta`` of every candidate add comes from one per-column kernel,
 :func:`_delta`, ``delta[:, k] = traffic[:, k] @ max(d[:, k, None] - l, 0)``,
 run over every column at set-up and over a commit's touched columns by
 ``_invalidate``.  Every score comes from one block kernel, ``_score``, plus
-``_resolve`` for eviction damage, and the winner's plan, with or without
-evictions, from the same per-server prefix sums in ``_plan``.  :func:`solve`
+``_resolve`` for eviction damage, and ``_commit`` takes the winner's
+evictions from the same per-server prefix sums.  :func:`solve`
 is the one entry point.  Availability-weighted scores are floats, so
 instances whose scores could reach 2**53 are refused.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import operator
 import random
@@ -49,6 +50,7 @@ import numpy as np
 from . import costs
 from .errors import ParameterError, StructuralError
 from .model import PlacementState, _check_headroom, validate_placement
+from .topology import _whole
 
 ALGORITHMS = ("aagg", "aagro", "gg", "gro")
 SCOPES = ("focal_object", "all_changed_objects")
@@ -68,7 +70,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ParameterError(f"unknown algorithm {self.algorithm!r}")
-        if self.max_replicas_per_object is not None and self.max_replicas_per_object < 1:
+        cap = self.max_replicas_per_object
+        if cap is not None and _whole(cap, "max_replicas_per_object", ParameterError) < 1:
             raise ParameterError("max_replicas_per_object must be >= 1")
         if self.availability_scope not in SCOPES:
             raise ParameterError(f"unknown availability scope {self.availability_scope!r}")
@@ -135,42 +138,27 @@ class PlacementResult:
             "flips": self.flips,
             "evictions": self.evictions,
             "schedule": [action_to_dict(a) for a in self.schedule],
-            "steps": [
-                {
-                    "server": s.server,
-                    "object": s.object_id,
-                    "c_before": s.c_before,
-                    "c_after": s.c_after,
-                    "transfer_cost": s.transfer_cost,
-                    "benefit": s.benefit,
-                }
-                for s in self.steps
-            ],
+            "steps": [_record(s) for s in self.steps],
         }
+
+
+def _key(name: str) -> str:
+    """JSON key of a record field: ``object_id`` is written ``object``."""
+    return "object" if name == "object_id" else name
+
+
+def _record(obj) -> dict:
+    return {_key(f.name): getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
 def action_to_dict(action) -> dict:
-    if isinstance(action, Add):
-        return {
-            "action": "add",
-            "server": action.server,
-            "object": action.object_id,
-            "source": action.source,
-            "transfer_cost": action.transfer_cost,
-        }
-    return {"action": "evict", "server": action.server, "object": action.object_id}
+    return {"action": type(action).__name__.lower(), **_record(action)}
 
 
 def action_from_dict(payload: dict):
-    if payload["action"] == "add":
-        return Add(
-            int(payload["server"]),
-            int(payload["object"]),
-            int(payload["source"]),
-            int(payload["transfer_cost"]),
-        )
-    if payload["action"] == "evict":
-        return Evict(int(payload["server"]), int(payload["object"]))
+    for cls in (Add, Evict):
+        if payload["action"] == cls.__name__.lower():
+            return cls(*(int(payload[_key(f.name)]) for f in dataclasses.fields(cls)))
     raise ParameterError(f"unknown schedule action {payload['action']!r}")
 
 
@@ -214,17 +202,6 @@ def _delta(state: PlacementState, cols) -> np.ndarray:
     for c in range(d.shape[1]):
         out[:, c] = traffic[:, c] @ np.maximum(d[:, c, None] - state.l, 0)
     return out
-
-
-@dataclass
-class _Plan:
-    server: int
-    object_id: int
-    gain: int           # access saving of the add alone
-    transfer_cost: int
-    damage: int         # access-cost increase from planned evictions
-    evictions: tuple
-    benefit: float      # realized score; int under availability-blind scoring
 
 
 class _Evictables(NamedTuple):
@@ -271,43 +248,31 @@ class _GreedyEngine:
         self._window: slice | None = None
         self._scores: np.ndarray | None = None   # M x W; an upper bound where pending
         self._pending: np.ndarray | None = None  # bool M x W: eviction damage not yet scored
-        self._dirty_rows: set[int] = set()
-        self._dirty_cols: set[int] = set()       # object ids, inside the window or not
 
     # -- sweeping ---------------------------------------------------------
 
     def _sweep(self, cs: slice):
-        """Return the best plan of the column window ``cs``, or None if none is positive.
+        """Return the best flip ``(i, k, score)`` of the column window ``cs``, or None.
 
-        The window's M x len(cs) score matrix is kept across commits.  A new
-        window is scored whole; on the same window only the rows and columns
-        a commit made dirty are scored again (see ``_invalidate``).  A
-        candidate that fits holds its exact score: its net saving ``raw``
-        (access saving minus transfer bytes), times ``avail[i]`` under
-        availability weighting.  A candidate that needs space holds its
-        eviction-free value as an upper bound and is marked pending: eviction
-        damage is never negative, and a blocked candidate scores 0.
+        The window's M x len(cs) score matrix is kept across commits: a new
+        window is scored whole, and a commit re-scores what it changed (see
+        ``_invalidate``).  A candidate that fits holds its exact score: its
+        net saving ``raw`` (access saving minus transfer bytes), times
+        ``avail[i]`` under availability weighting.  A candidate that needs
+        space holds its eviction-free value as an upper bound and is marked
+        pending: eviction damage is never negative, and a blocked candidate
+        scores 0.
 
         The first argmax of the matrix wins.  While it is pending, all of its
         server's pending candidates are resolved exactly (``_resolve``) and
         the argmax is taken again.  Bounds never fall below exact scores, so
         a non-pending argmax is also the first argmax of the exact scores:
-        ties keep the lowest (server, object).  It is planned only if its
+        ties keep the lowest (server, object).  It is returned only if its
         score is positive.
         """
         if cs != self._window:
             self._window = cs
             self._scores, self._pending = self._score(slice(None), cs)
-        else:
-            cols = [k - cs.start for k in self._dirty_cols if cs.start <= k < cs.stop]
-            if cols:
-                block = self._score(slice(None), np.array(cols) + cs.start)
-                self._scores[:, cols], self._pending[:, cols] = block
-            if self._dirty_rows and len(cols) < cs.stop - cs.start:  # else all rescored
-                rows = list(self._dirty_rows)
-                self._scores[rows], self._pending[rows] = self._score(rows, cs)
-        self._dirty_rows.clear()
-        self._dirty_cols.clear()
         scores = self._scores
         while True:
             i, c = divmod(int(np.argmax(scores)), scores.shape[1])
@@ -316,10 +281,7 @@ class _GreedyEngine:
             self._resolve(i)
         if scores[i, c] <= 0:
             return None
-        plan = self._plan(i, cs.start + c)
-        if plan.benefit != scores[i, c]:
-            raise RuntimeError("winning plan diverged from its score")
-        return plan
+        return i, cs.start + c, scores[i, c].item()
 
     def _score(self, rows, cols) -> tuple[np.ndarray, np.ndarray]:
         """Scores and pending mask of the block ``rows`` x ``cols``.
@@ -364,23 +326,6 @@ class _GreedyEngine:
             net = net * self.avail[i]
         self._scores[i, local] = np.where(ev.blocked[t], 0, net)
         self._pending[i, local] = False
-
-    def _plan(self, i: int, k: int) -> _Plan:
-        """Plan flip (i, k), evicting the prefix ``_sweep`` scored if i lacks space."""
-        st = self.st
-        size = int(st.objects.sizes[k])
-        needed = size - int(st.free[i])
-        taken, damage = (), 0
-        if needed > 0:
-            ev = self._evictable(i)
-            t = int(np.searchsorted(ev.cum_size, needed))
-            taken = tuple(int(kk) for kk in ev.objects[:t + 1])
-            damage = int(ev.cum_damage[t])
-        gain = int(self.delta[i, k])
-        tcost = size * int(st.d[i, k])
-        net = gain - damage - tcost
-        val = net * float(self.avail[i]) if self.use_factor else net
-        return _Plan(i, k, gain, tcost, damage, taken, val)
 
     def _evictable(self, i: int) -> _Evictables:
         """Server i's evictable replicas with their prefix sums, built on first use."""
@@ -434,10 +379,12 @@ class _GreedyEngine:
         ``touched`` holds the added object and the evicted ones.  Their
         columns' nearest index, placement and replica counts changed, so
         their ``delta`` columns are recomputed here, once all of the commit's
-        mutations are done, and their scores are dirty.  An evictable entry's
-        damage and availability flag depend only on its own column, so only
-        the servers holding a touched column, plus ``i`` (whose free space
-        changed), have cached entries and row scores to redo.
+        mutations are done.  An evictable entry's damage and availability
+        flag depend only on its own column, so only the servers holding a
+        touched column, plus ``i`` (whose free space changed), have cached
+        entries to redo.  The same columns and rows of the window's scores
+        are scored again; the rows are skipped when the columns cover the
+        whole window.
         """
         st = self.st
         self.delta[:, touched] = _delta(st, touched)
@@ -453,24 +400,44 @@ class _GreedyEngine:
                 np.concatenate((ev.damages[keep], damages)),
                 np.concatenate((ev.lowers[keep], lowers)),
             )
-        self._dirty_rows |= rows
-        self._dirty_cols.update(touched.tolist())
+        cs = self._window
+        cols = touched[(cs.start <= touched) & (touched < cs.stop)]
+        if cols.size:
+            self._scores[:, cols - cs.start], self._pending[:, cols - cs.start] = (
+                self._score(slice(None), cols))
+        if cols.size < cs.stop - cs.start:
+            rows = list(rows)
+            self._scores[rows], self._pending[rows] = self._score(rows, cs)
 
     # -- committing -------------------------------------------------------
 
-    def _commit(self, plan: _Plan) -> None:
+    def _commit(self, i: int, k: int, score) -> None:
+        """Commit flip (i, k), first evicting the prefix ``_resolve`` priced if i lacks space.
+
+        The realized benefit must equal ``score``, the winner's cached score.
+        """
         st = self.st
-        i, k = plan.server, plan.object_id
         c_before = self.c
-        for kk in plan.evictions:
+        size = int(st.objects.sizes[k])
+        needed = size - int(st.free[i])
+        evicted, damage = (), 0
+        if needed > 0:
+            ev = self._evictable(i)
+            t = int(np.searchsorted(ev.cum_size, needed))
+            evicted = tuple(int(kk) for kk in ev.objects[:t + 1])
+            damage = int(ev.cum_damage[t])
+        for kk in evicted:
             st.remove_replica(i, kk)
             self.schedule.append(Evict(i, kk))
             if self.on_mutation:
                 self.on_mutation(st)
+        gain = int(self.delta[i, k])
         source = int(st.n[i, k])
-        tcost = int(st.objects.sizes[k]) * int(st.d[i, k])
-        if tcost != plan.transfer_cost:
-            raise RuntimeError("planned transfer cost diverged from state")
+        tcost = size * int(st.d[i, k])
+        net = gain - damage - tcost
+        benefit = net * float(self.avail[i]) if self.use_factor else net
+        if benefit != score:
+            raise RuntimeError("committed flip diverged from its score")
         st.add_replica(i, k)
         self.schedule.append(Add(i, k, source, tcost))
         if self.on_mutation:
@@ -485,11 +452,11 @@ class _GreedyEngine:
         bad = validate_placement(st.x, st.servers, st.objects)
         if bad:
             raise RuntimeError(f"commit produced an invalid placement: {bad[0].detail}")
-        c_after = c_before - (plan.gain - plan.damage)
-        step = StepStat(i, k, c_before, c_after, tcost, plan.benefit)
+        c_after = c_before - (gain - damage)
+        step = StepStat(i, k, c_before, c_after, tcost, benefit)
         self.steps.append(step)
         self.c = c_after
-        self._invalidate(i, np.array([k, *plan.evictions], dtype=np.int64))
+        self._invalidate(i, np.array([k, *evicted], dtype=np.int64))
         if self.on_commit:
             self.on_commit(st, step)
 
@@ -511,10 +478,10 @@ class _GreedyEngine:
         for window in windows:
             while True:
                 self.iterations += 1
-                plan = self._sweep(window)
-                if plan is None:
+                best = self._sweep(window)
+                if best is None:
                     break
-                self._commit(plan)
+                self._commit(*best)
 
     def result(self) -> PlacementResult:
         st = self.st

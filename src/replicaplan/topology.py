@@ -55,16 +55,17 @@ def _integral(values, what: str) -> np.ndarray:
     return raw
 
 
-def _whole(value, what: str) -> int:
+def _whole(value, what: str, error=StructuralError) -> int:
     """``value`` as an int; refuses bools, strings and fractional or non-finite floats.
 
     ``10.0`` is accepted as 10, where ``int()`` would also turn 1.7 into 1.
+    Refusals raise ``error``.
     """
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    raise StructuralError(f"{what} must be an integer, got {value!r}")
+    raise error(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -116,10 +117,12 @@ class CostMatrix:
     l: np.ndarray
 
     def __post_init__(self):
+        m = _whole(self.m, "cost matrix size")
         arr = np.array(_integral(self.l, "link costs"), dtype=np.int64)
-        if arr.shape != (self.m, self.m):
-            raise StructuralError(f"cost matrix must be {self.m}x{self.m}, got {arr.shape}")
+        if arr.shape != (m, m):
+            raise StructuralError(f"cost matrix must be {m}x{m}, got {arr.shape}")
         arr.setflags(write=False)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "l", arr)
 
     def validate(self) -> None:
@@ -153,6 +156,7 @@ def generate_ba_topology(n: int, m_links: int, seed: int) -> Graph:
     attaches to all of them.  ``m_links=1`` yields a tree.  Edge costs are a
     placeholder 1 until :func:`assign_link_costs` runs.
     """
+    n, m_links = _whole(n, "node count"), _whole(m_links, "m_links")
     if n < 1:
         raise ParameterError(f"need at least one node, got {n}")
     if m_links < 1:
@@ -181,6 +185,7 @@ def generate_ba_topology(n: int, m_links: int, seed: int) -> Graph:
 
 def assign_link_costs(graph: Graph, cost_lo: int, cost_hi: int, seed: int) -> Graph:
     """Return a copy of ``graph`` with integer costs drawn uniformly from [lo, hi]."""
+    cost_lo, cost_hi = _whole(cost_lo, "cost_lo"), _whole(cost_hi, "cost_hi")
     if cost_lo <= 0 or cost_lo > cost_hi:
         raise ParameterError(f"cost range must satisfy 0 < lo <= hi, got [{cost_lo}, {cost_hi}]")
     rng = random.Random(seed)

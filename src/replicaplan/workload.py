@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ParameterError, TraceError
 from .model import INT64_LIMIT, ObjectCatalog
+from .topology import _whole
 
 
 # Highest failure probability a trace estimate may take.
@@ -44,6 +45,7 @@ class TrafficModel:
             raise ParameterError(f"unknown traffic kind {self.kind!r}")
         if not (math.isfinite(self.zipf_skew) and self.zipf_skew >= 0):
             raise ParameterError(f"zipf skew must be a finite number >= 0, got {self.zipf_skew}")
+        object.__setattr__(self, "total_volume", _whole(self.total_volume, "total volume"))
         if not 0 < self.total_volume < INT64_LIMIT:
             raise ParameterError("total volume must be positive and below 2**63")
 
@@ -71,6 +73,8 @@ class FailureTrace:
 def generate_object_catalog(n_objects: int, size_lo: int, size_hi: int,
                             n_servers: int, seed: int) -> ObjectCatalog:
     """Draw object sizes uniformly from [lo, hi] and primaries uniformly over servers."""
+    n_objects, n_servers = _whole(n_objects, "object count"), _whole(n_servers, "server count")
+    size_lo, size_hi = _whole(size_lo, "size_lo"), _whole(size_hi, "size_hi")
     if n_objects < 1:
         raise ParameterError("need at least one object")
     if size_lo <= 0 or size_lo > size_hi:
@@ -110,6 +114,7 @@ def generate_traffic(model: TrafficModel, n_servers: int, n_objects: int) -> np.
     Volume is split by popularity alone, not by object size, so column shares
     stay exactly Zipf.
     """
+    n_servers, n_objects = _whole(n_servers, "server count"), _whole(n_objects, "object count")
     if n_servers < 1 or n_objects < 1:
         raise ParameterError("traffic needs at least one server and one object")
     rng = random.Random(model.seed)
@@ -204,6 +209,9 @@ def trace_availability_for_servers(trace: FailureTrace, n_servers: int) -> np.nd
     get failure probability 0.  No array is sized by the node ids, so a huge
     id costs nothing.
     """
+    n_servers = _whole(n_servers, "server count")
+    if n_servers < 1:
+        raise ParameterError("need at least one server")
     shares = _failure_shares(trace)
     f = np.zeros(n_servers, dtype=np.float64)
     hits = np.zeros(n_servers, dtype=np.int64)
@@ -217,6 +225,7 @@ def trace_availability_for_servers(trace: FailureTrace, n_servers: int) -> np.nd
 
 def synthetic_availability(n_servers: int, spec: str, seed: int) -> np.ndarray:
     """Draw per-server failure probabilities from 'constant:F' or 'uniform:LO:HI'."""
+    n_servers = _whole(n_servers, "server count")
     if n_servers < 1:
         raise ParameterError("need at least one server")
     kind, *bounds = spec.split(":")

@@ -2,10 +2,12 @@
 
 ``bench/tracing.py`` patches the functions and methods listed in its
 ``_targets``.  Renaming or deleting one breaks ``bench/run.py --trace 1``,
-so this guard loads the tracer by path and resolves every target.
+so this guard loads the tracer by path and resolves every target.  Its
+``solve`` wrapper also passes the ``on_commit`` and ``on_mutation`` hooks.
 """
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -27,3 +29,10 @@ def test_every_traced_callable_resolves(monkeypatch):
         found = owner.__dict__.get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
         assert found is not None, f"{name}: {owner.__name__}.{attr} is gone"
         assert name in tracing.LAYER or name == "heuristics.solve", name
+
+
+def test_solve_takes_the_traced_hooks():
+    params = inspect.signature(heuristics.solve).parameters
+    for hook in ("on_commit", "on_mutation"):
+        assert hook in params, f"solve lost its {hook} keyword"
+        assert params[hook].kind in (params[hook].POSITIONAL_OR_KEYWORD, params[hook].KEYWORD_ONLY)

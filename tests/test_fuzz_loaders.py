@@ -11,13 +11,30 @@ call the constructors directly: every error they raise must be a
 ``ReplicaPlanError``, and every input they accept must be kept exactly.
 """
 
+import inspect
 import json
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from test_cli import MICRO_SCENARIO, MICRO_TOPOLOGY, solve_args, write_micro_instance
-from replicaplan import CostMatrix, ObjectCatalog, PlacementState, ReplicaPlanError, ServerCatalog
+from replicaplan import (
+    CostMatrix,
+    FailureTrace,
+    Graph,
+    ObjectCatalog,
+    PlacementState,
+    ReplicaPlanError,
+    ServerCatalog,
+    TraceRecord,
+    TrafficModel,
+    assign_link_costs,
+    generate_ba_topology,
+    generate_object_catalog,
+    generate_traffic,
+    synthetic_availability,
+    trace_availability_for_servers,
+)
 from replicaplan.cli import main
 
 EXIT_CODES = (0, 1, 2, 3)
@@ -160,20 +177,26 @@ def test_catalogs(values, probs):
         assert objects.primaries.tolist() == probs
 
 
-@given(l=st.one_of(arrays, grid(2, 2), grid(3, 3)))
-@example(l=[[0, 2.9, 5], [2.9, 0, 3], [5, 3, 0]])
-@example(l=[[0, float("nan")], [float("nan"), 0]])
-@example(l=[[0, 2**64], [2**64, 0]])
-@example(l=[["0", "1"], ["1", "0"]])
-@example(l=[[0, 1], [1]])
+@given(l=st.one_of(arrays, grid(2, 2), grid(3, 3)), m=st.one_of(st.none(), entries))
+@example(l=[[0, 2.9, 5], [2.9, 0, 3], [5, 3, 0]], m=None)
+@example(l=[[0, float("nan")], [float("nan"), 0]], m=None)
+@example(l=[[0, 2**64], [2**64, 0]], m=None)
+@example(l=[["0", "1"], ["1", "0"]], m=None)
+@example(l=[[0, 1], [1]], m=None)
+@example(l=[[0, 1], [1, 0]], m=2.0)
+@example(l=[[0]], m=True)
 @LIB_FUZZ
-def test_cost_matrix(l):
+def test_cost_matrix(l, m):
+    """``m=None`` passes the list's own length, which reaches the checks past the size."""
+    if m is None:
+        m = len(l) if isinstance(l, list) else 1
     try:
-        matrix = CostMatrix(len(l) if isinstance(l, list) else 1, l)
+        matrix = CostMatrix(m, l)
         matrix.validate()
     except ReplicaPlanError:
         return
     assert matrix.l.tolist() == l
+    assert type(matrix.m) is int and matrix.m == m
 
 
 @given(l=st.one_of(st.just(MICRO_COSTS), grid(3, 3)),
@@ -194,3 +217,52 @@ def test_placement_state(l, traffic, x):
     assert state.x.tolist() == x
     assert set(state.x.ravel().tolist()) <= {0, 1}
     assert state.traffic.tolist() == traffic
+
+
+# Counts and bounds near the domain's edges: whole floats pass, anything else is refused.
+counts = st.one_of(
+    st.integers(-1, 6),
+    st.sampled_from([2.0, 2.5, 1.5, -1.0, True, False, "3", None, float("nan"), float("inf")]),
+)
+TRIANGLE = Graph(3, ((0, 1, 1), (0, 2, 1), (1, 2, 1)))
+TRACE = FailureTrace((TraceRecord(0, 0.0, 4.0, "down"), TraceRecord(5, 0.0, 4.0, "up")),
+                     {0: (0.0, 4.0), 5: (0.0, 4.0)})
+GENERATORS = {
+    "generate_ba_topology": lambda n, m_links: generate_ba_topology(n, m_links, 0),
+    "assign_link_costs": lambda lo, hi: assign_link_costs(TRIANGLE, lo, hi, 0),
+    "generate_object_catalog": lambda n, lo, hi, servers: generate_object_catalog(
+        n, lo, hi, servers, 1),
+    "TrafficModel(uniform)": lambda volume: TrafficModel(kind="uniform", total_volume=volume),
+    "TrafficModel(zipf)": lambda volume: TrafficModel(kind="zipf", total_volume=volume),
+    "generate_traffic(uniform)": lambda servers, objects: generate_traffic(
+        TrafficModel(kind="uniform", total_volume=10), servers, objects),
+    "generate_traffic(zipf)": lambda servers, objects: generate_traffic(
+        TrafficModel(kind="zipf", total_volume=10), servers, objects),
+    "synthetic_availability": lambda n: synthetic_availability(n, "constant:0.1", 1),
+    "trace_availability_for_servers": lambda n: trace_availability_for_servers(TRACE, n),
+}
+
+
+@given(name=st.sampled_from(sorted(GENERATORS)), args=st.lists(counts, min_size=4, max_size=4))
+@example(name="generate_ba_topology", args=[2.5, 1])
+@example(name="generate_ba_topology", args=[5, 1.5])
+@example(name="assign_link_costs", args=[1.5, 3])
+@example(name="generate_object_catalog", args=[3, 1, 2, 2.5])
+@example(name="generate_object_catalog", args=[2.5, 1, 2, 3])
+@example(name="generate_traffic(zipf)", args=[2.5, 3])
+@example(name="TrafficModel(uniform)", args=[2.5])
+@example(name="TrafficModel(zipf)", args=[2.5])
+@example(name="synthetic_availability", args=[2.5])
+@example(name="trace_availability_for_servers", args=[2.5])
+@LIB_FUZZ
+def test_generators(name, args):
+    """Every count and bound is a whole number, or the generator raises a ReplicaPlanError."""
+    generator = GENERATORS[name]
+    args = args[:len(inspect.signature(generator).parameters)]
+    try:
+        generator(*args)
+    except ReplicaPlanError:
+        return
+    for value in args:
+        assert isinstance(value, (int, float)) and not isinstance(value, bool), value
+        assert float(value).is_integer(), value

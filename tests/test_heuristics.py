@@ -23,6 +23,7 @@ from replicaplan import (
     ServerCatalog,
     SolverConfig,
     action_from_dict,
+    action_to_dict,
     primary_only_placement,
     replay_schedule,
     solve,
@@ -125,6 +126,37 @@ class TestAaggOnMicro:
         assert payload["c_new"] == 70 and payload["flips"] == 2
         rebuilt = [action_from_dict(d) for d in payload["schedule"]]
         assert rebuilt == list(result.schedule)
+
+
+class TestResultJson:
+    """``result.json`` record keys, derived from the record fields."""
+
+    def test_record_keys(self, micro):
+        payload = solve(micro.state(), AAGG).to_json_dict()
+        assert payload["schedule"][0] == {"action": "add", "server": 0, "object": 1,
+                                          "source": 2, "transfer_cost": 100}
+        assert payload["steps"][0] == {"server": 0, "object": 1, "c_before": 490,
+                                       "c_after": 170, "transfer_cost": 100, "benefit": 198.0}
+        evict = {"action": "evict", "server": 2, "object": 1}
+        assert action_to_dict(Evict(2, 1)) == evict
+        assert action_from_dict(evict) == Evict(2, 1)
+
+    def test_unknown_action(self):
+        with pytest.raises(ParameterError, match="unknown schedule action"):
+            action_from_dict({"action": "move", "server": 0, "object": 0})
+
+
+class TestCommitCheck:
+    @pytest.mark.parametrize("config", [AAGG, GG])
+    @pytest.mark.parametrize("evicts", [False, True])
+    def test_diverged_score_is_refused(self, micro, config, evicts):
+        """A winner committed with any score but its own raises, evictions or not."""
+        state = injection_instance() if evicts else micro.state()
+        engine = _GreedyEngine(state, config)
+        i, k, score = engine._sweep(slice(0, state.objects.count))
+        assert (engine.st.free[i] < engine.st.objects.sizes[k]) == evicts
+        with pytest.raises(RuntimeError, match="diverged from its score"):
+            engine._commit(i, k, score + 1)
 
 
 class TestBaselinesOnMicro:
@@ -247,6 +279,15 @@ class TestConfigValidation:
     def test_bad_cap(self):
         with pytest.raises(ParameterError):
             SolverConfig(max_replicas_per_object=0)
+
+    @pytest.mark.parametrize("cap", [1.5, True, "3"])
+    def test_cap_must_be_whole(self, cap):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            SolverConfig(max_replicas_per_object=cap)
+
+    def test_whole_float_cap_is_accepted(self, micro):
+        result = solve(micro.state(), SolverConfig(max_replicas_per_object=1.0))
+        assert result.schedule == ()
 
     def test_unknown_scope(self):
         with pytest.raises(ParameterError):
@@ -405,11 +446,12 @@ class TestSweepCache:
     def test_next_plan_matches_fresh_engine(self, algorithm, scope, kind, seed):
         """After every commit the cached window agrees with a fresh engine's sweep.
 
-        The ``delta`` matrices and the plans are equal, every settled cached
-        score equals the exact score, and every pending bound is at least the
-        exact score.  The pinned seeds catch a cache that leaves the holders
-        of a touched column, or the evicted columns, out of the dirty set; a
-        random draw of such a case is rare (under 5% and under 1% of seeds).
+        The ``delta`` matrices and the winning flips are equal, every settled
+        cached score equals the exact score, and every pending bound is at
+        least the exact score.  The pinned seeds catch a commit that leaves
+        the holders of a touched column, or the evicted columns, out of its
+        re-scoring; a random draw of such a case is rare (under 5% and under
+        1% of seeds).
         """
         rng = random.Random(seed)
         l, capacities, f, sizes, primaries, traffic, x = drawn_instance(kind, rng)
@@ -419,7 +461,7 @@ class TestSweepCache:
         window = slice(0, state.objects.count)
         plan = engine._sweep(window)
         while plan is not None:
-            engine._commit(plan)
+            engine._commit(*plan)
             plan = engine._sweep(window)
             fresh = _GreedyEngine(engine.st, config)
             assert np.array_equal(engine.delta, fresh.delta)
@@ -471,7 +513,7 @@ class TestEvictionCache:
             engine._evictable(i)
         full = slice(0, state.objects.count)
         while (plan := engine._sweep(full)) is not None:
-            engine._commit(plan)
+            engine._commit(*plan)
             fresh = _GreedyEngine(engine.st, config)
             for i, cached in engine._evict_cache.items():
                 for name, got, want in zip(cached._fields, cached, fresh._evictable(i)):

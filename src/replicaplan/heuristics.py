@@ -17,13 +17,17 @@ vectorized pass per server prices all its replicas, kept sorted by (damage,
 object) with prefix sums of sizes and damages, so one binary search scores
 every eviction-needing candidate on it.  Ties keep the lowest (server, object).
 
-Scores are kept exact and incremental.  The engine caches the score matrix
-of the column window it sweeps.  A commit on server i that adds object k and
-evicts some objects re-scores, before it returns, the columns of k and the
-evictees and the rows of i and of every holder of those columns.  An
-eviction-needing candidate first holds its eviction-free score, an upper
-bound, and is scored exactly only when that bound reaches the top of the
-matrix.
+Scores are kept exact and incremental, and a commit costs in proportion to
+what it changed.  The engine caches the score matrix of the column window it
+sweeps, with each row's maximum and its first column, and picks the winner
+from those M row maxima.  A commit on server i that adds object k and evicts
+some objects re-scores, before it returns, the columns of k and the evictees
+and the rows of i and of every server whose cached evictable list holds one
+of those columns; a row's maximum is recomputed only if its row or its best
+column was re-scored.  Its placement check covers only row i and those
+columns.  An eviction-needing candidate first holds its eviction-free score,
+an upper bound, and is scored exactly only when that bound reaches the top of
+the matrix.
 
 The engine is the only implementation of flip scoring: the access saving
 ``delta`` of every candidate add comes from one per-column kernel,
@@ -73,6 +77,7 @@ class SolverConfig:
         cap = self.max_replicas_per_object
         if cap is not None and _whole(cap, "max_replicas_per_object", ParameterError) < 1:
             raise ParameterError("max_replicas_per_object must be >= 1")
+        object.__setattr__(self, "seed", _whole(self.seed, "seed", ParameterError))
         if self.availability_scope not in SCOPES:
             raise ParameterError(f"unknown availability scope {self.availability_scope!r}")
         if self.availability_semantics not in costs.SEMANTICS:
@@ -248,6 +253,8 @@ class _GreedyEngine:
         self._window: slice | None = None
         self._scores: np.ndarray | None = None   # M x W; an upper bound where pending
         self._pending: np.ndarray | None = None  # bool M x W: eviction damage not yet scored
+        self._row_best: np.ndarray | None = None  # M: each row's maximum of _scores
+        self._row_arg: np.ndarray | None = None   # M: its first column in the window
 
     # -- sweeping ---------------------------------------------------------
 
@@ -263,25 +270,29 @@ class _GreedyEngine:
         pending: eviction damage is never negative, and a blocked candidate
         scores 0.
 
-        The first argmax of the matrix wins.  While it is pending, all of its
-        server's pending candidates are resolved exactly (``_resolve``) and
-        the argmax is taken again.  Bounds never fall below exact scores, so
-        a non-pending argmax is also the first argmax of the exact scores:
-        ties keep the lowest (server, object).  It is returned only if its
-        score is positive.
+        The first argmax of the matrix wins.  It is read from each row's
+        maximum and first column holding it, ``_row_best`` and ``_row_arg``,
+        kept up to date by ``_resolve`` and ``_invalidate``: the first row
+        with the highest maximum, at that row's column.  While the winner is
+        pending, all of its server's pending candidates are resolved exactly
+        (``_resolve``) and the winner is read again.  Bounds never fall
+        below exact scores, so a non-pending argmax is also the first argmax
+        of the exact scores: ties keep the lowest (server, object).  It is
+        returned only if its score is positive.
         """
         if cs != self._window:
             self._window = cs
             self._scores, self._pending = self._score(slice(None), cs)
-        scores = self._scores
+            self._row_best, self._row_arg = self._scores.max(axis=1), self._scores.argmax(axis=1)
         while True:
-            i, c = divmod(int(np.argmax(scores)), scores.shape[1])
+            i = int(np.argmax(self._row_best))
+            c = int(self._row_arg[i])
             if not self._pending[i, c]:
                 break
             self._resolve(i)
-        if scores[i, c] <= 0:
+        if self._row_best[i] <= 0:
             return None
-        return i, cs.start + c, scores[i, c].item()
+        return i, cs.start + c, self._row_best[i].item()
 
     def _score(self, rows, cols) -> tuple[np.ndarray, np.ndarray]:
         """Scores and pending mask of the block ``rows`` x ``cols``.
@@ -305,7 +316,7 @@ class _GreedyEngine:
         return np.where(eligible, values, 0), eligible & (st.free[rows, None] < sz)
 
     def _resolve(self, i: int) -> None:
-        """Replace server i's pending bounds in the window by exact scores.
+        """Replace server i's pending bounds in the window by exact scores; refresh its maximum.
 
         Each candidate evicts the shortest prefix of i's evictable replicas
         (sorted by (damage, object)) whose sizes cover the shortfall: a
@@ -326,6 +337,12 @@ class _GreedyEngine:
             net = net * self.avail[i]
         self._scores[i, local] = np.where(ev.blocked[t], 0, net)
         self._pending[i, local] = False
+        self._refresh([i])
+
+    def _refresh(self, rows) -> None:
+        """Recompute ``_row_best`` and ``_row_arg`` of ``rows`` from their scores."""
+        block = self._scores[rows]
+        self._row_best[rows], self._row_arg[rows] = block.max(axis=1), block.argmax(axis=1)
 
     def _evictable(self, i: int) -> _Evictables:
         """Server i's evictable replicas with their prefix sums, built on first use."""
@@ -380,16 +397,23 @@ class _GreedyEngine:
         columns' nearest index, placement and replica counts changed, so
         their ``delta`` columns are recomputed here, once all of the commit's
         mutations are done.  An evictable entry's damage and availability
-        flag depend only on its own column, so only the servers holding a
-        touched column, plus ``i`` (whose free space changed), have cached
-        entries to redo.  The same columns and rows of the window's scores
-        are scored again; the rows are skipped when the columns cover the
-        whole window.
+        flag depend only on its own column, so only the cached servers
+        holding a touched column have entries to redo.
+
+        The touched columns of the window are scored again, and so are the
+        rows of i (whose free space changed) and of every server whose
+        evictable list was just rebuilt: only those rows can hold resolved
+        scores priced with the old damages.  Any other row's untouched
+        columns depend on nothing that changed.  The rows are skipped when
+        the columns cover the whole window.  A row's best is recomputed if
+        the row was re-scored or its best column was; any other row keeps
+        its best unless a re-scored column beats it, the lower column
+        winning a tie.
         """
         st = self.st
         self.delta[:, touched] = _delta(st, touched)
-        rows = {i, *np.flatnonzero(st.x[:, touched].any(axis=1)).tolist()}
-        for j in rows:
+        rows = {i}
+        for j in np.flatnonzero(st.x[:, touched].any(axis=1)).tolist():
             ev = self._evict_cache.get(j)
             if ev is None:
                 continue
@@ -400,14 +424,22 @@ class _GreedyEngine:
                 np.concatenate((ev.damages[keep], damages)),
                 np.concatenate((ev.lowers[keep], lowers)),
             )
-        cs = self._window
-        cols = touched[(cs.start <= touched) & (touched < cs.stop)]
-        if cols.size:
-            self._scores[:, cols - cs.start], self._pending[:, cols - cs.start] = (
-                self._score(slice(None), cols))
-        if cols.size < cs.stop - cs.start:
-            rows = list(rows)
-            self._scores[rows], self._pending[rows] = self._score(rows, cs)
+            rows.add(j)
+        cs = self._window  # holds the added object, so ``cols`` is never empty
+        cols = np.sort(touched[(cs.start <= touched) & (touched < cs.stop)]) - cs.start
+        self._scores[:, cols], self._pending[:, cols] = self._score(slice(None), cols + cs.start)
+        if cols.size == cs.stop - cs.start:
+            self._refresh(slice(None))
+            return
+        rows = sorted(rows)
+        self._scores[rows], self._pending[rows] = self._score(rows, cs)
+        stale = (self._row_arg[:, None] == cols).any(axis=1)
+        stale[rows] = True
+        block = self._scores[:, cols]
+        best, arg = block.max(axis=1), cols[block.argmax(axis=1)]
+        wins = (best > self._row_best) | ((best == self._row_best) & (arg < self._row_arg))
+        self._row_best[wins], self._row_arg[wins] = best[wins], arg[wins]
+        self._refresh(np.flatnonzero(stale))
 
     # -- committing -------------------------------------------------------
 
@@ -415,6 +447,9 @@ class _GreedyEngine:
         """Commit flip (i, k), first evicting the prefix ``_resolve`` priced if i lacks space.
 
         The realized benefit must equal ``score``, the winner's cached score.
+        The placement check covers only what the commit changed, server i's
+        storage and the primaries of k and the evictees: the state was valid
+        before, and the commit changed ``x`` only in row i at those columns.
         """
         st = self.st
         c_before = self.c
@@ -449,7 +484,7 @@ class _GreedyEngine:
                                                 self.cfg.availability_semantics)
             if after < before - self.tol:
                 raise RuntimeError("focal object availability regressed on commit")
-        bad = validate_placement(st.x, st.servers, st.objects)
+        bad = validate_placement(st.x, st.servers, st.objects, rows=[i], cols=[k, *evicted])
         if bad:
             raise RuntimeError(f"commit produced an invalid placement: {bad[0].detail}")
         c_after = c_before - (gain - damage)

@@ -178,32 +178,53 @@ class Violation:
     detail: str
 
 
-def validate_placement(x, servers: ServerCatalog, objects: ObjectCatalog) -> list[Violation]:
-    """Return every storage/primary violation of placement ``x`` (empty if valid)."""
+def validate_placement(x, servers: ServerCatalog, objects: ObjectCatalog, *,
+                       rows=None, cols=None) -> list[Violation]:
+    """Return the storage/primary violations of placement ``x`` (empty if valid).
+
+    ``rows`` and ``cols`` narrow the check to the listed servers' storage
+    and the listed objects' primaries; ``None`` checks every one.  A
+    narrowed call finds every violation only if ``x`` was valid before its
+    last changes and each changed entry lies in a listed row and a listed
+    column: a server's load and an object's primary bit move only with
+    their own row or column.
+    """
     x = np.asarray(x)
     m, n = servers.count, objects.count
     if x.shape != (m, n):
         raise StructuralError(f"placement must be {m}x{n}, got {x.shape}")
+    rows, cols = _subset(rows, m, "rows"), _subset(cols, n, "cols")
     violations = []
-    loads = _loads(x, objects.sizes)
-    for i in np.flatnonzero(loads > servers.capacities):
+    loads = _loads(x[rows], objects.sizes)
+    over = loads > servers.capacities[rows]
+    for i, load in zip(rows[over].tolist(), loads[over].tolist()):
         violations.append(
             Violation(
                 "storage",
-                int(i),
-                f"server {i} stores {loads[i]} bytes over capacity {servers.capacities[i]}",
+                i,
+                f"server {i} stores {load} bytes over capacity {servers.capacities[i]}",
             )
         )
-    primary_bits = x[objects.primaries, np.arange(n)]
-    for k in np.flatnonzero(primary_bits != 1):
+    primary_bits = x[objects.primaries[cols], cols]
+    for k in cols[primary_bits != 1].tolist():
         violations.append(
             Violation(
                 "primary",
-                int(k),
+                k,
                 f"object {k} has no replica on its primary server {objects.primaries[k]}",
             )
         )
     return violations
+
+
+def _subset(indices, count: int, what: str) -> np.ndarray:
+    """``indices`` as an int64 array of positions in ``range(count)``; None means all."""
+    if indices is None:
+        return np.arange(count)
+    idx = _integral(indices, what).astype(np.int64).reshape(-1)
+    if ((idx < 0) | (idx >= count)).any():
+        raise StructuralError(f"{what} must lie in [0, {count}), got {idx.tolist()}")
+    return idx
 
 
 def primary_only_placement(servers: ServerCatalog, objects: ObjectCatalog) -> np.ndarray:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import random
 from dataclasses import dataclass
 
@@ -43,8 +44,10 @@ class TrafficModel:
     def __post_init__(self):
         if self.kind not in ("uniform", "zipf"):
             raise ParameterError(f"unknown traffic kind {self.kind!r}")
-        if not (math.isfinite(self.zipf_skew) and self.zipf_skew >= 0):
-            raise ParameterError(f"zipf skew must be a finite number >= 0, got {self.zipf_skew}")
+        skew = self.zipf_skew
+        if (isinstance(skew, bool) or not isinstance(skew, numbers.Real)
+                or not (math.isfinite(skew) and skew >= 0)):
+            raise ParameterError(f"zipf skew must be a finite number >= 0, got {skew!r}")
         object.__setattr__(self, "total_volume", _whole(self.total_volume, "total volume"))
         if not 0 < self.total_volume < INT64_LIMIT:
             raise ParameterError("total volume must be positive and below 2**63")
@@ -228,6 +231,8 @@ def synthetic_availability(n_servers: int, spec: str, seed: int) -> np.ndarray:
     n_servers = _whole(n_servers, "server count")
     if n_servers < 1:
         raise ParameterError("need at least one server")
+    if not isinstance(spec, str):
+        raise ParameterError(f"availability spec must be a string, got {spec!r}")
     kind, *bounds = spec.split(":")
     if (kind, len(bounds)) not in (("constant", 1), ("uniform", 2)):
         raise ParameterError(

@@ -13,6 +13,7 @@ call the constructors directly: every error they raise must be a
 
 import inspect
 import json
+import math
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -234,13 +235,16 @@ GENERATORS = {
         n, lo, hi, servers, 1),
     "TrafficModel(uniform)": lambda volume: TrafficModel(kind="uniform", total_volume=volume),
     "TrafficModel(zipf)": lambda volume: TrafficModel(kind="zipf", total_volume=volume),
+    "TrafficModel(zipf_skew)": lambda skew: TrafficModel(kind="zipf", zipf_skew=skew),
     "generate_traffic(uniform)": lambda servers, objects: generate_traffic(
         TrafficModel(kind="uniform", total_volume=10), servers, objects),
     "generate_traffic(zipf)": lambda servers, objects: generate_traffic(
         TrafficModel(kind="zipf", total_volume=10), servers, objects),
     "synthetic_availability": lambda n: synthetic_availability(n, "constant:0.1", 1),
+    "synthetic_availability(spec)": lambda spec: synthetic_availability(3, spec, 1),
     "trace_availability_for_servers": lambda n: trace_availability_for_servers(TRACE, n),
 }
+REAL_ARGUMENTS = {"TrafficModel(zipf_skew)"}  # any finite number passes, not only whole ones
 
 
 @given(name=st.sampled_from(sorted(GENERATORS)), args=st.lists(counts, min_size=4, max_size=4))
@@ -252,11 +256,18 @@ GENERATORS = {
 @example(name="generate_traffic(zipf)", args=[2.5, 3])
 @example(name="TrafficModel(uniform)", args=[2.5])
 @example(name="TrafficModel(zipf)", args=[2.5])
+@example(name="TrafficModel(zipf_skew)", args=["a"])
+@example(name="TrafficModel(zipf_skew)", args=[None])
 @example(name="synthetic_availability", args=[2.5])
+@example(name="synthetic_availability(spec)", args=[5])
 @example(name="trace_availability_for_servers", args=[2.5])
 @LIB_FUZZ
 def test_generators(name, args):
-    """Every count and bound is a whole number, or the generator raises a ReplicaPlanError."""
+    """Every argument out of its domain is refused with a ReplicaPlanError.
+
+    Counts and bounds must be whole numbers, the zipf skew a finite number
+    and the availability spec a string.
+    """
     generator = GENERATORS[name]
     args = args[:len(inspect.signature(generator).parameters)]
     try:
@@ -265,4 +276,5 @@ def test_generators(name, args):
         return
     for value in args:
         assert isinstance(value, (int, float)) and not isinstance(value, bool), value
-        assert float(value).is_integer(), value
+        assert math.isfinite(value), value
+        assert name in REAL_ARGUMENTS or float(value).is_integer(), value

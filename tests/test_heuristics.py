@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -27,7 +28,9 @@ from replicaplan import (
     primary_only_placement,
     replay_schedule,
     solve,
+    validate_placement,
 )
+from replicaplan import heuristics
 from replicaplan.costs import SEMANTICS
 from replicaplan.heuristics import SCOPES, _GreedyEngine
 
@@ -157,6 +160,39 @@ class TestCommitCheck:
         assert (engine.st.free[i] < engine.st.objects.sizes[k]) == evicts
         with pytest.raises(RuntimeError, match="diverged from its score"):
             engine._commit(i, k, score + 1)
+
+    @pytest.mark.parametrize("algorithm", ["aagg", "aagro", "gg", "gro"])
+    def test_one_narrowed_placement_check_per_commit(self, monkeypatch, algorithm):
+        """Each commit checks only its server's storage and its objects' primaries.
+
+        The expected calls are rebuilt from the schedule: a commit is its
+        evictions followed by its add, all on one server.
+        """
+        calls = []
+
+        def spy(x, servers, objects, **narrowed):
+            calls.append(narrowed)
+            return validate_placement(x, servers, objects, **narrowed)
+
+        monkeypatch.setattr(heuristics, "validate_placement", spy)
+        evictions = 0
+        for kind, seed in itertools.product(("random", "ties"), range(20)):
+            rng = random.Random(seed)
+            l, capacities, f, sizes, primaries, traffic, x = drawn_instance(kind, rng)
+            state = make_state(l, capacities, f, sizes, primaries, traffic, x=x)
+            calls.clear()
+            result = solve(state, SolverConfig(algorithm=algorithm, seed=seed))
+            expected, evicted = [], []
+            for action in result.schedule:
+                if isinstance(action, Evict):
+                    evicted.append(action.object_id)
+                else:
+                    expected.append({"rows": [action.server],
+                                     "cols": [action.object_id, *evicted]})
+                    evicted = []
+            assert calls == expected
+            evictions += result.evictions
+        assert evictions > 0
 
 
 class TestBaselinesOnMicro:
@@ -288,6 +324,17 @@ class TestConfigValidation:
     def test_whole_float_cap_is_accepted(self, micro):
         result = solve(micro.state(), SolverConfig(max_replicas_per_object=1.0))
         assert result.schedule == ()
+
+    @pytest.mark.parametrize("seed", [1.5, True, "3"])
+    def test_seed_must_be_whole(self, seed):
+        with pytest.raises(ParameterError, match="seed must be an integer"):
+            SolverConfig(seed=seed)
+
+    def test_whole_float_seed_is_accepted(self, micro):
+        config = SolverConfig(algorithm="aagro", seed=7.0)
+        assert type(config.seed) is int and config.seed == 7
+        assert (solve(micro.state(), config).schedule
+                == solve(micro.state(), SolverConfig(algorithm="aagro", seed=7)).schedule)
 
     def test_unknown_scope(self):
         with pytest.raises(ParameterError):
@@ -448,20 +495,34 @@ class TestSweepCache:
 
         The ``delta`` matrices and the winning flips are equal, every settled
         cached score equals the exact score, and every pending bound is at
-        least the exact score.  The pinned seeds catch a commit that leaves
-        the holders of a touched column, or the evicted columns, out of its
-        re-scoring; a random draw of such a case is rare (under 5% and under
-        1% of seeds).
+        least the exact score.  After every commit and every ``_resolve``
+        each row's cached best and its column are the row's first maximum
+        and argmax.  The pinned seeds catch a commit that leaves a holder
+        row whose evictable list it rebuilt, or the evicted columns, out of
+        its re-scoring, which random draws often miss.
         """
         rng = random.Random(seed)
         l, capacities, f, sizes, primaries, traffic, x = drawn_instance(kind, rng)
         state = make_state(l, capacities, f, sizes, primaries, traffic, x=x)
         config = SolverConfig(algorithm=algorithm, availability_scope=scope)
         engine = _GreedyEngine(state, config)
+
+        def check_row_maxima():
+            assert np.array_equal(engine._row_best, engine._scores.max(axis=1))
+            assert np.array_equal(engine._row_arg, engine._scores.argmax(axis=1))
+
+        resolve = engine._resolve
+
+        def checked_resolve(i):
+            resolve(i)
+            check_row_maxima()
+
+        engine._resolve = checked_resolve
         window = slice(0, state.objects.count)
         plan = engine._sweep(window)
         while plan is not None:
             engine._commit(*plan)
+            check_row_maxima()
             plan = engine._sweep(window)
             fresh = _GreedyEngine(engine.st, config)
             assert np.array_equal(engine.delta, fresh.delta)

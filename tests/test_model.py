@@ -164,6 +164,58 @@ class TestValidatePlacement:
         with pytest.raises(StructuralError):
             validate_placement(np.zeros((2, 2)), micro.servers, micro.objects)
 
+    # Servers 0 and 1 over capacity, object 1 off its primary server 2.
+    BROKEN = np.array([[1, 1], [0, 1], [0, 0]], dtype=np.int8)
+
+    def test_full_check_lists_storage_then_primaries(self, micro):
+        tight = micro.with_capacities([25, 15, 30])
+        violations = validate_placement(self.BROKEN, tight.servers, tight.objects)
+        assert [(v.kind, v.index, v.detail) for v in violations] == [
+            ("storage", 0, "server 0 stores 30 bytes over capacity 25"),
+            ("storage", 1, "server 1 stores 20 bytes over capacity 15"),
+            ("primary", 1, "object 1 has no replica on its primary server 2"),
+        ]
+
+    @pytest.mark.parametrize("rows, cols, expected", [
+        ([1], [1], [("storage", 1), ("primary", 1)]),
+        ([0], None, [("storage", 0), ("primary", 1)]),
+        (None, [0], [("storage", 0), ("storage", 1)]),
+        ([2], [0], []),
+        ([], [], []),
+    ])
+    def test_narrowed_check_sees_only_listed(self, micro, rows, cols, expected):
+        tight = micro.with_capacities([25, 15, 30])
+        violations = validate_placement(self.BROKEN, tight.servers, tight.objects,
+                                        rows=rows, cols=cols)
+        assert [(v.kind, v.index) for v in violations] == expected
+
+    @pytest.mark.parametrize("narrowed, error", [
+        ({"rows": [3]}, StructuralError),
+        ({"cols": [-1]}, StructuralError),
+        ({"rows": [0.5]}, ParameterError),
+        ({"cols": ["0"]}, ParameterError),
+    ])
+    def test_narrowed_check_refuses_bad_indices(self, micro, narrowed, error):
+        x = primary_only_placement(micro.servers, micro.objects)
+        with pytest.raises(error):
+            validate_placement(x, micro.servers, micro.objects, **narrowed)
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_narrowed_check_filters_full_check(self, seed):
+        """A narrowed call returns the full list's entries on the listed rows and columns."""
+        rng = random.Random(seed)
+        l, capacities, f, sizes, primaries, traffic = random_instance(rng, m_max=5, n_max=5)
+        servers, objects = ServerCatalog(capacities, f), ObjectCatalog(sizes, primaries)
+        m, n = len(capacities), len(sizes)
+        x = np.array([[rng.randint(0, 1) for _ in range(n)] for _ in range(m)], dtype=np.int8)
+        rows = [i for i in range(m) if rng.random() < 0.5]
+        cols = [k for k in range(n) if rng.random() < 0.5]
+        full = validate_placement(x, servers, objects)
+        assert validate_placement(x, servers, objects, rows=range(m), cols=range(n)) == full
+        assert validate_placement(x, servers, objects, rows=rows, cols=cols) == [
+            v for v in full if v.index in (rows if v.kind == "storage" else cols)]
+
 
 class TestPrimaryOnly:
     def test_micro(self, micro):

@@ -66,6 +66,11 @@ class TestTrafficModelValidation:
         with pytest.raises(ParameterError):
             TrafficModel(zipf_skew=-0.1)
 
+    @pytest.mark.parametrize("skew", ["a", None, True])
+    def test_non_numeric_skew(self, skew):
+        with pytest.raises(ParameterError, match="zipf skew"):
+            TrafficModel(zipf_skew=skew)
+
     @pytest.mark.parametrize("volume", [-1, 0])
     def test_non_positive_volume(self, volume):
         with pytest.raises(ParameterError):
@@ -263,6 +268,11 @@ class TestSyntheticAvailability:
     )
     def test_bad_specs(self, spec):
         with pytest.raises(ParameterError):
+            synthetic_availability(3, spec, seed=1)
+
+    @pytest.mark.parametrize("spec", [5, None, b"constant:0.1"])
+    def test_non_string_spec(self, spec):
+        with pytest.raises(ParameterError, match="must be a string"):
             synthetic_availability(3, spec, seed=1)
 
     def test_unknown_kind_reported_once(self):

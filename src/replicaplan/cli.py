@@ -195,9 +195,9 @@ def _load_instance(args) -> tuple[topology.CostMatrix, Scenario]:
     return matrix, scenario
 
 
-def _run_cell(matrix, scenario, algorithm: str, cap: int | None, args,
-              x_old=None) -> tuple[heuristics.PlacementResult, ResultRow]:
-    state = PlacementState.from_scenario(matrix, scenario, x=x_old)
+def _run_cell(state: PlacementState, algorithm: str, cap: int | None,
+              args) -> tuple[heuristics.PlacementResult, ResultRow]:
+    """Plan from ``state`` with one planner and cap; ``state`` is left unchanged."""
     config = heuristics.SolverConfig(
         algorithm=algorithm,
         max_replicas_per_object=cap,
@@ -208,7 +208,7 @@ def _run_cell(matrix, scenario, algorithm: str, cap: int | None, args,
     started = time.perf_counter()
     result = heuristics.solve(state, config)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
-    f = scenario.servers.failure_probs
+    f = state.servers.failure_probs
     sem = args.availability_semantics
     row = ResultRow(
         algorithm=algorithm,
@@ -246,7 +246,8 @@ def cmd_solve(args) -> int:
         bad = validate_placement(x_old, scenario.servers, scenario.objects)
         if bad:
             raise ReplicaPlanError(f"starting placement is invalid: {bad[0].detail}")
-    result, row = _run_cell(matrix, scenario, args.alg, args.cap, args, x_old=x_old)
+    state = PlacementState.from_scenario(matrix, scenario, x=x_old)
+    result, row = _run_cell(state, args.alg, args.cap, args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_placement(result.x_new, out / "placement.json")
@@ -260,11 +261,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    matrix, scenario = _load_instance(args)
+    state = PlacementState.from_scenario(*_load_instance(args))
     rows = []
     for algorithm in sorted(args.algs):
         for cap in args.caps:
-            _, row = _run_cell(matrix, scenario, algorithm, cap, args)
+            _, row = _run_cell(state, algorithm, cap, args)
             rows.append(row)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -299,12 +300,12 @@ def cmd_inspect(args) -> int:
                     "violations": [{"kind": v.kind, "index": v.index, "detail": v.detail}
                                    for v in violations]}
     if not violations:
-        state = PlacementState(matrix, scenario.servers, scenario.objects, scenario.traffic, x)
+        state = PlacementState.from_scenario(matrix, scenario, x=x)
         cost_report = costs.total_access_cost(state.x, state.n, state.traffic, state.l)
         avail = costs.availability_per_object(
-            x, scenario.servers.failure_probs, args.availability_semantics
+            state.x, state.servers.failure_probs, args.availability_semantics
         )
-        counts = np.asarray(x).sum(axis=0)
+        counts = state.replica_counts
         histogram = {int(c): int((counts == c).sum()) for c in sorted(set(counts.tolist()))}
         report.update(
             {

@@ -30,24 +30,22 @@ SEMANTICS = ("corrected", "literal")
 AVAILABILITY_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CostReport:
-    """Access cost per object plus the schedule-wide total."""
+    """The schedule-wide access cost."""
 
-    per_object: np.ndarray
     total: int
 
 
 def total_access_cost(x, n, r, l) -> CostReport:
-    """Access cost of the whole placement, per object and summed."""
+    """Access cost of the whole placement, summed over servers and objects."""
     x = np.asarray(x)
     if (x.sum(axis=0) == 0).any():
         missing = int(np.flatnonzero(x.sum(axis=0) == 0)[0])
         raise StructuralError(f"object {missing} has no replicator")
     m = x.shape[0]
     dist = l[np.arange(m)[:, None], n]
-    per_object = (dist * r).sum(axis=0, dtype=np.int64)
-    return CostReport(per_object=per_object, total=int(per_object.sum()))
+    return CostReport(total=int((dist * r).sum(dtype=np.int64)))
 
 
 def _availability(held, failure_probs, semantics: str) -> np.ndarray:

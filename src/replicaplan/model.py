@@ -3,13 +3,14 @@
 A placement is an M x N 0/1 matrix ``x`` (servers by objects).  Validity means
 every server's replicas fit its storage and every object keeps a replica on
 its primary server.  The nearest-replicator index ``n`` caches, per (server,
-object), the id of the cheapest replicator; it is maintained incrementally as
-replicas are added and dropped.
+object), the id of the cheapest replicator.  One rule, ``_nearest`` (lowest id
+on ties), computes it: for the whole matrix at set-up, and for the one
+changed column after each added or dropped replica.
 """
 
 from __future__ import annotations
 
-import json
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,8 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .topology import INT64_LIMIT, CostMatrix, _array, _integral, _whole, _write_json
+from .topology import (INT64_LIMIT, CostMatrix, _array, _integral, _read_json, _whole,
+                       _write_json)
 
 
 def _traffic(values, m: int, n: int) -> np.ndarray:
@@ -155,10 +157,7 @@ class Scenario:
 
     @classmethod
     def load(cls, path) -> "Scenario":
-        with open(path) as fh:
-            payload = json.load(fh)
-        if not isinstance(payload, dict):
-            raise StructuralError(f"scenario file {path} must hold a JSON object")
+        payload = _read_json(path, "scenario")
         try:
             servers = ServerCatalog(payload["capacities"], payload["failure_probs"])
             objects = ObjectCatalog(payload["sizes"], payload["primaries"])
@@ -246,7 +245,7 @@ def _nearest(l, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each server's cheapest replicator among ``reps`` (lowest id on ties) and its cost."""
     sub = l[:, reps]
     pos = sub.argmin(axis=1)  # first minimum = lowest replicator id
-    return reps[pos], sub[np.arange(sub.shape[0]), pos]
+    return reps[pos], sub.min(axis=1)
 
 
 def build_nearest_index(x, l) -> tuple[np.ndarray, np.ndarray]:
@@ -304,16 +303,10 @@ class PlacementState:
         return cls(cost, scenario.servers, scenario.objects, scenario.traffic, x)
 
     def copy(self) -> "PlacementState":
-        dup = object.__new__(PlacementState)
-        dup.l = self.l
-        dup.servers = self.servers
-        dup.objects = self.objects
-        dup.traffic = self.traffic
-        dup.x = self.x.copy()
-        dup.n = self.n.copy()
-        dup.d = self.d.copy()
-        dup.free = self.free.copy()
-        dup.replica_counts = self.replica_counts.copy()
+        """An independent copy; the instance it is bound to is shared."""
+        dup = copy.copy(self)
+        for name in ("x", "n", "d", "free", "replica_counts"):
+            setattr(dup, name, getattr(self, name).copy())
         return dup
 
     def add_replica(self, i: int, k: int) -> np.ndarray:
@@ -325,17 +318,7 @@ class PlacementState:
             raise CapacityError(
                 f"server {i} lacks space for object {k} ({self.free[i]} < {size})"
             )
-        self.x[i, k] = 1
-        self.free[i] -= size
-        self.replica_counts[k] += 1
-        col_n = self.n[:, k]
-        col_d = self.d[:, k]
-        li = self.l[:, i]
-        # Strictly cheaper wins; on a tie the lower server id keeps the slot.
-        better = (li < col_d) | ((li == col_d) & (i < col_n))
-        col_n[better] = i
-        col_d[better] = li[better]
-        return np.flatnonzero(better)
+        return self._set(i, k, 1)
 
     def remove_replica(self, i: int, k: int) -> np.ndarray:
         """Drop object ``k`` from server ``i``; returns servers whose nearest changed."""
@@ -343,11 +326,16 @@ class PlacementState:
             raise PreconditionError(f"server {i} does not replicate object {k}")
         if int(self.objects.primaries[k]) == i:
             raise ConstraintError(f"cannot drop object {k} from its primary server {i}")
-        self.x[i, k] = 0
-        self.free[i] += self.objects.sizes[k]
-        self.replica_counts[k] -= 1
+        return self._set(i, k, 0)
+
+    def _set(self, i: int, k: int, bit: int) -> np.ndarray:
+        """Set ``x[i, k]`` to ``bit``, re-derive column k; returns rows whose (n, d) changed."""
+        step = 1 if bit else -1
+        self.x[i, k] = bit
+        self.free[i] -= step * self.objects.sizes[k]
+        self.replica_counts[k] += step
         new_n, new_d = _nearest(self.l, np.flatnonzero(self.x[:, k]))
-        changed = np.flatnonzero((new_n != self.n[:, k]) | (new_d != self.d[:, k]))
+        changed = np.flatnonzero(new_n != self.n[:, k])  # d moves only with n: d = l[j, n]
         self.n[:, k] = new_n
         self.d[:, k] = new_d
         return changed
@@ -364,8 +352,7 @@ def save_placement(x, path) -> None:
 
 
 def load_placement(path, m: int, n: int) -> np.ndarray:
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = _read_json(path, "placement")
     x = np.zeros((m, n), dtype=np.int8)
     try:
         entries = payload["objects"]

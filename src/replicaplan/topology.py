@@ -157,6 +157,7 @@ def generate_ba_topology(n: int, m_links: int, seed: int) -> Graph:
     placeholder 1 until :func:`assign_link_costs` runs.
     """
     n, m_links = _whole(n, "node count"), _whole(m_links, "m_links")
+    seed = _whole(seed, "seed", ParameterError)
     if n < 1:
         raise ParameterError(f"need at least one node, got {n}")
     if m_links < 1:
@@ -186,6 +187,7 @@ def generate_ba_topology(n: int, m_links: int, seed: int) -> Graph:
 def assign_link_costs(graph: Graph, cost_lo: int, cost_hi: int, seed: int) -> Graph:
     """Return a copy of ``graph`` with integer costs drawn uniformly from [lo, hi]."""
     cost_lo, cost_hi = _whole(cost_lo, "cost_lo"), _whole(cost_hi, "cost_hi")
+    seed = _whole(seed, "seed", ParameterError)
     if cost_lo <= 0 or cost_lo > cost_hi:
         raise ParameterError(f"cost range must satisfy 0 < lo <= hi, got [{cost_lo}, {cost_hi}]")
     rng = random.Random(seed)
@@ -225,14 +227,25 @@ def _write_json(path, payload) -> None:
         fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _read_json(path, what: str) -> dict:
+    """The JSON object in ``path``; any other content is a StructuralError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise StructuralError(f"{what} file {path} is not JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise StructuralError(f"{what} file {path} must hold a JSON object")
+    return payload
+
+
 def save_topology(graph: Graph, path) -> None:
     payload = {"nodes": graph.node_count, "edges": [[u, v, c] for u, v, c in graph.edges]}
     _write_json(path, payload)
 
 
 def load_topology(path) -> Graph:
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = _read_json(path, "topology")
     try:
         nodes = payload["nodes"]
         edges = tuple((u, v, c) for u, v, c in payload["edges"])

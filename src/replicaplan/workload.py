@@ -49,6 +49,7 @@ class TrafficModel:
                 or not (math.isfinite(skew) and skew >= 0)):
             raise ParameterError(f"zipf skew must be a finite number >= 0, got {skew!r}")
         object.__setattr__(self, "total_volume", _whole(self.total_volume, "total volume"))
+        object.__setattr__(self, "seed", _whole(self.seed, "seed", ParameterError))
         if not 0 < self.total_volume < INT64_LIMIT:
             raise ParameterError("total volume must be positive and below 2**63")
 
@@ -78,6 +79,7 @@ def generate_object_catalog(n_objects: int, size_lo: int, size_hi: int,
     """Draw object sizes uniformly from [lo, hi] and primaries uniformly over servers."""
     n_objects, n_servers = _whole(n_objects, "object count"), _whole(n_servers, "server count")
     size_lo, size_hi = _whole(size_lo, "size_lo"), _whole(size_hi, "size_hi")
+    seed = _whole(seed, "seed", ParameterError)
     if n_objects < 1:
         raise ParameterError("need at least one object")
     if size_lo <= 0 or size_lo > size_hi:
@@ -91,24 +93,20 @@ def generate_object_catalog(n_objects: int, size_lo: int, size_hi: int,
 
 
 def _apportion(total: int, weights) -> np.ndarray:
-    """Split ``total`` into integer shares proportional to ``weights``, summing exactly."""
-    weights = np.asarray(weights, dtype=np.float64)
-    wsum = weights.sum()
-    if total == 0 or wsum == 0:
-        return np.zeros(len(weights), dtype=np.int64)
-    quota = total * (weights / wsum)
-    floors = [math.floor(q) for q in quota.tolist()]  # exact ints: no int64 cast to wrap
-    leftover = total - sum(floors)
-    if not 0 <= leftover <= len(floors):  # float quotas are inexact above 2**53
-        raise ParameterError(f"volume {total} is too large to split exactly over "
-                             f"{len(floors)} weights")
-    shares = np.array(floors, dtype=np.int64)
-    if leftover:
-        frac = quota - shares
-        # Stable sort: ties go to the lower index, keeping output seed-free here.
-        order = np.argsort(-frac, kind="stable")
-        shares[order[:leftover]] += 1
-    return shares
+    """Split ``total`` into integer shares proportional to ``weights``, summing exactly.
+
+    Largest remainder in exact integers, ties to the lower index.  Float
+    weights are dyadic rationals, scaled here to one power-of-two denominator.
+    """
+    ratios = [w.as_integer_ratio() for w in np.asarray(weights, dtype=np.float64).tolist()]
+    denominator = max(d for _, d in ratios)
+    scaled = [p * (denominator // d) for p, d in ratios]
+    wsum = sum(scaled)
+    shares, remainders = zip(*(divmod(total * w, wsum) for w in scaled))
+    result = np.array(shares, dtype=np.int64)
+    order = sorted(range(len(shares)), key=remainders.__getitem__, reverse=True)
+    result[order[:total - sum(shares)]] += 1
+    return result
 
 
 def generate_traffic(model: TrafficModel, n_servers: int, n_objects: int) -> np.ndarray:
@@ -146,34 +144,36 @@ def generate_traffic(model: TrafficModel, n_servers: int, n_objects: int) -> np.
 
 def load_failure_trace(path) -> FailureTrace:
     """Parse and validate an interval trace CSV (header: node_id,start,end,state)."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise TraceError(f"{path}: not a CSV text file: {exc}") from exc
+    if not rows or [h.strip() for h in rows[0]] != ["node_id", "start", "end", "state"]:
+        raise TraceError(f"{path}: expected header 'node_id,start,end,state'")
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["node_id", "start", "end", "state"]:
-            raise TraceError(f"{path}: expected header 'node_id,start,end,state'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 4:
-                raise TraceError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            try:
-                node = int(row[0])
-                start = float(row[1])
-                end = float(row[2])
-            except ValueError as exc:
-                raise TraceError(f"{path}:{lineno}: {exc}") from exc
-            state = row[3].strip().lower()
-            if state not in ("up", "down"):
-                raise TraceError(f"{path}:{lineno}: state must be 'up' or 'down', got {row[3]!r}")
-            if node < 0:
-                raise TraceError(f"{path}:{lineno}: negative node id {node}")
-            if not (math.isfinite(start) and math.isfinite(end)):
-                raise TraceError(f"{path}:{lineno}: interval times must be finite, "
-                                 f"got start {start} and end {end}")
-            if end <= start:
-                raise TraceError(f"{path}:{lineno}: interval end {end} <= start {start}")
-            records.append(TraceRecord(node, start, end, state))
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 4:
+            raise TraceError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+        try:
+            node = int(row[0])
+            start = float(row[1])
+            end = float(row[2])
+        except ValueError as exc:
+            raise TraceError(f"{path}:{lineno}: {exc}") from exc
+        state = row[3].strip().lower()
+        if state not in ("up", "down"):
+            raise TraceError(f"{path}:{lineno}: state must be 'up' or 'down', got {row[3]!r}")
+        if node < 0:
+            raise TraceError(f"{path}:{lineno}: negative node id {node}")
+        if not (math.isfinite(start) and math.isfinite(end)):
+            raise TraceError(f"{path}:{lineno}: interval times must be finite, "
+                             f"got start {start} and end {end}")
+        if end <= start:
+            raise TraceError(f"{path}:{lineno}: interval end {end} <= start {start}")
+        records.append(TraceRecord(node, start, end, state))
     horizons: dict[int, tuple[float, float]] = {}
     by_node: dict[int, list[TraceRecord]] = {}
     for rec in records:
@@ -228,7 +228,7 @@ def trace_availability_for_servers(trace: FailureTrace, n_servers: int) -> np.nd
 
 def synthetic_availability(n_servers: int, spec: str, seed: int) -> np.ndarray:
     """Draw per-server failure probabilities from 'constant:F' or 'uniform:LO:HI'."""
-    n_servers = _whole(n_servers, "server count")
+    n_servers, seed = _whole(n_servers, "server count"), _whole(seed, "seed", ParameterError)
     if n_servers < 1:
         raise ParameterError("need at least one server")
     if not isinstance(spec, str):

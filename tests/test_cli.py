@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from replicaplan import Scenario, load_placement
+from replicaplan import PlacementState, Scenario, load_placement
 from replicaplan.cli import (
     RESULTS_HEADER,
     ResultRow,
@@ -127,12 +127,9 @@ class TestGen:
         (["--capacity-policy", "slack:nan"], "slack factor"),
         (["--capacity-policy", "slack:1e300"], "2**63"),
         (["--traffic-volume", str(10**20)], "2**63"),
-        (["--traffic-volume", str(2**63 - 1)], "split exactly"),  # zipf sum fell 501 short
-        (["--traffic-volume", str(2**62)], "split exactly"),
         (["--zipf-skew", "nan"], "zipf skew"),
         (["--zipf-skew", "inf"], "zipf skew"),
-    ], ids=["slack-inf", "slack-nan", "slack-1e300", "volume-1e20", "volume-2^63-1",
-            "volume-2^62", "skew-nan", "skew-inf"])
+    ], ids=["slack-inf", "slack-nan", "slack-1e300", "volume-1e20", "skew-nan", "skew-inf"])
     def test_out_of_range_flag_exits_1(self, tmp_path, capsys, flags, message):
         out = tmp_path / "inst"
         args = ["gen", "--nodes", "5", "--objects", "10", *flags, "--out", str(out)]
@@ -140,6 +137,16 @@ class TestGen:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("volume", [2**62, 2**63 - 1], ids=["2^62", "2^63-1"])
+    def test_huge_volume_splits_exactly(self, tmp_path, volume):
+        # Above 2**53 a float quota is inexact; the integer shares must still sum exactly.
+        out = tmp_path / "inst"
+        args = ["gen", "--nodes", "5", "--objects", "10", "--traffic-volume", str(volume),
+                "--out", str(out)]
+        assert main(args) == 0
+        traffic = Scenario.load(out / "scenario.json").traffic
+        assert sum(int(v) for v in traffic.ravel()) == volume
 
     def test_trace_availability(self, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -295,6 +302,17 @@ class TestSweep:
         cells = [line.split(",")[:2] for line in lines[1:]]
         assert cells == [["aagg", "1"], ["aagg", "2"], ["aagg", "3"],
                          ["gg", "1"], ["gg", "2"], ["gg", "3"]]
+
+    def test_builds_one_state(self, tmp_path, monkeypatch):
+        """Every cell plans from the one state; ``solve`` copies it."""
+        built = []
+        init = PlacementState.__init__
+        monkeypatch.setattr(PlacementState, "__init__",
+                            lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+        code, out = self.run_sweep(tmp_path, "--caps", "1,2")
+        assert code == 0
+        assert len(out.joinpath("results.csv").read_text().splitlines()) == 1 + 2 * 2
+        assert len(built) == 1
 
     def test_cap_one_never_transfers(self, tmp_path):
         _, out = self.run_sweep(tmp_path)

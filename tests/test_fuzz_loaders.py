@@ -14,7 +14,9 @@ call the constructors directly: every error they raise must be a
 import inspect
 import json
 import math
+import re
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -26,13 +28,19 @@ from replicaplan import (
     ObjectCatalog,
     PlacementState,
     ReplicaPlanError,
+    Scenario,
     ServerCatalog,
+    StructuralError,
+    TraceError,
     TraceRecord,
     TrafficModel,
     assign_link_costs,
     generate_ba_topology,
     generate_object_catalog,
     generate_traffic,
+    load_failure_trace,
+    load_placement,
+    load_topology,
     synthetic_availability,
     trace_availability_for_servers,
 )
@@ -136,6 +144,39 @@ def test_trace_file(tmp_path_factory, body):
     assert code in EXIT_CODES
 
 
+# Files no JSON loader may read: cut JSON, a non-object, bytes that are not
+# UTF-8, and nesting deeper than the parser's recursion limit.
+BROKEN_JSON = {"truncated": b"{", "list": b"[1, 2]", "binary": b"\xff\xfe\x00",
+               "deep": b"[" * 100_000}
+JSON_LOADERS = {"scenario": Scenario.load, "topology": load_topology,
+                "x_old": lambda path: load_placement(path, 3, 2)}
+
+
+@pytest.mark.parametrize("content", BROKEN_JSON.values(), ids=BROKEN_JSON)
+@pytest.mark.parametrize("what", sorted(JSON_LOADERS))
+def test_json_loaders_refuse_broken_files(tmp_path, what, content):
+    write_micro_instance(tmp_path)
+    (tmp_path / "x_old.json").write_text('{"objects":[{"id":0,"replicators":[0]}]}')
+    path = tmp_path / f"{what}.json"
+    path.write_bytes(content)
+    with pytest.raises(StructuralError, match=re.escape(str(path))):
+        JSON_LOADERS[what](path)
+    assert _solve(tmp_path, "aagro", "--x-old", str(tmp_path / "x_old.json")) == 1
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe\x00",
+    b"node_id,start,end,state\n0," + b"1" * 200_000 + b",2,up\n",  # over the csv field limit
+], ids=["binary", "huge-field"])
+def test_trace_loader_refuses_broken_files(tmp_path, content):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(content)
+    with pytest.raises(TraceError, match="not a CSV text file"):
+        load_failure_trace(path)
+    assert main(["gen", "--nodes", "4", "--objects", "3", "--trace", str(path),
+                 "--out", str(tmp_path / "inst")]) == 1
+
+
 # Nested lists of numbers, strings, booleans and None, ragged ones included.
 entries = st.one_of(
     st.integers(-1, 3),
@@ -223,7 +264,8 @@ def test_placement_state(l, traffic, x):
 # Counts and bounds near the domain's edges: whole floats pass, anything else is refused.
 counts = st.one_of(
     st.integers(-1, 6),
-    st.sampled_from([2.0, 2.5, 1.5, -1.0, True, False, "3", None, float("nan"), float("inf")]),
+    st.sampled_from([2.0, 2.5, 1.5, -1.0, True, False, "3", None, [1], float("nan"),
+                     float("inf")]),
 )
 TRIANGLE = Graph(3, ((0, 1, 1), (0, 2, 1), (1, 2, 1)))
 TRACE = FailureTrace((TraceRecord(0, 0.0, 4.0, "down"), TraceRecord(5, 0.0, 4.0, "up")),
@@ -243,6 +285,11 @@ GENERATORS = {
     "synthetic_availability": lambda n: synthetic_availability(n, "constant:0.1", 1),
     "synthetic_availability(spec)": lambda spec: synthetic_availability(3, spec, 1),
     "trace_availability_for_servers": lambda n: trace_availability_for_servers(TRACE, n),
+    "generate_ba_topology(seed)": lambda seed: generate_ba_topology(5, 1, seed),
+    "assign_link_costs(seed)": lambda seed: assign_link_costs(TRIANGLE, 1, 3, seed),
+    "generate_object_catalog(seed)": lambda seed: generate_object_catalog(3, 1, 2, 2, seed),
+    "TrafficModel(seed)": lambda seed: TrafficModel(seed=seed),
+    "synthetic_availability(seed)": lambda seed: synthetic_availability(3, "uniform:0:0.5", seed),
 }
 REAL_ARGUMENTS = {"TrafficModel(zipf_skew)"}  # any finite number passes, not only whole ones
 
@@ -261,12 +308,17 @@ REAL_ARGUMENTS = {"TrafficModel(zipf_skew)"}  # any finite number passes, not on
 @example(name="synthetic_availability", args=[2.5])
 @example(name="synthetic_availability(spec)", args=[5])
 @example(name="trace_availability_for_servers", args=[2.5])
+@example(name="generate_ba_topology(seed)", args=[1.5])
+@example(name="assign_link_costs(seed)", args=[None])
+@example(name="generate_object_catalog(seed)", args=[[1]])
+@example(name="TrafficModel(seed)", args=[True])
+@example(name="synthetic_availability(seed)", args=[None])
 @LIB_FUZZ
 def test_generators(name, args):
     """Every argument out of its domain is refused with a ReplicaPlanError.
 
-    Counts and bounds must be whole numbers, the zipf skew a finite number
-    and the availability spec a string.
+    Counts, bounds and seeds must be whole numbers, the zipf skew a finite
+    number and the availability spec a string.
     """
     generator = GENERATORS[name]
     args = args[:len(inspect.signature(generator).parameters)]

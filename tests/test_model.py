@@ -324,6 +324,34 @@ class TestIncrementalIndex:
         assert result.c_old == 9 * 10**18
         assert result.c_new == 0
 
+    @staticmethod
+    def walk(state, rng, steps):
+        """Random adds and drops, each checked against a rebuild from ``x``."""
+        for _ in range(steps):
+            i = rng.randrange(state.servers.count)
+            k = rng.randrange(state.objects.count)
+            n_old, d_old = state.n.copy(), state.d.copy()
+            if state.x[i, k] == 0 and state.free[i] >= state.objects.sizes[k]:
+                changed = state.add_replica(i, k)
+            elif state.x[i, k] == 1 and int(state.objects.primaries[k]) != i:
+                changed = state.remove_replica(i, k)
+            else:
+                continue
+            moved = (state.n != n_old) | (state.d != d_old)
+            assert np.flatnonzero(moved.any(axis=0)).tolist() in ([], [k])
+            assert changed.tolist() == np.flatnonzero(moved[:, k]).tolist()
+            assert (state.free == state.servers.capacities - state.x @ state.objects.sizes).all()
+            assert (state.replica_counts == state.x.sum(axis=0)).all()
+            n_ref, d_ref = build_nearest_index(state.x, state.l)
+            assert (state.n == n_ref).all()
+            assert (state.d == d_ref).all()
+            for j in range(state.servers.count):
+                for kk in range(state.objects.count):
+                    nearest = brute_nearest(state.x, state.l, j, kk)
+                    assert state.n[j, kk] == nearest
+                    assert state.d[j, kk] == state.l[j, nearest]
+            assert validate_placement(state.x, state.servers, state.objects) == []
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=80, deadline=None)
     def test_random_walk_matches_rebuild(self, seed):
@@ -331,23 +359,29 @@ class TestIncrementalIndex:
         l, capacities, f, sizes, primaries, traffic = random_instance(
             rng, m_max=5, n_max=4
         )
-        state = make_state(l, capacities, f, sizes, primaries, traffic)
-        for _ in range(12):
-            i = rng.randrange(state.servers.count)
-            k = rng.randrange(state.objects.count)
-            if state.x[i, k] == 0 and state.free[i] >= state.objects.sizes[k]:
-                state.add_replica(i, k)
-            elif state.x[i, k] == 1 and int(state.objects.primaries[k]) != i:
-                state.remove_replica(i, k)
-            else:
-                continue
-            n_ref, d_ref = build_nearest_index(state.x, state.l)
-            assert (state.n == n_ref).all()
-            assert (state.d == d_ref).all()
-            for j in range(state.servers.count):
-                for kk in range(state.objects.count):
-                    assert state.d[j, kk] == state.l[j, brute_nearest(state.x, state.l, j, kk)]
-            assert validate_placement(state.x, state.servers, state.objects) == []
+        self.walk(make_state(l, capacities, f, sizes, primaries, traffic), rng, 12)
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_equal_link_costs_tie_to_lowest_id(self, seed):
+        """Every replicator is equally near, so each add and drop is a tie."""
+        rng = random.Random(seed)
+        m, n = rng.randint(2, 6), rng.randint(1, 4)
+        l = 1 - np.eye(m, dtype=np.int64)
+        primaries = [rng.randrange(m) for _ in range(n)]
+        traffic = np.ones((m, n), dtype=np.int64)
+        state = make_state(l, [n] * m, [0.1] * m, [1] * n, primaries, traffic)
+        self.walk(state, rng, 30)
+
+    def test_copy_is_independent(self, micro):
+        state = micro.state()
+        dup = state.copy()
+        dup.add_replica(1, 1)
+        dup.add_replica(1, 0)
+        fresh = micro.state()
+        for name in ("x", "n", "d", "free", "replica_counts"):
+            assert (getattr(state, name) == getattr(fresh, name)).all(), name
+            assert not (getattr(dup, name) == getattr(fresh, name)).all(), name
 
     def test_replicator_maps_to_itself(self, micro):
         state = micro.state()

@@ -27,17 +27,28 @@ of those columns; a row's maximum is recomputed only if its row or its best
 column was re-scored.  Its placement check covers only row i and those
 columns.  An eviction-needing candidate first holds its eviction-free score,
 an upper bound, and is scored exactly only when that bound reaches the top of
-the matrix.
+the matrix.  The touched servers' evictable lists are updated in place: the
+touched entries are dropped and the new ones inserted at their sorted
+positions.
+
+Work whose result cannot change is skipped.  A candidate's eligibility
+depends only on its own column's placement, ``delta``, distances and replica
+count, so a column with no positive score stays dead until a commit touches
+it.  A bool mask ``_live`` marks the columns holding a positive score; it is
+built at set-up, in blocks of columns, and refreshed for every touched
+column.  ``run`` counts a window with no live column as one iteration and
+does not sweep it.  ``delta`` is 0 in every column at the replica cap, where
+no candidate is eligible, and is computed only below it.
 
 The engine is the only implementation of flip scoring: the access saving
 ``delta`` of every candidate add comes from one per-column kernel,
 :func:`_delta`, ``delta[:, k] = traffic[:, k] @ max(d[:, k, None] - l, 0)``,
-run over every column at set-up and over a commit's touched columns by
-``_invalidate``.  Every score comes from one block kernel, ``_score``, plus
-``_resolve`` for eviction damage, and ``_commit`` takes the winner's
-evictions from the same per-server prefix sums.  :func:`solve`
-is the one entry point.  Availability-weighted scores are floats, so
-instances whose scores could reach 2**53 are refused.
+run over every column below the replica cap at set-up and over a commit's
+touched columns by ``_invalidate``.  Every score comes from one block kernel,
+``_score``, plus ``_resolve`` for eviction damage, and ``_commit`` takes the
+winner's evictions from the same per-server prefix sums.  :func:`solve` is
+the one entry point.  Availability-weighted scores are floats, so instances
+whose scores could reach 2**53 are refused.
 """
 
 from __future__ import annotations
@@ -59,6 +70,7 @@ from .topology import _whole
 ALGORITHMS = ("aagg", "aagro", "gg", "gro")
 SCOPES = ("focal_object", "all_changed_objects")
 FLOAT_EXACT_LIMIT = 2**53
+SETUP_CELLS = 1 << 16  # set-up scores columns in blocks of about this many cells
 
 
 @dataclass(frozen=True)
@@ -241,7 +253,12 @@ class _GreedyEngine:
         self.cap_val = config.max_replicas_per_object or self.st.servers.count
         self.on_commit = on_commit
         self.on_mutation = on_mutation
-        self.delta = _delta(self.st, slice(None))
+        m, n = self.st.d.shape
+        self.delta = np.zeros((m, n), dtype=np.int64)  # 0 in columns at the replica cap
+        self._live = np.zeros(n, dtype=bool)  # column k holds a positive score
+        width = max(1, SETUP_CELLS // m)
+        for start in range(0, n, width):
+            self._columns(np.arange(start, min(start + width, n)))
         self.c = costs.total_access_cost(self.st.x, self.st.n, self.st.traffic,
                                          self.st.l).total
         self.c_old = self.c
@@ -310,10 +327,24 @@ class _GreedyEngine:
             # admission check can veto candidates outright.
             prods = costs._availability(st.x[:, cols] == 1, st.servers.failure_probs, "literal")
             eligible &= prods * self.avail[rows, None] >= prods - self.tol
-        if not eligible.any():  # common in one-column windows late in a run
+        if not eligible.any():  # common for the columns a commit touched
             return np.zeros(raw.shape, float if self.use_factor else raw.dtype), eligible
         values = raw * self.avail[rows, None] if self.use_factor else raw
         return np.where(eligible, values, 0), eligible & (st.free[rows, None] < sz)
+
+    def _columns(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Recompute ``delta`` and ``_live`` of the ascending columns ``cols``; return their scores.
+
+        ``delta`` runs only on the columns below the replica cap and is 0 at
+        the cap, where ``_score`` masks every candidate as ineligible.
+        """
+        st = self.st
+        below = st.replica_counts[cols] < self.cap_val
+        self.delta[:, cols[~below]] = 0
+        self.delta[:, cols[below]] = _delta(st, cols[below])
+        scores, pending = self._score(slice(None), cols)
+        self._live[cols] = (scores > 0).any(axis=0)
+        return scores, pending
 
     def _resolve(self, i: int) -> None:
         """Replace server i's pending bounds in the window by exact scores; refresh its maximum.
@@ -348,8 +379,9 @@ class _GreedyEngine:
         """Server i's evictable replicas with their prefix sums, built on first use."""
         cached = self._evict_cache.get(i)
         if cached is None:
-            objs = np.flatnonzero(self.st.x[i])
-            cached = self._evictables(*self._entries(i, objs))
+            entries = self._entries(i, np.flatnonzero(self.st.x[i]))
+            order = np.lexsort(entries[:2])  # by damage, then object
+            cached = self._sums(*(a[order] for a in entries))
             self._evict_cache[i] = cached
         return cached
 
@@ -377,10 +409,8 @@ class _GreedyEngine:
             lowers = after < before - self.tol
         return objs, damages, lowers
 
-    def _evictables(self, objs, damages, lowers) -> _Evictables:
-        """Sort entries by (damage, object) and take their prefix sums."""
-        order = np.lexsort((objs, damages))
-        objs, damages, lowers = objs[order], damages[order], lowers[order]
+    def _sums(self, objs, damages, lowers) -> _Evictables:
+        """Entries already sorted by (damage, object), with their prefix sums."""
         return _Evictables(
             objects=objs,
             damages=damages,
@@ -395,14 +425,20 @@ class _GreedyEngine:
 
         ``touched`` holds the added object and the evicted ones.  Their
         columns' nearest index, placement and replica counts changed, so
-        their ``delta`` columns are recomputed here, once all of the commit's
-        mutations are done.  An evictable entry's damage and availability
-        flag depend only on its own column, so only the cached servers
-        holding a touched column have entries to redo.
+        ``_columns`` recomputes their ``delta`` (0 at the replica cap) and
+        scores them once all of the commit's mutations are done; those
+        scores set their ``_live`` entries, evictees outside the window
+        included.  An evictable entry's damage and availability flag depend
+        only on its own column, so only the cached servers holding a touched
+        column have entries to redo.  Their lists are updated in place: the
+        touched entries are dropped, and the new ones, 1 to 3 of them, are
+        sorted and inserted at their (damage, object) positions (a binary
+        search on the damages, plus the count of equal damages on lower
+        objects), so each list keeps the order a full build gives.
 
-        The touched columns of the window are scored again, and so are the
-        rows of i (whose free space changed) and of every server whose
-        evictable list was just rebuilt: only those rows can hold resolved
+        The window's touched columns take those scores.  The rows of i
+        (whose free space changed) and of every server whose evictable list
+        was just updated are scored again: only those rows can hold resolved
         scores priced with the old damages.  Any other row's untouched
         columns depend on nothing that changed.  The rows are skipped when
         the columns cover the whole window.  A row's best is recomputed if
@@ -410,24 +446,28 @@ class _GreedyEngine:
         its best unless a re-scored column beats it, the lower column
         winning a tie.
         """
-        st = self.st
-        self.delta[:, touched] = _delta(st, touched)
         rows = {i}
-        for j in np.flatnonzero(st.x[:, touched].any(axis=1)).tolist():
+        for j in np.flatnonzero(self.st.x[:, touched].any(axis=1)).tolist():
             ev = self._evict_cache.get(j)
             if ev is None:
                 continue
-            keep = ~np.isin(ev.objects, touched)
-            objs, damages, lowers = self._entries(j, touched)
-            self._evict_cache[j] = self._evictables(
-                np.concatenate((ev.objects[keep], objs)),
-                np.concatenate((ev.damages[keep], damages)),
-                np.concatenate((ev.lowers[keep], lowers)),
-            )
+            keep = ~(ev.objects[:, None] == touched).any(axis=1)
+            objs, damages = ev.objects[keep], ev.damages[keep]
+            new = self._entries(j, touched)
+            order = np.lexsort(new[:2])  # by damage, then object
+            new_objs, new_damages, new_lowers = (a[order] for a in new)
+            ties = (damages[:, None] == new_damages) & (objs[:, None] < new_objs)
+            at = np.searchsorted(damages, new_damages) + ties.sum(axis=0)
+            self._evict_cache[j] = self._sums(np.insert(objs, at, new_objs),
+                                              np.insert(damages, at, new_damages),
+                                              np.insert(ev.lowers[keep], at, new_lowers))
             rows.add(j)
+        cols = np.sort(touched)
+        scores, pending = self._columns(cols)
         cs = self._window  # holds the added object, so ``cols`` is never empty
-        cols = np.sort(touched[(cs.start <= touched) & (touched < cs.stop)]) - cs.start
-        self._scores[:, cols], self._pending[:, cols] = self._score(slice(None), cols + cs.start)
+        inside = (cs.start <= cols) & (cols < cs.stop)
+        cols = cols[inside] - cs.start
+        self._scores[:, cols], self._pending[:, cols] = scores[:, inside], pending[:, inside]
         if cols.size == cs.stop - cs.start:
             self._refresh(slice(None))
             return
@@ -501,7 +541,10 @@ class _GreedyEngine:
         """Commit each column window's best flip until none is positive.
 
         The global planners use one window holding every object, the
-        random-order planners one window per object, in seeded order.
+        random-order planners one window per object, in seeded order.  Each
+        sweep counts one iteration, the last one of a window committing
+        nothing.  A window with no ``_live`` column cannot commit, so it
+        counts one iteration without being swept.
         """
         n = self.st.objects.count
         if self.cfg.algorithm in ("aagg", "gg"):
@@ -513,6 +556,8 @@ class _GreedyEngine:
         for window in windows:
             while True:
                 self.iterations += 1
+                if not self._live[window].any():
+                    break
                 best = self._sweep(window)
                 if best is None:
                     break

@@ -90,6 +90,7 @@ class BruteGreedy:
         self.semantics = semantics
         self.seed = seed
         self.use_factor = algorithm in ("aagg", "aagro")
+        self.iterations = 0  # one per window sweep, the last one committing nothing
         self.commits: list[tuple[int, int]] = []
         self.values: list = []  # committed scores, float under weighting else int
         self.schedule: list[tuple] = []  # ("evict", i, k) / ("add", i, k, src, cost)
@@ -170,6 +171,7 @@ class BruteGreedy:
         return value, trial, evicted, src, transfer
 
     def _commit_best(self, column=None) -> bool:
+        self.iterations += 1
         flips = self._positive_flips(self.x, column)
         best = 0
         chosen = None
@@ -193,14 +195,13 @@ class BruteGreedy:
 
     def run(self):
         if self.algorithm in ("aagg", "gg"):
-            while self._commit_best():
-                pass
+            windows = [None] if self.n else []
         else:
-            order = list(range(self.n))
-            random.Random(self.seed).shuffle(order)
-            for k in order:
-                while self._commit_best(column=k):
-                    pass
+            windows = list(range(self.n))
+            random.Random(self.seed).shuffle(windows)
+        for column in windows:
+            while self._commit_best(column):
+                pass
         return self
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,6 +371,7 @@ class TestAgainstReference:
         assert np.array_equal(result.x_new, np.array(oracle.x, dtype=np.int8))
         assert [(s.server, s.object_id) for s in result.steps] == oracle.commits
         assert [s.benefit for s in result.steps] == oracle.values
+        assert result.iterations == oracle.iterations
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
@@ -455,6 +457,7 @@ class TestAgainstReferenceOnTies:
         ).run()
         assert schedule_tuples(result.schedule) == oracle.schedule
         assert [s.benefit for s in result.steps] == oracle.values
+        assert result.iterations == oracle.iterations
 
 
 class TestLiteralAgainstReference:
@@ -532,6 +535,91 @@ class TestSweepCache:
             settled = ~engine._pending
             assert np.array_equal(engine._scores[settled], fresh._scores[settled])
             assert (engine._scores[~settled] >= fresh._scores[~settled]).all()
+
+
+def checked_column_run(algorithm: str, cap: int, seed: int) -> list:
+    """Run a one-column planner on a crowded start, checking its column caches after every commit.
+
+    After each commit, ``_live`` equals a fresh engine's, and ``delta``
+    equals ``_delta`` in the columns below the replica cap and is 0 at the
+    cap.  Returns the columns that an eviction dropped below the cap and
+    whose fresh ``delta`` is not all 0.
+    """
+    rng = random.Random(seed)
+    l, capacities, f, sizes, primaries, traffic = random_instance(
+        rng, m_max=5, n_max=6, slack_max=4)
+    x = crowded_start(rng, capacities, sizes, primaries)
+    state = make_state(l, capacities, f, sizes, primaries, traffic, x=x)
+    config = SolverConfig(algorithm=algorithm, max_replicas_per_object=cap,
+                          seed=rng.randrange(100))
+    engine = _GreedyEngine(state, config)
+    commit, reopened = engine._commit, []
+
+    def checked_commit(i, k, score):
+        capped = engine.st.replica_counts >= cap
+        commit(i, k, score)
+        st = engine.st
+        below = st.replica_counts < cap
+        assert np.array_equal(engine._live, _GreedyEngine(st, config)._live)
+        assert np.array_equal(engine.delta[:, below],
+                              heuristics._delta(st, np.flatnonzero(below)))
+        assert not engine.delta[:, ~below].any()
+        reopened.extend(np.flatnonzero(capped & below & engine.delta.any(axis=0)).tolist())
+
+    engine._commit = checked_commit
+    engine.run()
+    return reopened
+
+
+class TestColumnCaches:
+    """The one-column planners' liveness mask and capped ``delta`` columns stay exact."""
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    @pytest.mark.parametrize("algorithm", ["aagro", "gro"])
+    @given(seed=st.integers(0, 10_000))
+    @example(seed=9).via("eviction reopens a capped column")
+    @settings(max_examples=40, deadline=None)
+    def test_live_and_delta_match_fresh_engine(self, algorithm, cap, seed):
+        checked_column_run(algorithm, cap, seed)
+
+    @pytest.mark.parametrize("algorithm", ["aagro", "gro"])
+    def test_pinned_seed_reopens_a_capped_column(self, algorithm):
+        """Seed 9 keeps exercising the column an eviction drops below the cap."""
+        assert checked_column_run(algorithm, 2, 9)
+
+    def test_dead_windows_are_not_swept(self, micro):
+        """A window with no positive score counts one iteration without a sweep."""
+        engine = _GreedyEngine(micro.state(),
+                               SolverConfig(algorithm="aagro", max_replicas_per_object=1))
+        engine._sweep = lambda window: pytest.fail("swept a dead window")
+        assert not engine._live.any()
+        engine.run()
+        assert engine.iterations == micro.objects.count
+
+
+class TestSetupMemory:
+    def test_peak_per_cell_is_bounded(self):
+        """Engine set-up peaks below 45 bytes per server-object cell.
+
+        The state copy and ``delta`` keep about 25 bytes per cell and the
+        starting access-cost sum briefly adds 16.  Scoring all 8,000 columns
+        at once to build ``_live``, or running ``_delta`` on all of them in
+        one call, peaks near 50.
+        """
+        m, n = 40, 8_000
+        rng = np.random.default_rng(0)
+        l = dijkstra_matrix(m, random_connected_graph(random.Random(0), m))
+        sizes, primaries = rng.integers(1, 5, n), rng.integers(0, m, n)
+        capacities = np.bincount(primaries, weights=sizes, minlength=m).astype(int) + 50
+        state = make_state(l, capacities.tolist(), [0.1] * m, sizes.tolist(),
+                           primaries.tolist(), rng.integers(0, 20, (m, n)))
+        tracemalloc.start()
+        try:
+            _GreedyEngine(state, AAGG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 45 * m * n
 
 
 class TestFloatScoreBound:

@@ -84,7 +84,7 @@ def _parse_caps(text: str) -> tuple[int, ...]:
             caps = tuple(range(int(lo), int(hi) + 1))
         else:
             caps = tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"bad caps list {text!r}: {exc}") from exc
     if not caps or caps[0] != 1 or any(b <= a for a, b in zip(caps, caps[1:])):
         raise argparse.ArgumentTypeError(
@@ -99,7 +99,7 @@ def _parse_cap(text: str) -> int | None:
     try:
         cap = int(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"cap must be an integer or 'unlimited'") from exc
+        raise argparse.ArgumentTypeError("cap must be an integer or 'unlimited'") from exc
     if cap < 1:
         raise argparse.ArgumentTypeError("cap must be >= 1")
     return cap

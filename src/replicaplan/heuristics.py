@@ -27,9 +27,9 @@ of those columns; a row's maximum is recomputed only if its row or its best
 column was re-scored.  Its placement check covers only row i and those
 columns.  An eviction-needing candidate first holds its eviction-free score,
 an upper bound, and is scored exactly only when that bound reaches the top of
-the matrix.  The touched servers' evictable lists are updated in place: the
-touched entries are dropped and the new ones inserted at their sorted
-positions.
+the matrix.  A touched server's evictable list keeps its untouched entries,
+takes the touched ones afresh and is sorted again by the rule of its first
+build.
 
 Work whose result cannot change is skipped.  A candidate's eligibility
 depends only on its own column's placement, ``delta``, distances and replica
@@ -270,8 +270,8 @@ class _GreedyEngine:
         self._window: slice | None = None
         self._scores: np.ndarray | None = None   # M x W; an upper bound where pending
         self._pending: np.ndarray | None = None  # bool M x W: eviction damage not yet scored
-        self._row_best: np.ndarray | None = None  # M: each row's maximum of _scores
-        self._row_arg: np.ndarray | None = None   # M: its first column in the window
+        self._row_best = np.zeros(m, float if self.use_factor else np.int64)  # each row's max
+        self._row_arg = np.zeros(m, dtype=np.int64)  # its first column in the window
 
     # -- sweeping ---------------------------------------------------------
 
@@ -289,7 +289,8 @@ class _GreedyEngine:
 
         The first argmax of the matrix wins.  It is read from each row's
         maximum and first column holding it, ``_row_best`` and ``_row_arg``,
-        kept up to date by ``_resolve`` and ``_invalidate``: the first row
+        which ``_refresh`` sets on a window switch and ``_resolve`` and
+        ``_invalidate`` keep up to date: the first row
         with the highest maximum, at that row's column.  While the winner is
         pending, all of its server's pending candidates are resolved exactly
         (``_resolve``) and the winner is read again.  Bounds never fall
@@ -300,7 +301,7 @@ class _GreedyEngine:
         if cs != self._window:
             self._window = cs
             self._scores, self._pending = self._score(slice(None), cs)
-            self._row_best, self._row_arg = self._scores.max(axis=1), self._scores.argmax(axis=1)
+            self._refresh(slice(None))
         while True:
             i = int(np.argmax(self._row_best))
             c = int(self._row_arg[i])
@@ -379,10 +380,7 @@ class _GreedyEngine:
         """Server i's evictable replicas with their prefix sums, built on first use."""
         cached = self._evict_cache.get(i)
         if cached is None:
-            entries = self._entries(i, np.flatnonzero(self.st.x[i]))
-            order = np.lexsort(entries[:2])  # by damage, then object
-            cached = self._sums(*(a[order] for a in entries))
-            self._evict_cache[i] = cached
+            cached = self._store(i, *self._entries(i, np.flatnonzero(self.st.x[i])))
         return cached
 
     def _entries(self, i: int, objs: np.ndarray) -> tuple:
@@ -409,9 +407,11 @@ class _GreedyEngine:
             lowers = after < before - self.tol
         return objs, damages, lowers
 
-    def _sums(self, objs, damages, lowers) -> _Evictables:
-        """Entries already sorted by (damage, object), with their prefix sums."""
-        return _Evictables(
+    def _store(self, i: int, objs, damages, lowers) -> _Evictables:
+        """Sort server i's entries by (damage, object), add their prefix sums and cache them."""
+        order = np.lexsort((objs, damages))
+        objs, damages, lowers = objs[order], damages[order], lowers[order]
+        cached = self._evict_cache[i] = _Evictables(
             objects=objs,
             damages=damages,
             lowers=lowers,
@@ -419,6 +419,7 @@ class _GreedyEngine:
             cum_damage=np.append(np.cumsum(damages), 0),
             blocked=np.append(np.logical_or.accumulate(lowers), True),
         )
+        return cached
 
     def _invalidate(self, i: int, touched: np.ndarray) -> None:
         """Bring the caches up to date after a commit on server i.
@@ -430,11 +431,10 @@ class _GreedyEngine:
         scores set their ``_live`` entries, evictees outside the window
         included.  An evictable entry's damage and availability flag depend
         only on its own column, so only the cached servers holding a touched
-        column have entries to redo.  Their lists are updated in place: the
-        touched entries are dropped, and the new ones, 1 to 3 of them, are
-        sorted and inserted at their (damage, object) positions (a binary
-        search on the damages, plus the count of equal damages on lower
-        objects), so each list keeps the order a full build gives.
+        column have entries to redo.  Each such list drops its touched
+        entries, appends their new ones (1 to 3) and goes back through
+        ``_store``, so it keeps the (damage, object) order a first build
+        gives.
 
         The window's touched columns take those scores.  The rows of i
         (whose free space changed) and of every server whose evictable list
@@ -452,15 +452,8 @@ class _GreedyEngine:
             if ev is None:
                 continue
             keep = ~(ev.objects[:, None] == touched).any(axis=1)
-            objs, damages = ev.objects[keep], ev.damages[keep]
-            new = self._entries(j, touched)
-            order = np.lexsort(new[:2])  # by damage, then object
-            new_objs, new_damages, new_lowers = (a[order] for a in new)
-            ties = (damages[:, None] == new_damages) & (objs[:, None] < new_objs)
-            at = np.searchsorted(damages, new_damages) + ties.sum(axis=0)
-            self._evict_cache[j] = self._sums(np.insert(objs, at, new_objs),
-                                              np.insert(damages, at, new_damages),
-                                              np.insert(ev.lowers[keep], at, new_lowers))
+            self._store(j, *(np.concatenate((a[keep], b))
+                             for a, b in zip(ev[:3], self._entries(j, touched))))
             rows.add(j)
         cols = np.sort(touched)
         scores, pending = self._columns(cols)

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -57,10 +58,16 @@ class TestArgParsing:
     def test_caps_list(self):
         assert _parse_caps("1,3,9") == (1, 3, 9)
 
-    @pytest.mark.parametrize("text", ["3", "2..5", "1,1,2", "5..1", "abc", "1,abc"])
+    @pytest.mark.parametrize("text", ["3", "2..5", "1,1,2", "5..1", "abc", "1,abc",
+                                      "1..99999999999999999999"])
     def test_caps_rejects(self, text):
-        with pytest.raises(Exception):
+        with pytest.raises(argparse.ArgumentTypeError):
             _parse_caps(text)
+
+    def test_caps_too_long_is_a_usage_error(self, tmp_path, capsys):
+        code = main(["gen", "--caps", "1..99999999999999999999", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "bad caps list" in capsys.readouterr().err
 
     def test_cap_values(self):
         assert _parse_cap("3") == 3
@@ -68,7 +75,7 @@ class TestArgParsing:
 
     @pytest.mark.parametrize("text", ["0", "-2", "many"])
     def test_cap_rejects(self, text):
-        with pytest.raises(Exception):
+        with pytest.raises(argparse.ArgumentTypeError):
             _parse_cap(text)
 
 

@@ -484,6 +484,12 @@ class TestLiteralAgainstReference:
         assert [s.benefit for s in result.steps] == oracle.values
 
 
+def assert_row_maxima(engine):
+    """Each row's cached best and its column are the row's first maximum and argmax."""
+    assert np.array_equal(engine._row_best, engine._scores.max(axis=1))
+    assert np.array_equal(engine._row_arg, engine._scores.argmax(axis=1))
+
+
 class TestSweepCache:
     @pytest.mark.parametrize("kind", ["random", "ties"])
     @pytest.mark.parametrize("scope", SCOPES)
@@ -509,23 +515,18 @@ class TestSweepCache:
         state = make_state(l, capacities, f, sizes, primaries, traffic, x=x)
         config = SolverConfig(algorithm=algorithm, availability_scope=scope)
         engine = _GreedyEngine(state, config)
-
-        def check_row_maxima():
-            assert np.array_equal(engine._row_best, engine._scores.max(axis=1))
-            assert np.array_equal(engine._row_arg, engine._scores.argmax(axis=1))
-
         resolve = engine._resolve
 
         def checked_resolve(i):
             resolve(i)
-            check_row_maxima()
+            assert_row_maxima(engine)
 
         engine._resolve = checked_resolve
         window = slice(0, state.objects.count)
         plan = engine._sweep(window)
         while plan is not None:
             engine._commit(*plan)
-            check_row_maxima()
+            assert_row_maxima(engine)
             plan = engine._sweep(window)
             fresh = _GreedyEngine(engine.st, config)
             assert np.array_equal(engine.delta, fresh.delta)
@@ -540,9 +541,11 @@ class TestSweepCache:
 def checked_column_run(algorithm: str, cap: int, seed: int) -> list:
     """Run a one-column planner on a crowded start, checking its column caches after every commit.
 
-    After each commit, ``_live`` equals a fresh engine's, and ``delta``
-    equals ``_delta`` in the columns below the replica cap and is 0 at the
-    cap.  Returns the columns that an eviction dropped below the cap and
+    On entry to each commit and after it, ``_row_best`` and ``_row_arg``
+    are each row's first maximum and argmax of the window's scores.  After
+    each commit, ``_live`` equals a fresh engine's, and ``delta`` equals
+    ``_delta`` in the columns below the replica cap and is 0 at the cap.
+    Returns the columns that an eviction dropped below the cap and
     whose fresh ``delta`` is not all 0.
     """
     rng = random.Random(seed)
@@ -556,8 +559,10 @@ def checked_column_run(algorithm: str, cap: int, seed: int) -> list:
     commit, reopened = engine._commit, []
 
     def checked_commit(i, k, score):
+        assert_row_maxima(engine)
         capped = engine.st.replica_counts >= cap
         commit(i, k, score)
+        assert_row_maxima(engine)
         st = engine.st
         below = st.replica_counts < cap
         assert np.array_equal(engine._live, _GreedyEngine(st, config)._live)
@@ -647,15 +652,24 @@ class TestFloatScoreBound:
 
 
 class TestEvictionCache:
+    @pytest.mark.parametrize("kind", ["random", "ties"])
     @pytest.mark.parametrize("scope", SCOPES)
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
-    def test_upkeep_matches_rebuild(self, scope, seed):
-        """After every commit each cached server equals a fresh engine's build."""
+    def test_upkeep_matches_rebuild(self, scope, kind, seed):
+        """After every commit each cached server equals a fresh engine's build.
+
+        The tie-heavy instances start crowded with many equal damages, so an
+        updated list that orders tied entries other than by object id fails.
+        """
         rng = random.Random(seed)
-        l, capacities, f, sizes, primaries, traffic = random_instance(
-            rng, m_max=5, n_max=5, slack_max=6)
-        state = make_state(l, capacities, f, sizes, primaries, traffic)
+        if kind == "ties":
+            l, capacities, f, sizes, primaries, traffic, x = tie_heavy_instance(rng)
+        else:
+            l, capacities, f, sizes, primaries, traffic = random_instance(
+                rng, m_max=5, n_max=5, slack_max=6)
+            x = None
+        state = make_state(l, capacities, f, sizes, primaries, traffic, x=x)
         config = SolverConfig(algorithm="aagg", availability_scope=scope)
         engine = _GreedyEngine(state, config)
         for i in range(state.servers.count):

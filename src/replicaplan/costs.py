@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, StructuralError
+from .topology import _array, _integral
 
 SEMANTICS = ("corrected", "literal")
 
@@ -48,6 +49,19 @@ def total_access_cost(x, n, r, l) -> CostReport:
     return CostReport(total=int((dist * r).sum(dtype=np.int64)))
 
 
+def _failure_probs(values) -> np.ndarray:
+    """``values`` as a new float64 vector of failure probabilities, each in [0, 1)."""
+    raw = _array(values, "failure probabilities")
+    if raw.dtype.kind not in "fiu":  # as in _integral; a float64 cast reads "0.1" as 0.1
+        raise ParameterError(f"failure probabilities must be numbers, got {raw.dtype} values")
+    probs = np.array(raw, dtype=np.float64)
+    if probs.ndim != 1:
+        raise StructuralError(f"failure probabilities must be a vector, got shape {probs.shape}")
+    if not ((probs >= 0) & (probs < 1)).all():
+        raise ParameterError("failure probabilities must lie in [0, 1)")
+    return probs
+
+
 def _availability(held, failure_probs, semantics: str) -> np.ndarray:
     """Availability of each column of the bool server x object matrix ``held``."""
     probs = np.asarray(failure_probs, dtype=np.float64)[:, None]
@@ -60,6 +74,7 @@ def _availability(held, failure_probs, semantics: str) -> np.ndarray:
 
 def replicator_availability(failure_probs, replicators, semantics: str = "corrected") -> float:
     """Availability of an object held by the given replicator set."""
+    failure_probs = _failure_probs(failure_probs)
     held = np.zeros((len(failure_probs), 1), dtype=bool)
     held[np.asarray(replicators, dtype=np.int64)] = True
     if not held.any():
@@ -68,9 +83,14 @@ def replicator_availability(failure_probs, replicators, semantics: str = "correc
 
 
 def availability_per_object(x, failure_probs, semantics: str = "corrected") -> np.ndarray:
-    """Vector of object availabilities under placement ``x``."""
-    held = np.asarray(x) != 0
+    """Vector of object availabilities under placement ``x``; a nonzero entry is a replica."""
+    probs = _failure_probs(failure_probs)
+    x = _integral(x, "placement")
+    if x.ndim != 2 or x.shape[0] != probs.size:
+        raise StructuralError(f"placement must have one row per failure probability "
+                              f"({probs.size}), got shape {x.shape}")
+    held = x != 0
     unreplicated = np.flatnonzero(~held.any(axis=0))
     if unreplicated.size:
         raise StructuralError(f"object {unreplicated[0]} has no replicator")
-    return _availability(held, failure_probs, semantics)
+    return _availability(held, probs, semantics)

@@ -6,8 +6,8 @@ flip (placing one object on one server it does not yet hold), scores each by
 server's availability, and commits the best strictly-positive one until none
 remains.  ``aagro`` restricts the same scan to one object at a time, visiting
 objects once in a seeded random order.  ``gg`` and ``gro`` are the
-availability-blind twins: same control flow, unweighted score, no
-availability admission check.
+availability-blind twins: same control flow and the same score, with every
+server's weight 1, and no availability admission check.
 
 When a target server lacks space, non-primary replicas it hosts are evicted
 least-damaging-first until the newcomer fits; a candidate whose evictions
@@ -46,9 +46,11 @@ The engine is the only implementation of flip scoring: the access saving
 run over every column below the replica cap at set-up and over a commit's
 touched columns by ``_invalidate``.  Every score comes from one block kernel,
 ``_score``, plus ``_resolve`` for eviction damage, and ``_commit`` takes the
-winner's evictions from the same per-server prefix sums.  :func:`solve` is
-the one entry point.  Availability-weighted scores are floats, so instances
-whose scores could reach 2**53 are refused.
+winner's evictions from the same per-server prefix sums.  All three weight
+a net saving by one per-server vector, ``weight``: ``1 - f`` for the aware
+planners and int64 ones for the blind ones, whose scores so stay exact
+integers.  :func:`solve` is the one entry point.  Availability-weighted
+scores are floats, so instances whose scores could reach 2**53 are refused.
 """
 
 from __future__ import annotations
@@ -173,35 +175,51 @@ def action_to_dict(action) -> dict:
 
 
 def action_from_dict(payload: dict):
+    """The ``Add`` or ``Evict`` a schedule record describes; every field must be a whole number."""
+    if not isinstance(payload, dict):
+        raise ParameterError(f"schedule action must be a JSON object, got {payload!r}")
     for cls in (Add, Evict):
-        if payload["action"] == cls.__name__.lower():
-            return cls(*(int(payload[_key(f.name)]) for f in dataclasses.fields(cls)))
-    raise ParameterError(f"unknown schedule action {payload['action']!r}")
+        if payload.get("action") == cls.__name__.lower():
+            try:
+                return cls(*(_whole(payload[_key(f.name)], f"schedule {_key(f.name)}",
+                                    ParameterError) for f in dataclasses.fields(cls)))
+            except KeyError as exc:
+                raise ParameterError(f"schedule action {payload!r} lacks field {exc}") from exc
+    raise ParameterError(f"unknown schedule action {payload.get('action')!r}")
 
 
 def replay_schedule(x_old, schedule) -> np.ndarray:
-    """Re-apply a schedule to a placement; raises if any step is inconsistent."""
+    """Re-apply a schedule to a placement; raises if any step is inconsistent.
+
+    Every server, source and object id must be a whole number indexing
+    ``x_old``: a negative id is refused, not read from the end.
+    """
     x = np.array(x_old, dtype=np.int8)
+
+    def index(value, axis: int) -> int:
+        i = _whole(value, "schedule id")
+        if not 0 <= i < x.shape[axis]:
+            raise StructuralError(f"schedule id {i} lies outside the "
+                                  f"{x.shape[0]}x{x.shape[1]} placement")
+        return i
+
     for action in schedule:
-        if isinstance(action, Add):
-            if x[action.source, action.object_id] != 1:
-                raise StructuralError(
-                    f"add of object {action.object_id} sources from non-replicator "
-                    f"{action.source}"
-                )
-            if x[action.server, action.object_id] != 0:
-                raise StructuralError(
-                    f"object {action.object_id} already on server {action.server}"
-                )
-            x[action.server, action.object_id] = 1
-        elif isinstance(action, Evict):
-            if x[action.server, action.object_id] != 1:
-                raise StructuralError(
-                    f"evicting object {action.object_id} absent from server {action.server}"
-                )
-            x[action.server, action.object_id] = 0
-        else:
+        if not isinstance(action, (Add, Evict)):
             raise ParameterError(f"unknown schedule action {action!r}")
+        i, k = index(action.server, 0), index(action.object_id, 1)
+        if isinstance(action, Add):
+            source = index(action.source, 0)
+            if x[source, k] != 1:
+                raise StructuralError(
+                    f"add of object {k} sources from non-replicator {source}"
+                )
+            if x[i, k] != 0:
+                raise StructuralError(f"object {k} already on server {i}")
+            x[i, k] = 1
+        else:
+            if x[i, k] != 1:
+                raise StructuralError(f"evicting object {k} absent from server {i}")
+            x[i, k] = 0
     return x
 
 
@@ -248,7 +266,10 @@ class _GreedyEngine:
                             FLOAT_EXACT_LIMIT)
         self.guard_evictees = (self.use_factor
                                and config.availability_scope == "all_changed_objects")
-        self.avail = 1.0 - self.st.servers.failure_probs
+        # Every score is a net saving times its server's weight: float availability
+        # 1 - f for the aware planners, int64 ones (exact integer scores) for the blind.
+        self.weight = (1.0 - self.st.servers.failure_probs if self.use_factor
+                       else np.ones(self.st.servers.count, dtype=np.int64))
         self.tol = costs.AVAILABILITY_TOL
         self.cap_val = config.max_replicas_per_object or self.st.servers.count
         self.on_commit = on_commit
@@ -270,7 +291,7 @@ class _GreedyEngine:
         self._window: slice | None = None
         self._scores: np.ndarray | None = None   # M x W; an upper bound where pending
         self._pending: np.ndarray | None = None  # bool M x W: eviction damage not yet scored
-        self._row_best = np.zeros(m, float if self.use_factor else np.int64)  # each row's max
+        self._row_best = np.zeros(m, self.weight.dtype)  # each row's max
         self._row_arg = np.zeros(m, dtype=np.int64)  # its first column in the window
 
     # -- sweeping ---------------------------------------------------------
@@ -281,8 +302,8 @@ class _GreedyEngine:
         The window's M x len(cs) score matrix is kept across commits: a new
         window is scored whole, and a commit re-scores what it changed (see
         ``_invalidate``).  A candidate that fits holds its exact score: its
-        net saving ``raw`` (access saving minus transfer bytes), times
-        ``avail[i]`` under availability weighting.  A candidate that needs
+        net saving ``raw`` (access saving minus transfer bytes), times the
+        target server's ``weight``.  A candidate that needs
         space holds its eviction-free value as an upper bound and is marked
         pending: eviction damage is never negative, and a blocked candidate
         scores 0.
@@ -327,10 +348,10 @@ class _GreedyEngine:
             # Literal availability shrinks with every added replica, so the
             # admission check can veto candidates outright.
             prods = costs._availability(st.x[:, cols] == 1, st.servers.failure_probs, "literal")
-            eligible &= prods * self.avail[rows, None] >= prods - self.tol
+            eligible &= prods * self.weight[rows, None] >= prods - self.tol
         if not eligible.any():  # common for the columns a commit touched
-            return np.zeros(raw.shape, float if self.use_factor else raw.dtype), eligible
-        values = raw * self.avail[rows, None] if self.use_factor else raw
+            return np.zeros(raw.shape, self.weight.dtype), eligible
+        values = raw * self.weight[rows, None]
         return np.where(eligible, values, 0), eligible & (st.free[rows, None] < sz)
 
     def _columns(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -353,8 +374,8 @@ class _GreedyEngine:
         Each candidate evicts the shortest prefix of i's evictable replicas
         (sorted by (damage, object)) whose sizes cover the shortfall: a
         binary search on the prefix sums of sizes finds it, the prefix sum of
-        damages is its damage, and the score is ``raw - damage``, weighted
-        like the rest.  It scores 0 when no prefix frees enough space or,
+        damages is its damage, and the score is ``raw - damage`` times
+        ``weight[i]``.  It scores 0 when no prefix frees enough space or,
         under the ``all_changed_objects`` scope, when an evictee in the
         prefix would lose availability.
         """
@@ -364,9 +385,7 @@ class _GreedyEngine:
         sz = st.objects.sizes[ks]
         ev = self._evictable(i)
         t = np.searchsorted(ev.cum_size, sz - st.free[i])
-        net = self.delta[i, ks] - sz * st.d[i, ks] - ev.cum_damage[t]
-        if self.use_factor:
-            net = net * self.avail[i]
+        net = (self.delta[i, ks] - sz * st.d[i, ks] - ev.cum_damage[t]) * self.weight[i]
         self._scores[i, local] = np.where(ev.blocked[t], 0, net)
         self._pending[i, local] = False
         self._refresh([i])
@@ -503,7 +522,7 @@ class _GreedyEngine:
         source = int(st.n[i, k])
         tcost = size * int(st.d[i, k])
         net = gain - damage - tcost
-        benefit = net * float(self.avail[i]) if self.use_factor else net
+        benefit = net * self.weight[i].item()
         if benefit != score:
             raise RuntimeError("committed flip diverged from its score")
         st.add_replica(i, k)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .costs import _failure_probs
 from .errors import (
     CapacityError,
     ConstraintError,
@@ -22,7 +23,7 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .topology import (INT64_LIMIT, CostMatrix, _array, _integral, _read_json, _whole,
+from .topology import (INT64_LIMIT, CostMatrix, _integral, _read_json, _whole,
                        _write_json)
 
 
@@ -74,18 +75,13 @@ class ServerCatalog:
 
     def __post_init__(self):
         caps = np.array(_integral(self.capacities, "capacities"), dtype=np.int64)
-        raw = _array(self.failure_probs, "failure probabilities")
-        if raw.dtype.kind not in "fiu":  # as in _integral; a float64 cast reads "0.1" as 0.1
-            raise ParameterError(f"failure probabilities must be numbers, got {raw.dtype} values")
-        probs = np.array(raw, dtype=np.float64)
+        probs = _failure_probs(self.failure_probs)
         if caps.ndim != 1 or caps.size == 0:
             raise StructuralError("capacities must be a non-empty vector")
         if probs.shape != caps.shape:
             raise StructuralError("failure_probs must match capacities in length")
         if (caps <= 0).any():
             raise ParameterError("capacities must be positive")
-        if not ((probs >= 0) & (probs < 1)).all():
-            raise ParameterError("failure probabilities must lie in [0, 1)")
         caps.setflags(write=False)
         probs.setflags(write=False)
         object.__setattr__(self, "capacities", caps)

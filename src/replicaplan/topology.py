@@ -111,19 +111,20 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class CostMatrix:
-    """Dense symmetric matrix of cheapest per-byte transfer costs."""
+    """Dense symmetric matrix of cheapest per-byte transfer costs; ``m`` is its size."""
 
-    m: int
     l: np.ndarray
 
     def __post_init__(self):
-        m = _whole(self.m, "cost matrix size")
         arr = np.array(_integral(self.l, "link costs"), dtype=np.int64)
-        if arr.shape != (m, m):
-            raise StructuralError(f"cost matrix must be {m}x{m}, got {arr.shape}")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise StructuralError(f"cost matrix must be square, got shape {arr.shape}")
         arr.setflags(write=False)
-        object.__setattr__(self, "m", m)
         object.__setattr__(self, "l", arr)
+
+    @property
+    def m(self) -> int:
+        return self.l.shape[0]
 
     def validate(self) -> None:
         """Check metric-style invariants; raises StructuralError on failure."""
@@ -216,15 +217,23 @@ def all_pairs_shortest_paths(graph: Graph) -> CostMatrix:
         raise ConnectivityError(
             f"graph with {m} nodes and {len(graph.edges)} edges is not connected"
         )
-    matrix = CostMatrix(m, dist)
+    matrix = CostMatrix(dist)
     matrix.validate()
     return matrix
 
 
 def _write_json(path, payload) -> None:
-    """Write ``payload`` as compact, key-sorted JSON plus a newline, in one write."""
+    """Write ``payload`` as compact, key-sorted JSON plus a newline, in one write.
+
+    The payload is encoded before ``path`` is opened, so one that JSON
+    cannot hold raises StructuralError and leaves the file as it was.
+    """
+    try:
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    except (TypeError, ValueError) as exc:  # e.g. a set, a non-string key, a cycle
+        raise StructuralError(f"cannot write {path} as JSON: {exc}") from exc
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write(text)
 
 
 def _read_json(path, what: str) -> dict:

@@ -8,7 +8,9 @@ are apportioned exactly (largest-remainder), so matrix totals match the
 requested volume to the byte.
 
 Server failure probabilities come either from a synthetic distribution or
-from an interval trace: a CSV of per-node up/down intervals.  A node's
+from an interval trace: per-node up/down intervals, read from a CSV or built
+in code.  ``TraceRecord`` and ``FailureTrace`` check every rule the CSV
+loader applies, so a trace built in code obeys the same rules.  A node's
 observation horizon spans its first record start to its last record end;
 time inside the horizon not covered by a ``down`` record counts as up.
 """
@@ -54,24 +56,69 @@ class TrafficModel:
             raise ParameterError("total volume must be positive and below 2**63")
 
 
+def _time(value, what: str) -> float:
+    """``value`` as a float; refuses bools, non-numbers, NaN, infinities and inexact values."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            time = float(value)
+        except OverflowError:  # an int too large for a float
+            time = math.inf
+        if math.isfinite(time) and time == value:
+            return time
+    raise TraceError(f"interval times must be finite and exact as floats, got {what} {value!r}")
+
+
 @dataclass(frozen=True)
 class TraceRecord:
+    """One interval ``[start, end)`` in which a node was ``up`` or ``down``."""
+
     node: int
     start: float
     end: float
     state: str
 
+    def __post_init__(self):
+        node = _whole(self.node, "node id", TraceError)
+        if node < 0:
+            raise TraceError(f"negative node id {node}")
+        start, end = _time(self.start, "start"), _time(self.end, "end")
+        if end <= start:
+            raise TraceError(f"interval end {end} <= start {start}")
+        if not isinstance(self.state, str) or self.state not in ("up", "down"):
+            raise TraceError(f"state must be 'up' or 'down', got {self.state!r}")
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+
 
 @dataclass(frozen=True)
 class FailureTrace:
-    """Validated interval records plus each node's observation horizon."""
+    """Interval records; no two intervals of one node overlap, and each node's horizon is finite."""
 
     records: tuple[TraceRecord, ...]
-    horizons: dict[int, tuple[float, float]]
 
-    @property
-    def nodes(self) -> list[int]:
-        return sorted(self.horizons)
+    def __post_init__(self):
+        try:
+            records = tuple(self.records)
+        except TypeError as exc:
+            raise TraceError(f"trace records must be iterable, got {self.records!r}") from exc
+        by_node: dict[int, list[TraceRecord]] = {}
+        for rec in records:
+            if not isinstance(rec, TraceRecord):
+                raise TraceError(f"trace records must be TraceRecord, got {rec!r}")
+            by_node.setdefault(rec.node, []).append(rec)
+        for node, recs in by_node.items():
+            recs.sort(key=lambda rec: rec.start)
+            for prev, cur in zip(recs, recs[1:]):
+                if cur.start < prev.end:
+                    raise TraceError(
+                        f"node {node} has overlapping intervals "
+                        f"[{prev.start}, {prev.end}) and [{cur.start}, {cur.end})"
+                    )
+            if not math.isfinite(recs[-1].end - recs[0].start):
+                raise TraceError(f"node {node}'s horizon [{recs[0].start}, {recs[-1].end}) "
+                                 f"is too long for a float")
+        object.__setattr__(self, "records", records)
 
 
 def generate_object_catalog(n_objects: int, size_lo: int, size_hi: int,
@@ -143,7 +190,11 @@ def generate_traffic(model: TrafficModel, n_servers: int, n_objects: int) -> np.
 
 
 def load_failure_trace(path) -> FailureTrace:
-    """Parse and validate an interval trace CSV (header: node_id,start,end,state)."""
+    """Parse an interval trace CSV (header: node_id,start,end,state).
+
+    The records and the trace check themselves; each refusal names
+    ``path`` and, for one record, its line.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -155,71 +206,44 @@ def load_failure_trace(path) -> FailureTrace:
     for lineno, row in enumerate(rows[1:], start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
-        if len(row) != 4:
-            raise TraceError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
         try:
-            node = int(row[0])
-            start = float(row[1])
-            end = float(row[2])
-        except ValueError as exc:
+            if len(row) != 4:
+                raise TraceError(f"expected 4 fields, got {len(row)}")
+            records.append(TraceRecord(int(row[0]), float(row[1]), float(row[2]),
+                                       row[3].strip().lower()))
+        except (TraceError, ValueError) as exc:  # ValueError: a field is not a number
             raise TraceError(f"{path}:{lineno}: {exc}") from exc
-        state = row[3].strip().lower()
-        if state not in ("up", "down"):
-            raise TraceError(f"{path}:{lineno}: state must be 'up' or 'down', got {row[3]!r}")
-        if node < 0:
-            raise TraceError(f"{path}:{lineno}: negative node id {node}")
-        if not (math.isfinite(start) and math.isfinite(end)):
-            raise TraceError(f"{path}:{lineno}: interval times must be finite, "
-                             f"got start {start} and end {end}")
-        if end <= start:
-            raise TraceError(f"{path}:{lineno}: interval end {end} <= start {start}")
-        records.append(TraceRecord(node, start, end, state))
-    horizons: dict[int, tuple[float, float]] = {}
-    by_node: dict[int, list[TraceRecord]] = {}
-    for rec in records:
-        by_node.setdefault(rec.node, []).append(rec)
-    for node, recs in by_node.items():
-        recs.sort(key=lambda rec: rec.start)
-        for prev, cur in zip(recs, recs[1:]):
-            if cur.start < prev.end:
-                raise TraceError(
-                    f"{path}: node {node} has overlapping intervals "
-                    f"[{prev.start}, {prev.end}) and [{cur.start}, {cur.end})"
-                )
-        horizons[node] = (recs[0].start, recs[-1].end)
-    return FailureTrace(records=tuple(records), horizons=horizons)
-
-
-def _failure_shares(trace: FailureTrace) -> dict[int, float]:
-    """Each traced node's downtime share of its horizon, clamped to [0, 0.99].
-
-    The clamp keeps a permanently dead node from zeroing out every
-    availability product it joins.
-    """
-    downtime: dict[int, float] = {}
-    for rec in trace.records:
-        if rec.state == "down":
-            downtime[rec.node] = downtime.get(rec.node, 0.0) + (rec.end - rec.start)
-    return {node: min(max(downtime.get(node, 0.0) / (t1 - t0), 0.0), _F_MAX)
-            for node, (t0, t1) in trace.horizons.items()}
+    try:
+        return FailureTrace(records)
+    except TraceError as exc:
+        raise TraceError(f"{path}: {exc}") from exc
 
 
 def trace_availability_for_servers(trace: FailureTrace, n_servers: int) -> np.ndarray:
     """Fold a trace of arbitrary node ids onto ``n_servers`` servers.
 
-    Node ids map to servers modulo the server count; when several nodes land
-    on one server their estimates are averaged.  Servers with no mapped node
-    get failure probability 0.  No array is sized by the node ids, so a huge
-    id costs nothing.
+    Each node's failure probability is its downtime share of its horizon,
+    clamped to at most 0.99 so that a permanently dead node does not zero
+    out every availability product it joins.  Node ids map to servers
+    modulo the server count; when several nodes land on one server their
+    estimates are averaged.  Servers with no mapped node get failure
+    probability 0.  No array is sized by the node ids, so a huge id costs
+    nothing.
     """
     n_servers = _whole(n_servers, "server count")
     if n_servers < 1:
         raise ParameterError("need at least one server")
-    shares = _failure_shares(trace)
+    spans: dict[int, list[float]] = {}  # node -> [first start, last end, downtime]
+    for rec in trace.records:
+        span = spans.setdefault(rec.node, [rec.start, rec.end, 0.0])
+        span[0], span[1] = min(span[0], rec.start), max(span[1], rec.end)
+        if rec.state == "down":
+            span[2] += rec.end - rec.start
     f = np.zeros(n_servers, dtype=np.float64)
     hits = np.zeros(n_servers, dtype=np.int64)
-    for node in trace.nodes:
-        f[node % n_servers] += shares[node]
+    for node in sorted(spans):
+        t0, t1, down = spans[node]
+        f[node % n_servers] += min(down / (t1 - t0), _F_MAX)
         hits[node % n_servers] += 1
     nonzero = hits > 0
     f[nonzero] /= hits[nonzero]

@@ -46,7 +46,7 @@ class MicroInstance:
 @pytest.fixture
 def micro() -> MicroInstance:
     return MicroInstance(
-        cost=CostMatrix(3, [[0, 2, 5], [2, 0, 3], [5, 3, 0]]),
+        cost=CostMatrix([[0, 2, 5], [2, 0, 3], [5, 3, 0]]),
         servers=ServerCatalog([30, 30, 30], [0.1, 0.2, 0.01]),
         objects=ObjectCatalog(sizes=[10, 20], primaries=[0, 2]),
         traffic=np.array([[0, 60], [40, 20], [10, 0]]),

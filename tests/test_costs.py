@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from oracle import brute_availability, brute_object_cost, brute_total_cost, random_instance
 from test_model import make_state
 from replicaplan import (
+    ParameterError,
     StructuralError,
     availability_per_object,
+    ServerCatalog,
     primary_only_placement,
     total_access_cost,
 )
@@ -163,6 +165,26 @@ class TestAvailability:
         x = np.zeros((3, 2), dtype=np.int8)
         with pytest.raises(StructuralError):
             availability_per_object(x, micro.servers.failure_probs)[0]
+
+    @pytest.mark.parametrize("probs", [[float("nan")], [1.5], [1.0], [-0.1], [float("inf")],
+                                       ["0.1"], [None], [True]])
+    def test_failure_probs_obey_the_catalog_rule(self, probs):
+        # NaN used to give a NaN availability, and 1.5 gave -0.5.
+        with pytest.raises(ParameterError, match="failure probabilities"):
+            availability_per_object([[1]], probs)
+        with pytest.raises(ParameterError, match="failure probabilities"):
+            replicator_availability(probs, [0])
+        with pytest.raises(ParameterError, match="failure probabilities"):
+            ServerCatalog([10], probs)
+
+    @pytest.mark.parametrize("x, probs", [
+        ([[1, 1]], [0.1, 0.2]),   # one row for two servers
+        ([1, 1], [0.1, 0.2]),     # not a matrix
+        ([[1], [1]], [[0.1], [0.2]]),
+    ])
+    def test_shape_mismatch_is_structural(self, x, probs):
+        with pytest.raises(StructuralError):
+            availability_per_object(x, probs)
 
     @given(seed=st.integers(0, 10_000))
     @example(seed=0)  # the micro placement with one extra replica

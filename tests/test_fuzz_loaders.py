@@ -16,13 +16,16 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from test_cli import MICRO_SCENARIO, MICRO_TOPOLOGY, solve_args, write_micro_instance
 from replicaplan import (
+    Add,
     CostMatrix,
+    Evict,
     FailureTrace,
     Graph,
     ObjectCatalog,
@@ -34,13 +37,17 @@ from replicaplan import (
     TraceError,
     TraceRecord,
     TrafficModel,
+    action_from_dict,
+    action_to_dict,
     assign_link_costs,
+    availability_per_object,
     generate_ba_topology,
     generate_object_catalog,
     generate_traffic,
     load_failure_trace,
     load_placement,
     load_topology,
+    replay_schedule,
     synthetic_availability,
     trace_availability_for_servers,
 )
@@ -219,26 +226,24 @@ def test_catalogs(values, probs):
         assert objects.primaries.tolist() == probs
 
 
-@given(l=st.one_of(arrays, grid(2, 2), grid(3, 3)), m=st.one_of(st.none(), entries))
-@example(l=[[0, 2.9, 5], [2.9, 0, 3], [5, 3, 0]], m=None)
-@example(l=[[0, float("nan")], [float("nan"), 0]], m=None)
-@example(l=[[0, 2**64], [2**64, 0]], m=None)
-@example(l=[["0", "1"], ["1", "0"]], m=None)
-@example(l=[[0, 1], [1]], m=None)
-@example(l=[[0, 1], [1, 0]], m=2.0)
-@example(l=[[0]], m=True)
+@given(l=st.one_of(arrays, grid(2, 2), grid(3, 3), grid(2, 3)))
+@example(l=[[0, 2.9, 5], [2.9, 0, 3], [5, 3, 0]])
+@example(l=[[0, float("nan")], [float("nan"), 0]])
+@example(l=[[0, 2**64], [2**64, 0]])
+@example(l=[["0", "1"], ["1", "0"]])
+@example(l=[[0, 1], [1]])
+@example(l=[[0, 1]])
+@example(l=[[0]])
 @LIB_FUZZ
-def test_cost_matrix(l, m):
-    """``m=None`` passes the list's own length, which reaches the checks past the size."""
-    if m is None:
-        m = len(l) if isinstance(l, list) else 1
+def test_cost_matrix(l):
+    """The size comes from the matrix, which must be square."""
     try:
-        matrix = CostMatrix(m, l)
+        matrix = CostMatrix(l)
         matrix.validate()
     except ReplicaPlanError:
         return
     assert matrix.l.tolist() == l
-    assert type(matrix.m) is int and matrix.m == m
+    assert type(matrix.m) is int and matrix.m == len(l)
 
 
 @given(l=st.one_of(st.just(MICRO_COSTS), grid(3, 3)),
@@ -253,7 +258,7 @@ def test_placement_state(l, traffic, x):
     servers = ServerCatalog(MICRO_SCENARIO["capacities"], MICRO_SCENARIO["failure_probs"])
     objects = ObjectCatalog(MICRO_SCENARIO["sizes"], MICRO_SCENARIO["primaries"])
     try:
-        state = PlacementState(CostMatrix(3, l), servers, objects, traffic, x)
+        state = PlacementState(CostMatrix(l), servers, objects, traffic, x)
     except ReplicaPlanError:
         return
     assert state.x.tolist() == x
@@ -268,8 +273,7 @@ counts = st.one_of(
                      float("inf")]),
 )
 TRIANGLE = Graph(3, ((0, 1, 1), (0, 2, 1), (1, 2, 1)))
-TRACE = FailureTrace((TraceRecord(0, 0.0, 4.0, "down"), TraceRecord(5, 0.0, 4.0, "up")),
-                     {0: (0.0, 4.0), 5: (0.0, 4.0)})
+TRACE = FailureTrace((TraceRecord(0, 0.0, 4.0, "down"), TraceRecord(5, 0.0, 4.0, "up")))
 GENERATORS = {
     "generate_ba_topology": lambda n, m_links: generate_ba_topology(n, m_links, 0),
     "assign_link_costs": lambda lo, hi: assign_link_costs(TRIANGLE, lo, hi, 0),
@@ -330,3 +334,113 @@ def test_generators(name, args):
         assert isinstance(value, (int, float)) and not isinstance(value, bool), value
         assert math.isfinite(value), value
         assert name in REAL_ARGUMENTS or float(value).is_integer(), value
+
+
+# Interval times near the edges of a float, mixed with every other entry.
+trace_times = st.one_of(entries, st.integers(-3, 12),
+                        st.sampled_from([2**53 + 1, 10**400, 1e308, -1e308, 0.5]))
+trace_records = st.tuples(st.one_of(st.integers(-1, 3), entries), trace_times, trace_times,
+                          st.sampled_from(["up", "down", "DOWN", " up", "", None, 1]))
+
+
+@given(records=st.lists(trace_records, max_size=5))
+@example(records=[(0, 5, 5, "down")])
+@example(records=[(0, 0.0, float("nan"), "down")])
+@example(records=[(True, 0, 5, "up")])
+@example(records=[(0, 0, 10, "up"), (0, 5, 15, "down")])
+@example(records=[(0, -1e308, 0, "down"), (0, 0, 1e308, "down")])
+@example(records=[(0, -1e308, 1e308, "up")])
+@LIB_FUZZ
+def test_failure_trace(records):
+    """A trace built in code keeps what it accepts, and its estimate is a probability."""
+    kept = []
+    for node, start, end, state in records:
+        try:
+            rec = TraceRecord(node, start, end, state)
+        except ReplicaPlanError:
+            continue
+        assert type(rec.node) is int and rec.node == node >= 0 and not isinstance(node, bool)
+        assert type(rec.start) is float and type(rec.end) is float
+        assert rec.start == start and rec.end == end
+        assert rec.end > rec.start and rec.state == state in ("up", "down")
+        kept.append(rec)
+    try:
+        trace = FailureTrace(kept)
+    except ReplicaPlanError:
+        return
+    assert trace.records == tuple(kept)
+    f = trace_availability_for_servers(trace, 3)
+    assert ((0 <= f) & (f <= 0.99)).all()
+
+
+ADD = {"action": "add", "server": 0, "object": 1, "source": 2, "transfer_cost": 5}
+
+
+@given(payload=st.one_of(json_values, one_field_changed(ADD),
+                         one_field_changed({"action": "evict", "server": 2, "object": 1})))
+@example(payload={**ADD, "server": 1.7})
+@example(payload={**ADD, "object": "1"})
+@example(payload={**ADD, "source": True})
+@example(payload={"action": "evict", "server": 2})
+@LIB_FUZZ
+def test_action_from_dict(payload):
+    try:
+        action = action_from_dict(payload)
+    except ReplicaPlanError:
+        return
+    record = action_to_dict(action)
+    assert record == {key: payload[key] for key in record}  # other keys are ignored
+    assert all(type(v) is int for v in vars(action).values())
+
+
+ids = st.one_of(st.integers(-4, 4), st.sampled_from([0.5, 1.0, True, None, "1", 2**64]))
+actions = st.one_of(
+    st.builds(Add, ids, ids, ids, st.integers(0, 9)),
+    st.builds(Evict, ids, ids),
+    st.sampled_from([None, ("add", 1, 0)]),
+)
+
+
+@given(schedule=st.lists(actions, max_size=4))
+@example(schedule=[Add(-1, 0, 0, 0)])
+@example(schedule=[Add(3, 0, 0, 0)])
+@example(schedule=[Evict(0, -2)])
+@example(schedule=[Add(1.0, 0, 0, 0), Evict(1, 0.0)])
+@LIB_FUZZ
+def test_replay_schedule(schedule):
+    """Every accepted step names whole ids inside the placement and flips one entry as it says."""
+    x_old = np.array(MICRO_X, dtype=np.int8)
+    try:
+        x = replay_schedule(x_old, schedule)
+    except ReplicaPlanError:
+        return
+    want = [row[:] for row in MICRO_X]
+    for action in schedule:
+        ids = [action.server, action.object_id]
+        if isinstance(action, Add):
+            ids.append(action.source)
+        assert not any(isinstance(v, bool) or not float(v).is_integer() for v in ids)
+        i, k, *source = (int(v) for v in ids)
+        assert 0 <= i < 3 and 0 <= k < 2 and all(0 <= s < 3 and want[s][k] for s in source)
+        assert want[i][k] == int(isinstance(action, Evict))
+        want[i][k] = int(isinstance(action, Add))
+    assert x.tolist() == want
+    assert x_old.tolist() == MICRO_X
+
+
+@given(x=st.one_of(st.just(MICRO_X), arrays, grid(3, 2)),
+       probs=st.one_of(st.just([0.1, 0.2, 0.01]), arrays, st.lists(entries, min_size=3,
+                                                                    max_size=3)))
+@example(x=[[1]], probs=[float("nan")])
+@example(x=[[1]], probs=[1.5])
+@example(x=MICRO_X, probs=[0.1, 0.2])
+@LIB_FUZZ
+def test_availability_per_object(x, probs):
+    try:
+        avail = availability_per_object(x, probs)
+    except ReplicaPlanError:
+        return
+    f = np.array(probs, dtype=np.float64)
+    held = np.array(x) != 0
+    assert ((0 <= f) & (f < 1)).all() and held.shape[0] == f.size
+    assert avail.tolist() == [1.0 - np.prod(f[held[:, k]]) for k in range(held.shape[1])]

@@ -24,6 +24,7 @@ from replicaplan import (
     ParameterError,
     ServerCatalog,
     SolverConfig,
+    StructuralError,
     action_from_dict,
     action_to_dict,
     primary_only_placement,
@@ -148,6 +149,61 @@ class TestResultJson:
     def test_unknown_action(self):
         with pytest.raises(ParameterError, match="unknown schedule action"):
             action_from_dict({"action": "move", "server": 0, "object": 0})
+
+    @pytest.mark.parametrize("field", ["server", "object", "source", "transfer_cost"])
+    @pytest.mark.parametrize("value", [1.7, "1", True, None, [1], float("nan")])
+    def test_fields_must_be_whole_numbers(self, field, value):
+        # ``int()`` used to read 1.7, "1" and True as 1.
+        add = {"action": "add", "server": 0, "object": 1, "source": 2, "transfer_cost": 5}
+        with pytest.raises(ParameterError, match="must be an integer"):
+            action_from_dict({**add, field: value})
+
+    @pytest.mark.parametrize("payload", [
+        {"action": "add", "server": 0, "object": 1, "source": 2},
+        {"action": "evict", "server": 0},
+        {"server": 0, "object": 1},
+        [("action", "evict")],
+        None,
+    ])
+    def test_missing_fields_and_non_objects(self, payload):
+        # A missing field used to raise KeyError.
+        with pytest.raises(ParameterError):
+            action_from_dict(payload)
+
+    def test_whole_floats_are_read_as_ints(self):
+        action = action_from_dict({"action": "evict", "server": 2.0, "object": 1})
+        assert action == Evict(2, 1) and type(action.server) is int
+
+
+class TestReplay:
+    X_OLD = np.array([[1, 0], [0, 0], [0, 1]], dtype=np.int8)
+
+    @pytest.mark.parametrize("action", [
+        Add(-1, 0, 0, 0),   # used to replay onto the last row
+        Add(3, 0, 0, 0),    # used to raise IndexError
+        Add(1, 0, -3, 0),
+        Add(1, 0, 3, 0),
+        Add(1, -1, 2, 0),
+        Add(1, 2, 0, 0),
+        Evict(-1, 1),
+        Evict(0, -2),       # used to evict object 0
+        Evict(5, 1),
+        Evict(0, 2),
+        Add(1, 0.5, 0, 0),
+        Evict(True, 1),
+    ])
+    def test_ids_outside_the_placement_are_refused(self, action):
+        with pytest.raises(StructuralError):
+            replay_schedule(self.X_OLD, [action])
+
+    def test_unknown_action(self):
+        with pytest.raises(ParameterError, match="unknown schedule action"):
+            replay_schedule(self.X_OLD, [("add", 1, 0)])
+
+    def test_valid_schedule(self):
+        x = replay_schedule(self.X_OLD, [Add(1, 0, 0, 2), Evict(1, 0), Add(1, 1, 2, 3)])
+        assert x.tolist() == [[1, 0], [0, 1], [0, 1]]
+        assert self.X_OLD.tolist() == [[1, 0], [0, 0], [0, 1]]
 
 
 class TestCommitCheck:

@@ -29,7 +29,7 @@ from replicaplan import (
 
 
 def make_state(l, capacities, f, sizes, primaries, traffic, x=None):
-    cost = CostMatrix(len(capacities), l)
+    cost = CostMatrix(l)
     servers = ServerCatalog(capacities, f)
     objects = ObjectCatalog(sizes, primaries)
     if x is None:
@@ -62,7 +62,7 @@ class TestCatalogs:
     def test_non_integral_inputs_rejected(self, micro, bad):
         # An int64 cast would truncate 1.7 to 1 and wrap the rest silently.
         with pytest.raises(ParameterError):
-            CostMatrix(2, [[0, bad], [bad, 0]])
+            CostMatrix([[0, bad], [bad, 0]])
         with pytest.raises(ParameterError):
             ObjectCatalog([bad], [0])
         with pytest.raises(ParameterError):
@@ -95,16 +95,23 @@ class TestCatalogs:
         assert [(v.kind, v.index) for v in violations] == [("storage", 0)]
         assert str(2**63 - 1) in violations[0].detail
 
+    def test_cost_matrix_size_comes_from_the_matrix(self):
+        matrix = CostMatrix([[0, 2, 5], [2, 0, 3], [5, 3, 0]])
+        assert type(matrix.m) is int and matrix.m == 3
+        for bad in ([[0, 1]], [0, 1], 5, [[[0]]]):
+            with pytest.raises(StructuralError, match="square"):
+                CostMatrix(bad)
+
     def test_integral_floats_accepted(self):
         assert ObjectCatalog([10.0, 2], [0, 0]).sizes.tolist() == [10, 2]
         assert ServerCatalog([30.0], [0.1]).capacities.tolist() == [30]
-        assert CostMatrix(2, [[0, 3.0], [3.0, 0]]).l.tolist() == [[0, 3], [3, 0]]
+        assert CostMatrix([[0, 3.0], [3.0, 0]]).l.tolist() == [[0, 3], [3, 0]]
 
     @pytest.mark.parametrize("build", [
         lambda: ServerCatalog([1, [2]], [0.1, 0.1]),
         lambda: ServerCatalog([1, 2], [0.1, [0.1]]),
         lambda: ObjectCatalog([1, 2], [0, [0]]),
-        lambda: CostMatrix(2, [[0, 1], [1]]),
+        lambda: CostMatrix([[0, 1], [1]]),
     ])
     def test_ragged_inputs_rejected(self, build):
         with pytest.raises(StructuralError, match="rectangular"):
@@ -140,6 +147,16 @@ class TestScenario:
         bad = np.array([[0, -1], [0, 0], [0, 0]])
         with pytest.raises(ParameterError):
             Scenario(micro.servers, micro.objects, bad)
+
+    @pytest.mark.parametrize("meta", [{"a": {1}}, {"a": object()}, {1: "x", "b": "y"}])
+    def test_unwritable_meta_leaves_the_file(self, micro, tmp_path, meta):
+        # The payload used to be encoded inside the open file, truncating it to 0 bytes.
+        path = tmp_path / "scenario.json"
+        Scenario(micro.servers, micro.objects, micro.traffic).save(path)
+        before = path.read_bytes()
+        with pytest.raises(StructuralError, match="cannot write"):
+            Scenario(micro.servers, micro.objects, micro.traffic, meta=meta).save(path)
+        assert path.read_bytes() == before
 
 
 class TestValidatePlacement:

@@ -5,6 +5,7 @@ from replicaplan import (
     FailureTrace,
     ParameterError,
     TraceError,
+    TraceRecord,
     TrafficModel,
     generate_object_catalog,
     generate_traffic,
@@ -142,9 +143,18 @@ class TestTraceParsing:
             tmp_path,
             "0,0,100,down\n0,100,1000,up\n1,0,1000,up\n",
         ))
-        assert trace.nodes == [0, 1]
-        assert trace.horizons[0] == (0.0, 1000.0)
-        assert len(trace.records) == 3
+        assert trace.records == (TraceRecord(0, 0.0, 100.0, "down"),
+                                 TraceRecord(0, 100.0, 1000.0, "up"),
+                                 TraceRecord(1, 0.0, 1000.0, "up"))
+
+    def test_state_is_read_case_blind(self, tmp_path):
+        trace = load_failure_trace(write_trace(tmp_path, "3,0,10, DOWN\n"))
+        assert trace.records == (TraceRecord(3, 0.0, 10.0, "down"),)
+
+    def test_overlap_names_the_file(self, tmp_path):
+        path = write_trace(tmp_path, "0,0,100,up\n1,0,5,up\n0,50,150,down\n")
+        with pytest.raises(TraceError, match=f"^{path}: node 0 has overlapping"):
+            load_failure_trace(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -188,6 +198,75 @@ class TestTraceParsing:
         path = write_trace(tmp_path, "-1,0,100,up\n")
         with pytest.raises(TraceError, match="node id"):
             load_failure_trace(path)
+
+
+class TestTraceInCode:
+    """A trace built in code obeys the rules the CSV loader applies."""
+
+    @pytest.mark.parametrize("node, start, end, state", [
+        (0, 5.0, 5.0, "down"),                 # zero-length interval
+        (0, 10.0, 5.0, "up"),                  # end before start
+        (0, 0.0, float("nan"), "down"),        # NaN horizon
+        (0, float("nan"), 5.0, "up"),
+        (0, 0.0, float("inf"), "up"),
+        (0, 0.0, 10**400, "up"),               # too large for a float
+        (0, 0, 2**53 + 1, "up"),               # not exact as a float
+        (0, "0", 5.0, "up"),
+        (0, True, 5.0, "up"),
+        (0, None, 5.0, "up"),
+        (-1, 0.0, 5.0, "up"),                  # negative node
+        (True, 0.0, 5.0, "up"),                # bool node
+        (1.5, 0.0, 5.0, "up"),
+        ("1", 0.0, 5.0, "up"),
+        (0, 0.0, 5.0, "flaky"),
+        (0, 0.0, 5.0, "DOWN"),                 # the loader normalises, the record does not
+        (0, 0.0, 5.0, None),
+    ])
+    def test_bad_record(self, node, start, end, state):
+        with pytest.raises(TraceError):
+            TraceRecord(node, start, end, state)
+
+    def test_horizon_too_long_for_a_float(self):
+        # Its downtime share used to be inf / inf = NaN.
+        with pytest.raises(TraceError, match="horizon"):
+            FailureTrace((TraceRecord(0, -1e308, 0.0, "down"), TraceRecord(0, 0.0, 1e308, "down")))
+
+    def test_overlapping_intervals(self):
+        with pytest.raises(TraceError, match="overlapping"):
+            FailureTrace((TraceRecord(0, 0.0, 100.0, "up"), TraceRecord(1, 0.0, 50.0, "up"),
+                          TraceRecord(0, 50.0, 150.0, "down")))
+
+    @pytest.mark.parametrize("records", [
+        ((0, 0.0, 5.0, "up"),),
+        ("0,0,5,up",),
+        (None,),
+        5,
+    ])
+    def test_non_record_entries(self, records):
+        with pytest.raises(TraceError):
+            FailureTrace(records)
+
+    def test_zero_length_horizon_never_divides(self):
+        # Before the records checked themselves this raised ZeroDivisionError.
+        with pytest.raises(TraceError):
+            trace_availability_for_servers(FailureTrace((TraceRecord(0, 5, 5, "down"),)), 1)
+
+    def test_whole_values_are_normalised(self):
+        rec = TraceRecord(2.0, 0, 10, "down")
+        assert (rec.node, rec.start, rec.end) == (2, 0.0, 10.0)
+        assert type(rec.node) is int and type(rec.start) is float
+        trace = FailureTrace([rec])
+        assert trace.records == (rec,)
+        assert trace_availability_for_servers(trace, 3).tolist() == [0.0, 0.0, 0.99]
+
+    def test_matches_the_loader(self, tmp_path):
+        body = "4,0,100,down\n1,0,1000,up\n4,100,1000,up\n"
+        loaded = load_failure_trace(write_trace(tmp_path, body))
+        built = FailureTrace((TraceRecord(4, 0, 100, "down"), TraceRecord(1, 0, 1000, "up"),
+                              TraceRecord(4, 100, 1000, "up")))
+        assert built == loaded
+        assert (trace_availability_for_servers(built, 3).tolist()
+                == trace_availability_for_servers(loaded, 3).tolist())
 
 
 class TestAvailabilityEstimate:
@@ -242,7 +321,7 @@ class TestTraceFolding:
         assert f.tolist() == [0.5, 0.0, 0.0, 0.0]
 
     def test_empty_trace(self):
-        f = trace_availability_for_servers(FailureTrace(records=(), horizons={}), 3)
+        f = trace_availability_for_servers(FailureTrace(records=()), 3)
         assert (f == 0.0).all()
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, StructuralError
-from .topology import _array, _integral
+from .topology import _array, _binary, _whole
 
 SEMANTICS = ("corrected", "literal")
 
@@ -73,23 +73,28 @@ def _availability(held, failure_probs, semantics: str) -> np.ndarray:
 
 
 def replicator_availability(failure_probs, replicators, semantics: str = "corrected") -> float:
-    """Availability of an object held by the given replicator set."""
+    """Availability of an object held by the given replicator set, each a server id."""
     failure_probs = _failure_probs(failure_probs)
-    held = np.zeros((len(failure_probs), 1), dtype=bool)
-    held[np.asarray(replicators, dtype=np.int64)] = True
+    held = np.zeros((failure_probs.size, 1), dtype=bool)
+    for i in replicators:
+        i = _whole(i, "replicator id")
+        if not 0 <= i < failure_probs.size:
+            raise StructuralError(f"replicator id {i} lies outside the "
+                                  f"{failure_probs.size} servers")
+        held[i] = True
     if not held.any():
         raise StructuralError("availability of an unreplicated object is undefined")
     return float(_availability(held, failure_probs, semantics)[0])
 
 
 def availability_per_object(x, failure_probs, semantics: str = "corrected") -> np.ndarray:
-    """Vector of object availabilities under placement ``x``; a nonzero entry is a replica."""
+    """Vector of object availabilities under the 0/1 placement ``x``."""
     probs = _failure_probs(failure_probs)
-    x = _integral(x, "placement")
-    if x.ndim != 2 or x.shape[0] != probs.size:
+    x = _binary(x, "placement")
+    if x.shape[0] != probs.size:
         raise StructuralError(f"placement must have one row per failure probability "
                               f"({probs.size}), got shape {x.shape}")
-    held = x != 0
+    held = x == 1
     unreplicated = np.flatnonzero(~held.any(axis=0))
     if unreplicated.size:
         raise StructuralError(f"object {unreplicated[0]} has no replicator")

@@ -17,40 +17,39 @@ vectorized pass per server prices all its replicas, kept sorted by (damage,
 object) with prefix sums of sizes and damages, so one binary search scores
 every eviction-needing candidate on it.  Ties keep the lowest (server, object).
 
+Every score starts from one cached M x N matrix, ``net``: the access saving
+of the add minus its transfer bytes ``size * d``.  ``net`` also carries the
+one eligibility rule: it is 0 in every column at the replica cap and in every
+cell where literal availability vetoes the add, and a held cell never saves
+anything, so a candidate is eligible exactly where ``net`` is positive.  One
+method, ``_columns``, writes it, for every column at set-up (in blocks) and
+for a commit's touched columns.  The access saving comes from one per-column
+kernel, :func:`_delta`, ``traffic[:, k] @ max(d[:, k, None] - l, 0)``, run
+only below the cap.  A score is ``net`` times the target server's
+``weight``: ``1 - f`` for the aware planners and int64 ones for the blind
+ones, whose scores so stay exact integers.
+
 Scores are kept exact and incremental, and a commit costs in proportion to
 what it changed.  The engine caches the score matrix of the column window it
 sweeps, with each row's maximum and its first column, and picks the winner
-from those M row maxima.  A commit on server i that adds object k and evicts
-some objects re-scores, before it returns, the columns of k and the evictees
-and the rows of i and of every server whose cached evictable list holds one
-of those columns; a row's maximum is recomputed only if its row or its best
-column was re-scored.  Its placement check covers only row i and those
-columns.  An eviction-needing candidate first holds its eviction-free score,
-an upper bound, and is scored exactly only when that bound reaches the top of
-the matrix.  A touched server's evictable list keeps its untouched entries,
-takes the touched ones afresh and is sorted again by the rule of its first
-build.
+from those M row maxima.  An eviction-needing candidate first holds its
+eviction-free score, an upper bound, and is scored exactly,
+``(net - damage) * weight``, only when that bound reaches the top of the
+matrix.  A commit on server i that adds object k and evicts some objects
+re-scores, before it returns, the columns of k and the evictees and the rows
+of i and of every server whose cached evictable list holds one of those
+columns; a row's maximum is recomputed only if its row or its best column
+was re-scored.  Its placement check covers only row i and those columns.  A
+touched server's evictable list keeps its untouched entries, takes the
+touched ones afresh and is sorted again by the rule of its first build.
 
-Work whose result cannot change is skipped.  A candidate's eligibility
-depends only on its own column's placement, ``delta``, distances and replica
-count, so a column with no positive score stays dead until a commit touches
-it.  A bool mask ``_live`` marks the columns holding a positive score; it is
-built at set-up, in blocks of columns, and refreshed for every touched
-column.  ``run`` counts a window with no live column as one iteration and
-does not sweep it.  ``delta`` is 0 in every column at the replica cap, where
-no candidate is eligible, and is computed only below it.
-
-The engine is the only implementation of flip scoring: the access saving
-``delta`` of every candidate add comes from one per-column kernel,
-:func:`_delta`, ``delta[:, k] = traffic[:, k] @ max(d[:, k, None] - l, 0)``,
-run over every column below the replica cap at set-up and over a commit's
-touched columns by ``_invalidate``.  Every score comes from one block kernel,
-``_score``, plus ``_resolve`` for eviction damage, and ``_commit`` takes the
-winner's evictions from the same per-server prefix sums.  All three weight
-a net saving by one per-server vector, ``weight``: ``1 - f`` for the aware
-planners and int64 ones for the blind ones, whose scores so stay exact
-integers.  :func:`solve` is the one entry point.  Availability-weighted
-scores are floats, so instances whose scores could reach 2**53 are refused.
+Work whose result cannot change is skipped.  A column's ``net`` depends only
+on that column, so a column with no positive entry, marked in the bool mask
+``_live`` that ``_columns`` keeps with ``net``, stays dead until a commit
+touches it.  ``run`` counts a window with no live column as one iteration and
+does not sweep it.  The engine is the only implementation of flip scoring,
+and :func:`solve` its one entry point.  Availability-weighted scores are
+floats, so instances whose scores could reach 2**53 are refused.
 """
 
 from __future__ import annotations
@@ -67,12 +66,12 @@ import numpy as np
 from . import costs
 from .errors import ParameterError, StructuralError
 from .model import PlacementState, _check_headroom, validate_placement
-from .topology import _whole
+from .topology import _binary, _whole
 
 ALGORITHMS = ("aagg", "aagro", "gg", "gro")
 SCOPES = ("focal_object", "all_changed_objects")
 FLOAT_EXACT_LIMIT = 2**53
-SETUP_CELLS = 1 << 16  # set-up scores columns in blocks of about this many cells
+SETUP_CELLS = 1 << 16  # set-up computes ``net`` in blocks of about this many cells
 
 
 @dataclass(frozen=True)
@@ -191,10 +190,11 @@ def action_from_dict(payload: dict):
 def replay_schedule(x_old, schedule) -> np.ndarray:
     """Re-apply a schedule to a placement; raises if any step is inconsistent.
 
-    Every server, source and object id must be a whole number indexing
-    ``x_old``: a negative id is refused, not read from the end.
+    ``x_old`` must hold only 0 and 1.  Every server, source and object id
+    must be a whole number indexing ``x_old``: a negative id is refused, not
+    read from the end.
     """
-    x = np.array(x_old, dtype=np.int8)
+    x = np.array(_binary(x_old, "placement"), dtype=np.int8)
 
     def index(value, axis: int) -> int:
         i = _whole(value, "schedule id")
@@ -275,8 +275,8 @@ class _GreedyEngine:
         self.on_commit = on_commit
         self.on_mutation = on_mutation
         m, n = self.st.d.shape
-        self.delta = np.zeros((m, n), dtype=np.int64)  # 0 in columns at the replica cap
-        self._live = np.zeros(n, dtype=bool)  # column k holds a positive score
+        self.net = np.zeros((m, n), dtype=np.int64)  # positive only where eligible
+        self._live = np.zeros(n, dtype=bool)  # column k holds a positive net saving
         width = max(1, SETUP_CELLS // m)
         for start in range(0, n, width):
             self._columns(np.arange(start, min(start + width, n)))
@@ -301,12 +301,10 @@ class _GreedyEngine:
 
         The window's M x len(cs) score matrix is kept across commits: a new
         window is scored whole, and a commit re-scores what it changed (see
-        ``_invalidate``).  A candidate that fits holds its exact score: its
-        net saving ``raw`` (access saving minus transfer bytes), times the
-        target server's ``weight``.  A candidate that needs
-        space holds its eviction-free value as an upper bound and is marked
-        pending: eviction damage is never negative, and a blocked candidate
-        scores 0.
+        ``_invalidate``).  A candidate that fits holds its exact score,
+        ``net`` times its server's ``weight``.  A candidate that needs space
+        holds that value as an upper bound and is marked pending: eviction
+        damage is never negative, and a blocked candidate scores 0.
 
         The first argmax of the matrix wins.  It is read from each row's
         maximum and first column holding it, ``_row_best`` and ``_row_arg``,
@@ -337,36 +335,37 @@ class _GreedyEngine:
         """Scores and pending mask of the block ``rows`` x ``cols``.
 
         One of the two is a slice and the other a slice or an index list.
-        Ineligible candidates (held, at the replica cap, not saving anything,
-        or vetoed by literal availability) score 0.
+        A candidate with a positive ``net`` scores ``net`` times its
+        server's ``weight`` and is pending if its server lacks the space;
+        every other candidate scores 0.
+        """
+        net, sz = self.net[rows, cols], self.st.objects.sizes[cols]
+        eligible = net > 0
+        scores = np.where(eligible, net * self.weight[rows, None], 0)
+        return scores, eligible & (self.st.free[rows, None] < sz)
+
+    def _columns(self, cols: np.ndarray) -> None:
+        """Recompute ``net`` and ``_live`` of the columns ``cols``.
+
+        This is the one eligibility rule.  ``net`` is the access saving
+        ``_delta`` minus the transfer bytes ``size * d``, and is 0 in
+        columns at the replica cap, where ``_delta`` does not run, and
+        where literal availability vetoes the add.  A held cell is never
+        positive: there ``d[:, k] <= l[:, i]``, so it saves nothing.
         """
         st = self.st
-        sz = st.objects.sizes[cols]
-        raw = self.delta[rows, cols] - sz * st.d[rows, cols]
-        eligible = (st.x[rows, cols] == 0) & (raw > 0) & (st.replica_counts[cols] < self.cap_val)
+        below = cols[st.replica_counts[cols] < self.cap_val]
+        net = _delta(st, below)
+        net -= st.objects.sizes[below] * st.d[:, below]  # in place: one M x W array fewer
         if self.use_factor and self.cfg.availability_semantics == "literal":
             # Literal availability shrinks with every added replica, so the
             # admission check can veto candidates outright.
-            prods = costs._availability(st.x[:, cols] == 1, st.servers.failure_probs, "literal")
-            eligible &= prods * self.weight[rows, None] >= prods - self.tol
-        if not eligible.any():  # common for the columns a commit touched
-            return np.zeros(raw.shape, self.weight.dtype), eligible
-        values = raw * self.weight[rows, None]
-        return np.where(eligible, values, 0), eligible & (st.free[rows, None] < sz)
-
-    def _columns(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Recompute ``delta`` and ``_live`` of the ascending columns ``cols``; return their scores.
-
-        ``delta`` runs only on the columns below the replica cap and is 0 at
-        the cap, where ``_score`` masks every candidate as ineligible.
-        """
-        st = self.st
-        below = st.replica_counts[cols] < self.cap_val
-        self.delta[:, cols[~below]] = 0
-        self.delta[:, cols[below]] = _delta(st, cols[below])
-        scores, pending = self._score(slice(None), cols)
-        self._live[cols] = (scores > 0).any(axis=0)
-        return scores, pending
+            prods = costs._availability(st.x[:, below] == 1, st.servers.failure_probs, "literal")
+            net[prods * self.weight[:, None] < prods - self.tol] = 0
+        self.net[:, cols] = 0
+        self.net[:, below] = net
+        self._live[cols] = False
+        self._live[below] = (net > 0).any(axis=0)
 
     def _resolve(self, i: int) -> None:
         """Replace server i's pending bounds in the window by exact scores; refresh its maximum.
@@ -374,7 +373,7 @@ class _GreedyEngine:
         Each candidate evicts the shortest prefix of i's evictable replicas
         (sorted by (damage, object)) whose sizes cover the shortfall: a
         binary search on the prefix sums of sizes finds it, the prefix sum of
-        damages is its damage, and the score is ``raw - damage`` times
+        damages is its damage, and the score is ``net - damage`` times
         ``weight[i]``.  It scores 0 when no prefix frees enough space or,
         under the ``all_changed_objects`` scope, when an evictee in the
         prefix would lose availability.
@@ -385,8 +384,8 @@ class _GreedyEngine:
         sz = st.objects.sizes[ks]
         ev = self._evictable(i)
         t = np.searchsorted(ev.cum_size, sz - st.free[i])
-        net = (self.delta[i, ks] - sz * st.d[i, ks] - ev.cum_damage[t]) * self.weight[i]
-        self._scores[i, local] = np.where(ev.blocked[t], 0, net)
+        scores = (self.net[i, ks] - ev.cum_damage[t]) * self.weight[i]
+        self._scores[i, local] = np.where(ev.blocked[t], 0, scores)
         self._pending[i, local] = False
         self._refresh([i])
 
@@ -445,25 +444,23 @@ class _GreedyEngine:
 
         ``touched`` holds the added object and the evicted ones.  Their
         columns' nearest index, placement and replica counts changed, so
-        ``_columns`` recomputes their ``delta`` (0 at the replica cap) and
-        scores them once all of the commit's mutations are done; those
-        scores set their ``_live`` entries, evictees outside the window
-        included.  An evictable entry's damage and availability flag depend
-        only on its own column, so only the cached servers holding a touched
-        column have entries to redo.  Each such list drops its touched
-        entries, appends their new ones (1 to 3) and goes back through
-        ``_store``, so it keeps the (damage, object) order a first build
-        gives.
+        once all of the commit's mutations are done ``_columns`` recomputes
+        their ``net`` and ``_live``, evictees outside the window included,
+        and the window's touched columns are scored again.  An evictable
+        entry's damage and availability flag depend only on its own column,
+        so only the cached servers holding a touched column have entries to
+        redo.  Each such list drops its touched entries, appends their new
+        ones (1 to 3) and goes back through ``_store``, so it keeps the
+        (damage, object) order a first build gives.
 
-        The window's touched columns take those scores.  The rows of i
-        (whose free space changed) and of every server whose evictable list
-        was just updated are scored again: only those rows can hold resolved
-        scores priced with the old damages.  Any other row's untouched
-        columns depend on nothing that changed.  The rows are skipped when
-        the columns cover the whole window.  A row's best is recomputed if
-        the row was re-scored or its best column was; any other row keeps
-        its best unless a re-scored column beats it, the lower column
-        winning a tie.
+        The rows of i (whose free space changed) and of every server whose
+        evictable list was just updated are scored again: only those rows
+        can hold resolved scores priced with the old damages.  Any other
+        row's untouched columns depend on nothing that changed.  The rows
+        are skipped when the columns cover the whole window.  A row's best
+        is recomputed if the row was re-scored or its best column was; any
+        other row keeps its best unless a re-scored column beats it, the
+        lower column winning a tie.
         """
         rows = {i}
         for j in np.flatnonzero(self.st.x[:, touched].any(axis=1)).tolist():
@@ -475,11 +472,12 @@ class _GreedyEngine:
                              for a, b in zip(ev[:3], self._entries(j, touched))))
             rows.add(j)
         cols = np.sort(touched)
-        scores, pending = self._columns(cols)
+        self._columns(cols)
         cs = self._window  # holds the added object, so ``cols`` is never empty
-        inside = (cs.start <= cols) & (cols < cs.stop)
-        cols = cols[inside] - cs.start
-        self._scores[:, cols], self._pending[:, cols] = scores[:, inside], pending[:, inside]
+        cols = cols[(cs.start <= cols) & (cols < cs.stop)]
+        scores = self._score(slice(None), cols)
+        cols -= cs.start
+        self._scores[:, cols], self._pending[:, cols] = scores
         if cols.size == cs.stop - cs.start:
             self._refresh(slice(None))
             return
@@ -518,10 +516,9 @@ class _GreedyEngine:
             self.schedule.append(Evict(i, kk))
             if self.on_mutation:
                 self.on_mutation(st)
-        gain = int(self.delta[i, k])
+        net = int(self.net[i, k]) - damage
         source = int(st.n[i, k])
         tcost = size * int(st.d[i, k])
-        net = gain - damage - tcost
         benefit = net * self.weight[i].item()
         if benefit != score:
             raise RuntimeError("committed flip diverged from its score")
@@ -539,7 +536,7 @@ class _GreedyEngine:
         bad = validate_placement(st.x, st.servers, st.objects, rows=[i], cols=[k, *evicted])
         if bad:
             raise RuntimeError(f"commit produced an invalid placement: {bad[0].detail}")
-        c_after = c_before - (gain - damage)
+        c_after = c_before - (net + tcost)
         step = StepStat(i, k, c_before, c_after, tcost, benefit)
         self.steps.append(step)
         self.c = c_after

@@ -23,8 +23,8 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .topology import (INT64_LIMIT, CostMatrix, _integral, _read_json, _whole,
-                       _write_json)
+from .topology import (INT64_LIMIT, CostMatrix, _array, _binary, _integral, _read_json,
+                       _whole, _write_json)
 
 
 def _traffic(values, m: int, n: int) -> np.ndarray:
@@ -184,7 +184,7 @@ def validate_placement(x, servers: ServerCatalog, objects: ObjectCatalog, *,
     column: a server's load and an object's primary bit move only with
     their own row or column.
     """
-    x = np.asarray(x)
+    x = _array(x, "placement")
     m, n = servers.count, objects.count
     if x.shape != (m, n):
         raise StructuralError(f"placement must be {m}x{n}, got {x.shape}")
@@ -274,10 +274,7 @@ class PlacementState:
             raise ParameterError("link costs must be non-negative")
         r = _traffic(traffic, servers.count, objects.count)
         _check_headroom(cost.l, objects.sizes, r, INT64_LIMIT)
-        x = _integral(x, "placement")
-        # Whole numbers in [0, 1]; the int8 cast below would keep -1 and 2.
-        if x.min(initial=0) < 0 or x.max(initial=0) > 1:
-            raise ParameterError("placement entries must be 0 or 1")
+        x = _binary(x, "placement")
         violations = validate_placement(x, servers, objects)
         if violations:
             raise ConstraintError(

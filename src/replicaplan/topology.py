@@ -55,6 +55,19 @@ def _integral(values, what: str) -> np.ndarray:
     return raw
 
 
+def _binary(values, what: str) -> np.ndarray:
+    """``values`` as a matrix of 0s and 1s, such as a placement.
+
+    Checked before any int8 cast, which would keep -1 and 2.
+    """
+    raw = _integral(values, what)
+    if raw.ndim != 2:
+        raise StructuralError(f"{what} must be a matrix, got shape {raw.shape}")
+    if raw.min(initial=0) < 0 or raw.max(initial=0) > 1:
+        raise ParameterError(f"{what} entries must be 0 or 1")
+    return raw
+
+
 def _whole(value, what: str, error=StructuralError) -> int:
     """``value`` as an int; refuses bools, strings and fractional or non-finite floats.
 

@@ -186,6 +186,23 @@ class TestAvailability:
         with pytest.raises(StructuralError):
             availability_per_object(x, probs)
 
+    @pytest.mark.parametrize("x", [[[2, 0], [0, 1]], [[1, -1], [0, 1]]])
+    def test_placement_entries_must_be_0_or_1(self, x):
+        # A 2 used to count as a replica.
+        with pytest.raises(ParameterError, match="placement"):
+            availability_per_object(x, [0.1, 0.5])
+
+    @pytest.mark.parametrize("replicators", [
+        [-1],   # used to read server 1 through a negative index
+        [2],    # used to raise IndexError
+        [0.7],  # used to read server 0
+        [True],
+        [0, "1"],
+    ])
+    def test_replicator_ids_must_index_a_server(self, replicators):
+        with pytest.raises(StructuralError):
+            replicator_availability([0.1, 0.5], replicators)
+
     @given(seed=st.integers(0, 10_000))
     @example(seed=0)  # the micro placement with one extra replica
     @settings(max_examples=60, deadline=None)

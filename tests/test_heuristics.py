@@ -200,6 +200,20 @@ class TestReplay:
         with pytest.raises(ParameterError, match="unknown schedule action"):
             replay_schedule(self.X_OLD, [("add", 1, 0)])
 
+    @pytest.mark.parametrize("x_old", [
+        [[1.7, 0.2], [0, 1]],  # used to replay as [[1, 0], [0, 1]]
+        [[2, 0], [0, 1]],
+        [[1, -1], [0, 1]],
+    ])
+    def test_x_old_entries_must_be_0_or_1(self, x_old):
+        with pytest.raises(ParameterError, match="placement"):
+            replay_schedule(x_old, [])
+
+    def test_ragged_x_old_is_structural(self):
+        # Used to raise numpy's untyped ValueError.
+        with pytest.raises(StructuralError, match="rectangular"):
+            replay_schedule([[1, 0], [1]], [])
+
     def test_valid_schedule(self):
         x = replay_schedule(self.X_OLD, [Add(1, 0, 0, 2), Evict(1, 0), Add(1, 1, 2, 3)])
         assert x.tolist() == [[1, 0], [0, 1], [0, 1]]
@@ -546,6 +560,48 @@ def assert_row_maxima(engine):
     assert np.array_equal(engine._row_arg, engine._scores.argmax(axis=1))
 
 
+def checked_window_run(algorithm: str, scope: str, semantics: str, kind: str, seed: int):
+    """Run a global planner, checking its cached window against a fresh engine after every commit.
+
+    The ``net`` matrices and the winning flips are equal, every settled
+    cached score equals the exact score, and every pending bound is at
+    least the exact score.  After every commit and every ``_resolve``
+    each row's cached best and its column are the row's first maximum
+    and argmax.  Under literal availability, half the servers of a random
+    instance are made perfect, so that the veto admits some adds and
+    refuses others.
+    """
+    rng = random.Random(seed)
+    l, capacities, f, sizes, primaries, traffic, x = drawn_instance(kind, rng)
+    if semantics == "literal" and kind == "random":
+        f = [0.0 if rng.random() < 0.5 else p for p in f]
+    state = make_state(l, capacities, f, sizes, primaries, traffic, x=x)
+    config = SolverConfig(algorithm=algorithm, availability_scope=scope,
+                          availability_semantics=semantics)
+    engine = _GreedyEngine(state, config)
+    resolve = engine._resolve
+
+    def checked_resolve(i):
+        resolve(i)
+        assert_row_maxima(engine)
+
+    engine._resolve = checked_resolve
+    window = slice(0, state.objects.count)
+    plan = engine._sweep(window)
+    while plan is not None:
+        engine._commit(*plan)
+        assert_row_maxima(engine)
+        plan = engine._sweep(window)
+        fresh = _GreedyEngine(engine.st, config)
+        assert np.array_equal(engine.net, fresh.net)
+        assert plan == fresh._sweep(window)
+        for i in np.flatnonzero(fresh._pending.any(axis=1)):
+            fresh._resolve(int(i))
+        settled = ~engine._pending
+        assert np.array_equal(engine._scores[settled], fresh._scores[settled])
+        assert (engine._scores[~settled] >= fresh._scores[~settled]).all()
+
+
 class TestSweepCache:
     @pytest.mark.parametrize("kind", ["random", "ties"])
     @pytest.mark.parametrize("scope", SCOPES)
@@ -558,59 +614,43 @@ class TestSweepCache:
     def test_next_plan_matches_fresh_engine(self, algorithm, scope, kind, seed):
         """After every commit the cached window agrees with a fresh engine's sweep.
 
-        The ``delta`` matrices and the winning flips are equal, every settled
-        cached score equals the exact score, and every pending bound is at
-        least the exact score.  After every commit and every ``_resolve``
-        each row's cached best and its column are the row's first maximum
-        and argmax.  The pinned seeds catch a commit that leaves a holder
-        row whose evictable list it rebuilt, or the evicted columns, out of
-        its re-scoring, which random draws often miss.
+        The pinned seeds catch a commit that leaves a holder row whose
+        evictable list it rebuilt, or the evicted columns, out of its
+        re-scoring, which random draws often miss.
         """
-        rng = random.Random(seed)
-        l, capacities, f, sizes, primaries, traffic, x = drawn_instance(kind, rng)
-        state = make_state(l, capacities, f, sizes, primaries, traffic, x=x)
-        config = SolverConfig(algorithm=algorithm, availability_scope=scope)
-        engine = _GreedyEngine(state, config)
-        resolve = engine._resolve
+        checked_window_run(algorithm, scope, "corrected", kind, seed)
 
-        def checked_resolve(i):
-            resolve(i)
-            assert_row_maxima(engine)
-
-        engine._resolve = checked_resolve
-        window = slice(0, state.objects.count)
-        plan = engine._sweep(window)
-        while plan is not None:
-            engine._commit(*plan)
-            assert_row_maxima(engine)
-            plan = engine._sweep(window)
-            fresh = _GreedyEngine(engine.st, config)
-            assert np.array_equal(engine.delta, fresh.delta)
-            assert plan == fresh._sweep(window)
-            for i in np.flatnonzero(fresh._pending.any(axis=1)):
-                fresh._resolve(int(i))
-            settled = ~engine._pending
-            assert np.array_equal(engine._scores[settled], fresh._scores[settled])
-            assert (engine._scores[~settled] >= fresh._scores[~settled]).all()
+    @pytest.mark.parametrize("kind", ["random", "ties"])
+    @pytest.mark.parametrize("scope", SCOPES)
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_literal_veto_matches_fresh_engine(self, scope, kind, seed):
+        """The literal-availability veto, applied to the touched columns only, stays exact."""
+        checked_window_run("aagg", scope, "literal", kind, seed)
 
 
-def checked_column_run(algorithm: str, cap: int, seed: int) -> list:
+def checked_column_run(algorithm: str, cap: int, seed: int, semantics="corrected") -> list:
     """Run a one-column planner on a crowded start, checking its column caches after every commit.
 
     On entry to each commit and after it, ``_row_best`` and ``_row_arg``
     are each row's first maximum and argmax of the window's scores.  After
-    each commit, ``_live`` equals a fresh engine's, and ``delta`` equals
-    ``_delta`` in the columns below the replica cap and is 0 at the cap.
-    Returns the columns that an eviction dropped below the cap and
-    whose fresh ``delta`` is not all 0.
+    each commit, ``_live`` equals a fresh engine's, ``net`` equals
+    ``_delta - size * d`` in the columns below the replica cap, except
+    in the cells literal availability vetoes, and is 0 at the cap, and no
+    held cell is positive.  Under literal availability half the servers
+    are made perfect, so that the veto admits some adds.  Returns the
+    columns that an eviction dropped below the cap and whose fresh ``net``
+    is not all 0.
     """
     rng = random.Random(seed)
     l, capacities, f, sizes, primaries, traffic = random_instance(
         rng, m_max=5, n_max=6, slack_max=4)
     x = crowded_start(rng, capacities, sizes, primaries)
+    if semantics == "literal":
+        f = [0.0 if rng.random() < 0.5 else p for p in f]
     state = make_state(l, capacities, f, sizes, primaries, traffic, x=x)
     config = SolverConfig(algorithm=algorithm, max_replicas_per_object=cap,
-                          seed=rng.randrange(100))
+                          availability_semantics=semantics, seed=rng.randrange(100))
     engine = _GreedyEngine(state, config)
     commit, reopened = engine._commit, []
 
@@ -622,10 +662,16 @@ def checked_column_run(algorithm: str, cap: int, seed: int) -> list:
         st = engine.st
         below = st.replica_counts < cap
         assert np.array_equal(engine._live, _GreedyEngine(st, config)._live)
-        assert np.array_equal(engine.delta[:, below],
-                              heuristics._delta(st, np.flatnonzero(below)))
-        assert not engine.delta[:, ~below].any()
-        reopened.extend(np.flatnonzero(capped & below & engine.delta.any(axis=0)).tolist())
+        cols = np.flatnonzero(below)
+        net = heuristics._delta(st, cols) - st.objects.sizes[cols] * st.d[:, cols]
+        if semantics == "literal" and algorithm == "aagro":
+            for c, k in enumerate(cols):
+                held = brute_availability(np.flatnonzero(st.x[:, k]).tolist(), f, "literal")
+                net[[held * (1.0 - p) < held - TOL for p in f], c] = 0
+        assert np.array_equal(engine.net[:, below], net)
+        assert not engine.net[:, ~below].any()
+        assert (engine.net[st.x == 1] <= 0).all()
+        reopened.extend(np.flatnonzero(capped & below & engine.net.any(axis=0)).tolist())
 
     engine._commit = checked_commit
     engine.run()
@@ -633,7 +679,7 @@ def checked_column_run(algorithm: str, cap: int, seed: int) -> list:
 
 
 class TestColumnCaches:
-    """The one-column planners' liveness mask and capped ``delta`` columns stay exact."""
+    """The one-column planners' liveness mask and ``net`` columns stay exact."""
 
     @pytest.mark.parametrize("cap", [1, 2])
     @pytest.mark.parametrize("algorithm", ["aagro", "gro"])
@@ -642,6 +688,12 @@ class TestColumnCaches:
     @settings(max_examples=40, deadline=None)
     def test_live_and_delta_match_fresh_engine(self, algorithm, cap, seed):
         checked_column_run(algorithm, cap, seed)
+
+    @pytest.mark.parametrize("cap", [2, 3])  # at cap 1 every column of a start is capped
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_literal_veto_matches_definition(self, cap, seed):
+        checked_column_run("aagro", cap, seed, "literal")
 
     @pytest.mark.parametrize("algorithm", ["aagro", "gro"])
     def test_pinned_seed_reopens_a_capped_column(self, algorithm):
@@ -662,10 +714,10 @@ class TestSetupMemory:
     def test_peak_per_cell_is_bounded(self):
         """Engine set-up peaks below 45 bytes per server-object cell.
 
-        The state copy and ``delta`` keep about 25 bytes per cell and the
-        starting access-cost sum briefly adds 16.  Scoring all 8,000 columns
-        at once to build ``_live``, or running ``_delta`` on all of them in
-        one call, peaks near 50.
+        The state copy and ``net`` keep about 25 bytes per cell and the
+        starting access-cost sum briefly adds 16.  Set-up scores no column;
+        computing ``net`` and ``_live`` of all 8,000 columns in one call,
+        not in blocks, peaks near 50.
         """
         m, n = 40, 8_000
         rng = np.random.default_rng(0)

@@ -181,6 +181,11 @@ class TestValidatePlacement:
         with pytest.raises(StructuralError):
             validate_placement(np.zeros((2, 2)), micro.servers, micro.objects)
 
+    def test_ragged_placement_is_structural(self, micro):
+        # Used to raise numpy's untyped ValueError.
+        with pytest.raises(StructuralError, match="rectangular"):
+            validate_placement([[1, 0], [1], [0, 1]], micro.servers, micro.objects)
+
     # Servers 0 and 1 over capacity, object 1 off its primary server 2.
     BROKEN = np.array([[1, 1], [0, 1], [0, 0]], dtype=np.int8)
 

@@ -24,10 +24,10 @@ cell where literal availability vetoes the add, and a held cell never saves
 anything, so a candidate is eligible exactly where ``net`` is positive.  One
 method, ``_columns``, writes it, for every column at set-up (in blocks) and
 for a commit's touched columns.  The access saving comes from one per-column
-kernel, :func:`_delta`, ``traffic[:, k] @ max(d[:, k, None] - l, 0)``, run
-only below the cap.  A score is ``net`` times the target server's
-``weight``: ``1 - f`` for the aware planners and int64 ones for the blind
-ones, whose scores so stay exact integers.
+kernel, :func:`_delta`, ``t @ d[:, k] - t @ min(d[:, k, None], l)`` with
+``t = traffic[:, k]``, run only below the cap.  A score is ``net`` times the
+target server's ``weight``: ``1 - f`` for the aware planners and int64 ones
+for the blind ones, whose scores so stay exact integers.
 
 Scores are kept exact and incremental, and a commit costs in proportion to
 what it changed.  The engine caches the score matrix of the column window it
@@ -36,12 +36,16 @@ from those M row maxima.  An eviction-needing candidate first holds its
 eviction-free score, an upper bound, and is scored exactly,
 ``(net - damage) * weight``, only when that bound reaches the top of the
 matrix.  A commit on server i that adds object k and evicts some objects
-re-scores, before it returns, the columns of k and the evictees and the rows
-of i and of every server whose cached evictable list holds one of those
-columns; a row's maximum is recomputed only if its row or its best column
-was re-scored.  Its placement check covers only row i and those columns.  A
-touched server's evictable list keeps its untouched entries, takes the
-touched ones afresh and is sorted again by the rule of its first build.
+re-scores, before it returns, the window's columns of k and the evictees.
+Elsewhere only the rows of i and of every server whose cached evictable
+list holds one of those columns can change, and in them only the cells
+whose object is larger than the row's free space before or after the
+commit.  A row without such a cell is left as it is; the others are
+re-scored whole.  A row's maximum is recomputed only if its row or its best
+column was re-scored.  The commit's placement check covers only row i and
+the touched columns.  A touched server's evictable list keeps its untouched
+entries, takes the touched ones afresh and is sorted again by the rule of
+its first build.
 
 Work whose result cannot change is skipped.  A column's ``net`` depends only
 on that column, so a column with no positive entry, marked in the bool mask
@@ -228,14 +232,17 @@ def _delta(state: PlacementState, cols) -> np.ndarray:
 
     ``cols`` is a slice or an index array.  Every server keeps its current
     nearest replicator unless the target server is cheaper, so column k of
-    the M x len(cols) int64 result is
-    ``traffic[:, k] @ max(d[:, k, None] - l, 0)``: one M x M gain matrix at
-    a time, summed exactly in int64 under the model's headroom check.
+    the M x len(cols) int64 result is ``t @ max(d[:, k, None] - l, 0)`` with
+    ``t = traffic[:, k]``, computed as ``t @ d[:, k] - t @ min(d[:, k, None], l)``
+    to build one M x M matrix per column, not two.  Both terms are at most
+    ``max(l) * sum(traffic)``, so the model's headroom check keeps them exact
+    in int64.
     """
     d, traffic = state.d[:, cols], state.traffic[:, cols]
     out = np.empty(d.shape, dtype=np.int64)
     for c in range(d.shape[1]):
-        out[:, c] = traffic[:, c] @ np.maximum(d[:, c, None] - state.l, 0)
+        t = traffic[:, c]
+        out[:, c] = t @ d[:, c] - t @ np.minimum(d[:, c, None], state.l)
     return out
 
 
@@ -291,6 +298,7 @@ class _GreedyEngine:
         self._window: slice | None = None
         self._scores: np.ndarray | None = None   # M x W; an upper bound where pending
         self._pending: np.ndarray | None = None  # bool M x W: eviction damage not yet scored
+        self._largest = 0  # the window's largest object size (W > 1 only)
         self._row_best = np.zeros(m, self.weight.dtype)  # each row's max
         self._row_arg = np.zeros(m, dtype=np.int64)  # its first column in the window
 
@@ -321,6 +329,8 @@ class _GreedyEngine:
             self._window = cs
             self._scores, self._pending = self._score(slice(None), cs)
             self._refresh(slice(None))
+            if cs.stop - cs.start > 1:  # a commit's touched column covers a one-column window
+                self._largest = int(self.st.objects.sizes[cs].max())
         while True:
             i = int(np.argmax(self._row_best))
             c = int(self._row_arg[i])
@@ -439,7 +449,7 @@ class _GreedyEngine:
         )
         return cached
 
-    def _invalidate(self, i: int, touched: np.ndarray) -> None:
+    def _invalidate(self, i: int, touched: np.ndarray, free_before: int) -> None:
         """Bring the caches up to date after a commit on server i.
 
         ``touched`` holds the added object and the evicted ones.  Their
@@ -453,14 +463,22 @@ class _GreedyEngine:
         ones (1 to 3) and goes back through ``_store``, so it keeps the
         (damage, object) order a first build gives.
 
-        The rows of i (whose free space changed) and of every server whose
-        evictable list was just updated are scored again: only those rows
-        can hold resolved scores priced with the old damages.  Any other
-        row's untouched columns depend on nothing that changed.  The rows
-        are skipped when the columns cover the whole window.  A row's best
-        is recomputed if the row was re-scored or its best column was; any
-        other row keeps its best unless a re-scored column beats it, the
-        lower column winning a tie.
+        Outside the touched columns ``net`` and ``weight`` did not change,
+        so a cell's score or pending flag can change only in the row of i,
+        whose free space changed, and in the rows of the servers whose
+        evictable lists were just updated, whose resolved scores were priced
+        with the old damages.  In those rows only a cell whose object is
+        larger than the row's limit can change: the smaller of i's free
+        space before (``free_before``) and after the commit, and a holder's
+        free space, which did not change.  A smaller object fits before and
+        after, so its cell holds ``net`` times ``weight`` and is not pending.
+        A row whose limit reaches the window's largest object has no such
+        cell and is left as it is; the others are re-scored whole.  Nothing
+        more is re-scored when the touched columns cover the window.
+
+        A row's best is recomputed if the row was re-scored or its best
+        column was; any other row keeps its best unless a re-scored column
+        beats it, the lower column winning a tie.
         """
         rows = {i}
         for j in np.flatnonzero(self.st.x[:, touched].any(axis=1)).tolist():
@@ -481,8 +499,12 @@ class _GreedyEngine:
         if cols.size == cs.stop - cs.start:
             self._refresh(slice(None))
             return
-        rows = sorted(rows)
-        self._scores[rows], self._pending[rows] = self._score(rows, cs)
+        rows = np.array(sorted(rows))
+        limits = self.st.free[rows]
+        limits[rows == i] = min(free_before, int(self.st.free[i]))
+        rows = rows[limits < self._largest]  # else every window object fits, before and after
+        if rows.size:
+            self._scores[rows], self._pending[rows] = self._score(rows, cs)
         stale = (self._row_arg[:, None] == cols).any(axis=1)
         stale[rows] = True
         block = self._scores[:, cols]
@@ -503,8 +525,8 @@ class _GreedyEngine:
         """
         st = self.st
         c_before = self.c
-        size = int(st.objects.sizes[k])
-        needed = size - int(st.free[i])
+        size, free_before = int(st.objects.sizes[k]), int(st.free[i])
+        needed = size - free_before
         evicted, damage = (), 0
         if needed > 0:
             ev = self._evictable(i)
@@ -540,7 +562,7 @@ class _GreedyEngine:
         step = StepStat(i, k, c_before, c_after, tcost, benefit)
         self.steps.append(step)
         self.c = c_after
-        self._invalidate(i, np.array([k, *evicted], dtype=np.int64))
+        self._invalidate(i, np.array([k, *evicted], dtype=np.int64), free_before)
         if self.on_commit:
             self.on_commit(st, step)
 

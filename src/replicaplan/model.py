@@ -337,10 +337,10 @@ class PlacementState:
 def save_placement(x, path) -> None:
     """Write placement as {"objects": [{"id", "replicators"}, ...]}, ids ascending."""
     x = np.asarray(x)
-    objects = [
-        {"id": int(k), "replicators": [int(i) for i in np.flatnonzero(x[:, k])]}
-        for k in range(x.shape[1])
-    ]
+    servers = np.nonzero(x.T)[1].tolist()  # grouped by object, ascending within each
+    ends = np.cumsum(np.count_nonzero(x, axis=0)).tolist()
+    objects = [{"id": k, "replicators": servers[start:end]}
+               for k, (start, end) in enumerate(zip([0, *ends], ends))]
     _write_json(path, {"objects": objects})
 
 

@@ -509,6 +509,48 @@ def drawn_instance(kind: str, rng: random.Random):
     return l, capacities, f, sizes, primaries, traffic, x
 
 
+def delta_by_definition(state, cols) -> list:
+    """``_delta``'s M x len(cols) savings as Python ints: ``sum_j traffic * max(d - l, 0)``."""
+    t, d, l = state.traffic.tolist(), state.d.tolist(), state.l.tolist()
+    m = len(l)
+    return [[sum(t[j][k] * max(d[j][k] - l[j][i], 0) for j in range(m)) for k in cols]
+            for i in range(m)]
+
+
+class TestDeltaKernel:
+    """``_delta`` is exact, whatever form its int64 kernel takes."""
+
+    @pytest.mark.parametrize("kind", ["random", "ties"])
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_definition(self, kind, seed):
+        rng = random.Random(seed)
+        l, capacities, f, sizes, primaries, traffic, x = drawn_instance(kind, rng)
+        state = make_state(l, capacities, f, sizes, primaries, traffic, x=x)
+        n = state.objects.count
+        cols = np.array(sorted(rng.sample(range(n), rng.randint(1, n))))
+        got = heuristics._delta(state, cols)
+        assert got.dtype == np.int64
+        assert got.tolist() == delta_by_definition(state, cols.tolist())
+        whole = heuristics._delta(state, slice(0, n))
+        assert whole.tolist() == delta_by_definition(state, range(n))
+
+    def test_exact_just_below_int64_headroom(self):
+        """max(l) x total traffic is 2**63 - 2**21: each term of the kernel still fits in int64."""
+        unit = 2**20
+        l = [[0, unit, 2 * unit], [unit, 0, unit], [2 * unit, unit, 0]]
+        total = 2**42 - 1
+        traffic = [[0, 0], [total // 2 - 5, 2], [total - total // 2, 3]]
+        args = (l, [10, 10, 10], [0.1] * 3, [1, 1], [0, 0])
+        with pytest.raises(ParameterError, match=r"2\*\*63"):
+            make_state(*args, [[1, 0], *traffic[1:]])
+        state = make_state(*args, traffic)
+        got = heuristics._delta(state, np.arange(2))
+        assert got.tolist() == delta_by_definition(state, [0, 1])
+        result = solve(state, GG)
+        assert result.c_new == brute_total_cost(result.x_new.tolist(), traffic, l)
+
+
 class TestAgainstReferenceOnTies:
     @pytest.mark.parametrize("scope", SCOPES)
     @pytest.mark.parametrize("algorithm", ["aagg", "aagro", "gg", "gro"])
@@ -560,16 +602,35 @@ def assert_row_maxima(engine):
     assert np.array_equal(engine._row_arg, engine._scores.argmax(axis=1))
 
 
+def window_matches_fresh(engine, window: slice):
+    """Check the engine's cached window against a fresh engine's; return the fresh engine's plan.
+
+    The ``net`` matrices are equal, every pending cell is pending in a
+    fresh engine (its object exceeds its server's free space) and holds the
+    fresh engine's bound, and every settled score equals the exact score.
+    """
+    fresh = _GreedyEngine(engine.st, engine.cfg)
+    assert np.array_equal(engine.net, fresh.net)
+    plan = fresh._sweep(window)
+    bound, needs_space = fresh._score(slice(None), window)
+    for i in np.flatnonzero(fresh._pending.any(axis=1)):
+        fresh._resolve(int(i))
+    pending = engine._pending
+    assert not (pending & ~needs_space).any()
+    assert np.array_equal(engine._scores[pending], bound[pending])
+    assert np.array_equal(engine._scores[~pending], fresh._scores[~pending])
+    return plan
+
+
 def checked_window_run(algorithm: str, scope: str, semantics: str, kind: str, seed: int):
     """Run a global planner, checking its cached window against a fresh engine after every commit.
 
-    The ``net`` matrices and the winning flips are equal, every settled
-    cached score equals the exact score, and every pending bound is at
-    least the exact score.  After every commit and every ``_resolve``
-    each row's cached best and its column are the row's first maximum
-    and argmax.  Under literal availability, half the servers of a random
-    instance are made perfect, so that the veto admits some adds and
-    refuses others.
+    Once the next sweep is done, its flip is the fresh engine's and the
+    window passes ``window_matches_fresh``.  After every commit and every
+    ``_resolve`` each row's cached best and its column are the row's first
+    maximum and argmax.  Under literal availability, half the servers of a
+    random instance are made perfect, so that the veto admits some adds
+    and refuses others.
     """
     rng = random.Random(seed)
     l, capacities, f, sizes, primaries, traffic, x = drawn_instance(kind, rng)
@@ -592,14 +653,7 @@ def checked_window_run(algorithm: str, scope: str, semantics: str, kind: str, se
         engine._commit(*plan)
         assert_row_maxima(engine)
         plan = engine._sweep(window)
-        fresh = _GreedyEngine(engine.st, config)
-        assert np.array_equal(engine.net, fresh.net)
-        assert plan == fresh._sweep(window)
-        for i in np.flatnonzero(fresh._pending.any(axis=1)):
-            fresh._resolve(int(i))
-        settled = ~engine._pending
-        assert np.array_equal(engine._scores[settled], fresh._scores[settled])
-        assert (engine._scores[~settled] >= fresh._scores[~settled]).all()
+        assert plan == window_matches_fresh(engine, window)
 
 
 class TestSweepCache:
@@ -629,7 +683,82 @@ class TestSweepCache:
         checked_window_run("aagg", scope, "literal", kind, seed)
 
 
-def checked_column_run(algorithm: str, cap: int, seed: int, semantics="corrected") -> list:
+REGIMES = ("unbounded", "fill", "evict")
+
+
+def checked_limit_run(algorithm: str, regime: str, seed: int) -> tuple[int, int]:
+    """Run a global planner, checking its cached window against a fresh engine after every commit.
+
+    Three objects in four are small (1 or 2 bytes) and the others large
+    (8 or 12), so a row's limit sometimes reaches the window's largest
+    object and sometimes falls below most of the window.  The storage
+    regimes: ``unbounded`` gives every server room for the whole catalog
+    twice, so every object always fits and no row is re-scored; ``fill``
+    starts from the primaries with up to 20 bytes of slack, so commits
+    fill servers; ``evict`` starts crowded, numbers the objects in size
+    order and sweeps only the first 2 to n columns, so evicting a larger
+    object outside the window can leave the server room for every window
+    object, which it lacked before.  (When the window holds every object,
+    an eviction frees less than its last evictee's size beyond what the
+    add needs, so it never does.)  Right after every commit, before a
+    sweep resolves anything, the window passes ``window_matches_fresh``
+    and each row's cached best and its column are the row's first maximum
+    and argmax.  Returns how many commits took the server's free space
+    from at least the window's largest object to below it, and how many
+    took it from below to at least.
+    """
+    rng = random.Random(seed)
+    m, n = rng.randint(2, 5), rng.randint(4, 16)
+    l = dijkstra_matrix(m, random_connected_graph(rng, m, cost_max=2))
+    sizes = [rng.choice([1, 2]) if rng.random() < 0.75 else rng.choice([8, 12]) for _ in range(n)]
+    if regime == "evict":
+        sizes.sort()
+    primaries = [rng.randrange(m) for _ in range(n)]
+    loads = [sum(size for size, p in zip(sizes, primaries) if p == i) for i in range(m)]
+    slack = [2 * sum(sizes) if regime == "unbounded" else rng.randint(0, 20) for _ in range(m)]
+    capacities = [max(load, 1) + extra for load, extra in zip(loads, slack)]
+    f = [round(rng.uniform(0.0, 0.6), 3) for _ in range(m)]
+    traffic = [[rng.choice([0, 3, 6]) for _ in range(n)] for _ in range(m)]
+    x = crowded_start(rng, capacities, sizes, primaries) if regime == "evict" else None
+    state = make_state(l, capacities, f, sizes, primaries, traffic, x=x)
+    engine = _GreedyEngine(state, SolverConfig(algorithm=algorithm))
+    window = slice(0, rng.randint(2, n) if regime == "evict" else n)
+    largest = state.objects.sizes[window].max()
+    fills = rises = 0
+    while (plan := engine._sweep(window)) is not None:
+        i = plan[0]
+        before = int(engine.st.free[i])
+        engine._commit(*plan)
+        after = int(engine.st.free[i])
+        fills += after < largest <= before
+        rises += before < largest <= after
+        assert_row_maxima(engine)
+        window_matches_fresh(engine, window)
+        if regime == "unbounded":
+            assert engine.st.free.min() >= state.objects.sizes.max()
+    return fills, rises
+
+
+class TestRescoredSuffix:
+    """A commit re-scores only the rows with a cell whose object exceeds the row's limit."""
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("algorithm", ["aagg", "gg"])
+    @given(seed=st.integers(0, 10_000))
+    @example(seed=9).via("limit is the free space before the commit alone")  # fill
+    @example(seed=27).via("limit is the free space after the commit alone")  # evict
+    @settings(max_examples=40, deadline=None)
+    def test_window_matches_fresh_engine(self, algorithm, regime, seed):
+        checked_limit_run(algorithm, regime, seed)
+
+    @pytest.mark.parametrize("algorithm", ["aagg", "gg"])
+    def test_pinned_seeds_exercise_both_limits(self, algorithm):
+        """Seed 9 fills a server below the window's largest object; seed 27 frees one up to it."""
+        assert checked_limit_run(algorithm, "fill", 9)[0]
+        assert checked_limit_run(algorithm, "evict", 27)[1]
+
+
+def checked_column_run(algorithm: str, cap: int, seed: int, semantics="corrected") -> tuple:
     """Run a one-column planner on a crowded start, checking its column caches after every commit.
 
     On entry to each commit and after it, ``_row_best`` and ``_row_arg``
@@ -639,8 +768,8 @@ def checked_column_run(algorithm: str, cap: int, seed: int, semantics="corrected
     in the cells literal availability vetoes, and is 0 at the cap, and no
     held cell is positive.  Under literal availability half the servers
     are made perfect, so that the veto admits some adds.  Returns the
-    columns that an eviction dropped below the cap and whose fresh ``net``
-    is not all 0.
+    engine, whose ``steps`` count the commits, and the columns that an
+    eviction dropped below the cap and whose fresh ``net`` is not all 0.
     """
     rng = random.Random(seed)
     l, capacities, f, sizes, primaries, traffic = random_instance(
@@ -675,7 +804,29 @@ def checked_column_run(algorithm: str, cap: int, seed: int, semantics="corrected
 
     engine._commit = checked_commit
     engine.run()
-    return reopened
+    return engine, reopened
+
+
+def checked_column_runs(algorithm: str, cap: int, semantics="corrected") -> None:
+    """``checked_column_run`` over drawn seeds and seed 9; asserts what the runs exercised.
+
+    At cap 1 a crowded start has every column capped (it keeps every
+    primary), so no column is live and no run commits.  Above cap 1 the
+    runs commit, seed 9 among them.
+    """
+    commits = []
+
+    @given(seed=st.integers(0, 10_000))
+    @example(seed=9).via("eviction reopens a capped column")
+    @settings(max_examples=40, deadline=None)
+    def run(seed):
+        engine, _ = checked_column_run(algorithm, cap, seed, semantics)
+        if cap == 1:
+            assert not engine._live.any() and not engine.steps
+        commits.append(len(engine.steps))
+
+    run()
+    assert (sum(commits) > 0) == (cap > 1)
 
 
 class TestColumnCaches:
@@ -683,22 +834,17 @@ class TestColumnCaches:
 
     @pytest.mark.parametrize("cap", [1, 2])
     @pytest.mark.parametrize("algorithm", ["aagro", "gro"])
-    @given(seed=st.integers(0, 10_000))
-    @example(seed=9).via("eviction reopens a capped column")
-    @settings(max_examples=40, deadline=None)
-    def test_live_and_delta_match_fresh_engine(self, algorithm, cap, seed):
-        checked_column_run(algorithm, cap, seed)
+    def test_live_and_delta_match_fresh_engine(self, algorithm, cap):
+        checked_column_runs(algorithm, cap)
 
     @pytest.mark.parametrize("cap", [2, 3])  # at cap 1 every column of a start is capped
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_literal_veto_matches_definition(self, cap, seed):
-        checked_column_run("aagro", cap, seed, "literal")
+    def test_literal_veto_matches_definition(self, cap):
+        checked_column_runs("aagro", cap, "literal")
 
     @pytest.mark.parametrize("algorithm", ["aagro", "gro"])
     def test_pinned_seed_reopens_a_capped_column(self, algorithm):
         """Seed 9 keeps exercising the column an eviction drops below the cap."""
-        assert checked_column_run(algorithm, 2, 9)
+        assert checked_column_run(algorithm, 2, 9)[1]
 
     def test_dead_windows_are_not_swept(self, micro):
         """A window with no positive score counts one iteration without a sweep."""

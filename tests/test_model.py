@@ -426,6 +426,21 @@ class TestPlacementFiles:
         again = load_placement(path, 3, 2)
         assert (again == state.x).all()
 
+    @pytest.mark.parametrize("x", [
+        *(np.random.default_rng(seed).integers(0, 2, (m, n)).astype(np.int8)
+          for seed, (m, n) in enumerate([(1, 1), (3, 7), (6, 40), (12, 300)])),
+        np.array([[1, 0, 1], [1, 0, 0]], dtype=np.int8),  # object 1 has no replicator
+        np.zeros((4, 0), dtype=np.int8),                   # no objects
+    ])
+    def test_bytes_match_per_object_listing(self, tmp_path, x):
+        """Each object's entry lists its replicators as a ``flatnonzero`` of its column does."""
+        objects = [{"id": int(k), "replicators": [int(i) for i in np.flatnonzero(x[:, k])]}
+                   for k in range(x.shape[1])]
+        want = json.dumps({"objects": objects}, sort_keys=True, separators=(",", ":")) + "\n"
+        path = tmp_path / "placement.json"
+        save_placement(x, path)
+        assert path.read_bytes() == want.encode()
+
     @pytest.mark.parametrize("entry", [{"id": 0.7, "replicators": [0]},
                                        {"id": 0, "replicators": [1.9]},
                                        {"id": 0, "replicators": [True]}])

@@ -13,7 +13,8 @@ penalizes every added replica; it is kept runnable for comparison studies.
 Every availability in the package comes from one kernel, ``_availability``,
 over a bool server x object matrix.  Its product runs down the server axis
 in ascending server order, so each value is the same float as the product
-over the sorted replicator ids.
+over the sorted replicator ids.  One comparison, ``_fell``, decides whether
+an availability fell: by more than :data:`AVAILABILITY_TOL`.
 """
 
 from __future__ import annotations
@@ -39,12 +40,24 @@ class CostReport:
 
 
 def total_access_cost(x, n, r, l) -> CostReport:
-    """Access cost of the whole placement, summed over servers and objects."""
-    x = np.asarray(x)
+    """Access cost of the whole placement, summed over servers and objects.
+
+    The placement ``x``, nearest index ``n`` and traffic ``r`` must share
+    one M x N shape, ``l`` must be M x M, and every id in ``n`` must name
+    a server.
+    """
+    x, n, r, l = (_array(a, what) for a, what in
+                  ((x, "placement"), (n, "nearest index"), (r, "traffic"), (l, "link costs")))
+    if x.ndim != 2 or n.shape != x.shape or r.shape != x.shape or l.shape != (len(x),) * 2:
+        raise StructuralError(f"placement, nearest index, traffic and link costs must be "
+                              f"M x N, M x N, M x N and M x M; got shapes "
+                              f"{x.shape}, {n.shape}, {r.shape} and {l.shape}")
+    m = len(x)
+    if n.size and not 0 <= n.min() <= n.max() < m:
+        raise StructuralError(f"nearest index names a server outside [0, {m})")
     if (x.sum(axis=0) == 0).any():
         missing = int(np.flatnonzero(x.sum(axis=0) == 0)[0])
         raise StructuralError(f"object {missing} has no replicator")
-    m = x.shape[0]
     dist = l[np.arange(m)[:, None], n]
     return CostReport(total=int((dist * r).sum(dtype=np.int64)))
 
@@ -60,6 +73,15 @@ def _failure_probs(values) -> np.ndarray:
     if not ((probs >= 0) & (probs < 1)).all():
         raise ParameterError("failure probabilities must lie in [0, 1)")
     return probs
+
+
+def _fell(after, before):
+    """Whether availability ``after`` lies more than the tolerance below ``before``.
+
+    The package's one comparison against :data:`AVAILABILITY_TOL`; both
+    sides broadcast as numpy arrays.
+    """
+    return after < before - AVAILABILITY_TOL
 
 
 def _availability(held, failure_probs, semantics: str) -> np.ndarray:

@@ -9,6 +9,15 @@ objects once in a seeded random order.  ``gg`` and ``gro`` are the
 availability-blind twins: same control flow and the same score, with every
 server's weight 1, and no availability admission check.
 
+The aware planners refuse a flip that would lower an availability.  One
+comparison, ``costs._fell``, decides it, between an object's availability
+over the sorted replicator ids with the flip and without it.  The engine
+applies it in two places and nowhere else: under ``literal`` semantics
+``_columns`` vetoes each add it refuses (under ``corrected`` semantics an
+add only raises availability, so none is refused), and under the
+``all_changed_objects`` scope ``_entries`` flags each evictee whose
+availability would fall.
+
 When a target server lacks space, non-primary replicas it hosts are evicted
 least-damaging-first until the newcomer fits; a candidate whose evictions
 cannot free enough space is skipped.  A replica's damage is the cost of
@@ -277,7 +286,6 @@ class _GreedyEngine:
         # 1 - f for the aware planners, int64 ones (exact integer scores) for the blind.
         self.weight = (1.0 - self.st.servers.failure_probs if self.use_factor
                        else np.ones(self.st.servers.count, dtype=np.int64))
-        self.tol = costs.AVAILABILITY_TOL
         self.cap_val = config.max_replicas_per_object or self.st.servers.count
         self.on_commit = on_commit
         self.on_mutation = on_mutation
@@ -362,16 +370,30 @@ class _GreedyEngine:
         columns at the replica cap, where ``_delta`` does not run, and
         where literal availability vetoes the add.  A held cell is never
         positive: there ``d[:, k] <= l[:, i]``, so it saves nothing.
+
+        The veto is the reference's admission rule: adding i to k's
+        replicators must not make ``_fell`` hold for the product over the
+        sorted ids, ``_availability`` with row i set, against the product
+        without it.  ``before * (1 - f_i)`` rounds to within about M ulps of
+        that product, so it decides every cell farther than ``4 M eps
+        before`` from the tolerance.  Only a column with a cell that near
+        takes the M x M product, one column at a time, so the temporaries
+        stay M x M however many columns are near.
         """
         st = self.st
         below = cols[st.replica_counts[cols] < self.cap_val]
         net = _delta(st, below)
         net -= st.objects.sizes[below] * st.d[:, below]  # in place: one M x W array fewer
         if self.use_factor and self.cfg.availability_semantics == "literal":
-            # Literal availability shrinks with every added replica, so the
-            # admission check can veto candidates outright.
-            prods = costs._availability(st.x[:, below] == 1, st.servers.failure_probs, "literal")
-            net[prods * self.weight[:, None] < prods - self.tol] = 0
+            held, probs, m = st.x[:, below] == 1, st.servers.failure_probs, st.x.shape[0]
+            before = costs._availability(held, probs, "literal")
+            after, slack = before * self.weight[:, None], 4 * m * np.finfo(float).eps * before
+            veto = costs._fell(after + slack, before)  # falls however the product rounds
+            near = costs._fell(after - slack, before) ^ veto  # within ``slack`` of the tolerance
+            for c in np.flatnonzero(near.any(axis=0)).tolist():
+                exact = costs._availability(held[:, [c]] | np.eye(m, dtype=bool), probs, "literal")
+                veto[:, c] = costs._fell(exact, before[c])
+            net[veto] = 0
         self.net[:, cols] = 0
         self.net[:, below] = net
         self._live[cols] = False
@@ -430,9 +452,8 @@ class _GreedyEngine:
         lowers = np.zeros(objs.size, dtype=bool)
         if self.guard_evictees:
             both = np.hstack((others, st.x[:, objs] == 1))  # without row i, then with it
-            after, before = np.split(costs._availability(
-                both, st.servers.failure_probs, self.cfg.availability_semantics), 2)
-            lowers = after < before - self.tol
+            lowers = costs._fell(*np.split(costs._availability(
+                both, st.servers.failure_probs, self.cfg.availability_semantics), 2))
         return objs, damages, lowers
 
     def _store(self, i: int, objs, damages, lowers) -> _Evictables:
@@ -519,6 +540,8 @@ class _GreedyEngine:
         """Commit flip (i, k), first evicting the prefix ``_resolve`` priced if i lacks space.
 
         The realized benefit must equal ``score``, the winner's cached score.
+        The availability rule is not checked again: a vetoed add has ``net``
+        0, so it never scores above 0, and a blocked eviction prefix scores 0.
         The placement check covers only what the commit changed, server i's
         storage and the primaries of k and the evictees: the state was valid
         before, and the commit changed ``x`` only in row i at those columns.
@@ -548,13 +571,6 @@ class _GreedyEngine:
         self.schedule.append(Add(i, k, source, tcost))
         if self.on_mutation:
             self.on_mutation(st)
-        if self.use_factor:
-            held = np.repeat(st.x[:, [k]] == 1, 2, axis=1)  # the focal column after, then before
-            held[i, 1] = False
-            after, before = costs._availability(held, st.servers.failure_probs,
-                                                self.cfg.availability_semantics)
-            if after < before - self.tol:
-                raise RuntimeError("focal object availability regressed on commit")
         bad = validate_placement(st.x, st.servers, st.objects, rows=[i], cols=[k, *evicted])
         if bad:
             raise RuntimeError(f"commit produced an invalid placement: {bad[0].detail}")

@@ -134,8 +134,7 @@ class Scenario:
     def __post_init__(self):
         m = self.servers.count
         r = np.array(_traffic(self.traffic, m, self.objects.count))  # frozen copy
-        if (self.objects.primaries >= m).any():
-            raise ParameterError("primary ids must reference existing servers")
+        _primaries(self.objects, m)
         r.setflags(write=False)
         object.__setattr__(self, "traffic", r)
 
@@ -164,6 +163,15 @@ class Scenario:
             raise StructuralError(f"malformed scenario file {path}: {exc}") from exc
 
 
+def _primaries(objects: ObjectCatalog, m: int, cols=slice(None)) -> np.ndarray:
+    """The primary ids of the objects ``cols``; refused unless each names one of ``m`` servers."""
+    primaries = objects.primaries[cols]
+    if (primaries >= m).any():
+        raise ParameterError(f"primary ids must reference existing servers, "
+                             f"got {int(primaries.max())} with {m} servers")
+    return primaries
+
+
 @dataclass(frozen=True)
 class Violation:
     """One validity failure: kind is 'storage' (index=server) or 'primary' (index=object)."""
@@ -182,7 +190,8 @@ def validate_placement(x, servers: ServerCatalog, objects: ObjectCatalog, *,
     narrowed call finds every violation only if ``x`` was valid before its
     last changes and each changed entry lies in a listed row and a listed
     column: a server's load and an object's primary bit move only with
-    their own row or column.
+    their own row or column.  A listed object whose primary id names no
+    server raises ``ParameterError``.
     """
     x = _array(x, "placement")
     m, n = servers.count, objects.count
@@ -200,7 +209,7 @@ def validate_placement(x, servers: ServerCatalog, objects: ObjectCatalog, *,
                 f"server {i} stores {load} bytes over capacity {servers.capacities[i]}",
             )
         )
-    primary_bits = x[objects.primaries[cols], cols]
+    primary_bits = x[_primaries(objects, m, cols), cols]
     for k in cols[primary_bits != 1].tolist():
         violations.append(
             Violation(
@@ -226,7 +235,7 @@ def primary_only_placement(servers: ServerCatalog, objects: ObjectCatalog) -> np
     """The starting placement: each object exactly on its primary server."""
     m, n = servers.count, objects.count
     x = np.zeros((m, n), dtype=np.int8)
-    x[objects.primaries, np.arange(n)] = 1
+    x[_primaries(objects, m), np.arange(n)] = 1
     loads = _loads(x, objects.sizes)
     over = np.flatnonzero(loads > servers.capacities)
     if over.size:
@@ -245,8 +254,14 @@ def _nearest(l, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_nearest_index(x, l) -> tuple[np.ndarray, np.ndarray]:
-    """Compute (nearest-id, nearest-distance) matrices for every (server, object)."""
-    x = np.asarray(x)
+    """Compute (nearest-id, nearest-distance) matrices for every (server, object).
+
+    ``l`` must be M x M for the M x N placement ``x``.
+    """
+    x, l = _array(x, "placement"), _array(l, "link costs")
+    if x.ndim != 2 or l.shape != (len(x),) * 2:
+        raise StructuralError(f"link costs must be M x M for an M x N placement, "
+                              f"got shapes {l.shape} and {x.shape}")
     m, n = x.shape
     near = np.empty((m, n), dtype=np.int64)
     dist = np.empty((m, n), dtype=np.int64)

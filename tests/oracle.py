@@ -222,9 +222,9 @@ def random_connected_graph(rng: random.Random, m: int, cost_max: int = 9):
 
 
 def random_instance(rng: random.Random, m_max=4, n_max=3, zero_failures=False,
-                    slack_max=8, traffic_max=20, size_max=5):
+                    slack_max=8, traffic_max=20, size_max=5, m_min=1):
     """Small random instance; returns plain-python pieces for oracle use."""
-    m = rng.randint(1, m_max)
+    m = rng.randint(m_min, m_max)
     n = rng.randint(1, n_max)
     edges = random_connected_graph(rng, m)
     l = dijkstra_matrix(m, edges)

@@ -234,6 +234,29 @@ class TestSolve:
         assert fields[3] == "170"  # object 1 already mirrored
         assert fields[4] == "70"
 
+    def test_literal_tolerance_edge_exits_0(self, tmp_path, capsys):
+        """Adding the object to server 0 would lower its literal availability just past 1e-12.
+
+        The veto refuses the add, as the reference planner does; the commit
+        used to end in a ``RuntimeError`` traceback.
+        """
+        topo, scen = tmp_path / "topology.json", tmp_path / "scenario.json"
+        topo.write_text(json.dumps({"nodes": 3, "edges": [[0, 1, 1], [1, 2, 1]]}))
+        scen.write_text(json.dumps({
+            "capacities": [100, 100, 100],
+            "failure_probs": [2.33513929202443e-12, 0.4874373561513002, 0.1645242447279971],
+            "sizes": [1], "primaries": [1], "traffic": [[1000], [0], [0]],
+        }))
+        start = tmp_path / "start.json"
+        start.write_text(json.dumps({"objects": [{"id": 0, "replicators": [1, 2]}]}))
+        assert main(solve_args(topo, scen, tmp_path / "run", "--alg", "aagg",
+                               "--availability-semantics", "literal",
+                               "--x-old", str(start))) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        row = dict(zip(RESULTS_HEADER.split(","), captured.out.strip().split("\n")[1].split(",")))
+        assert row["flips"] == "0"
+
     def test_invalid_x_old_exits_1(self, tmp_path, capsys):
         topo, scen = write_micro_instance(tmp_path)
         start = tmp_path / "start.json"

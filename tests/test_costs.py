@@ -60,6 +60,25 @@ class TestAccessCost:
         with pytest.raises(StructuralError):
             total_access_cost(x, state.n, state.traffic, state.l)
 
+    L = np.array([[0, 1], [1, 0]])
+
+    @pytest.mark.parametrize("x, n, r, l", [
+        # A 1 x 2 traffic matrix used to broadcast against the 2 x 2 placement: total 10.
+        ([[1, 1], [0, 0]], [[0, 0], [0, 0]], [[5, 5]], L),
+        ([[1, 1], [0, 0]], [[0, 0]], [[5, 5], [0, 0]], L),
+        ([[1, 1], [0, 0]], [[0, 0], [0, 0]], [[5, 5], [0, 0]], [[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
+        ([1, 1], [0, 0], [5, 5], L),
+    ])
+    def test_mismatched_shapes_are_structural(self, x, n, r, l):
+        with pytest.raises(StructuralError, match="shape"):
+            total_access_cost(x, n, r, l)
+
+    @pytest.mark.parametrize("bad", [7, 2, -1])
+    def test_nearest_id_outside_the_servers(self, bad):
+        # An id of 7 used to raise IndexError; -1 was read from the end.
+        with pytest.raises(StructuralError, match="nearest"):
+            total_access_cost([[1, 1], [0, 0]], [[0, 0], [bad, 0]], [[5, 5], [1, 1]], self.L)
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force(self, seed):

@@ -499,10 +499,36 @@ def crowded_start(rng: random.Random, capacities, sizes, primaries) -> np.ndarra
     return x
 
 
+def boundary_instance(rng: random.Random):
+    """A crowded random instance on 3 to 6 servers with one literal veto at the tolerance.
+
+    Among the cells (i, k) where i lacks object k, k has two replicators
+    or more and i sorts before one of them, one is drawn.  Server i's
+    failure probability is set to ``1e-12 / before x (1 +- delta)``, with
+    ``before`` k's literal availability and delta log-uniform in [1e-6,
+    1e-3], so adding k to i lowers k's availability by 1e-12 give or take
+    at most 1e-15.  There ``before x (1 - f_i)`` and the product over
+    sorted ids, which takes i's factor earlier, can round to either side.
+    """
+    l, capacities, f, sizes, primaries, traffic = random_instance(
+        rng, m_min=3, m_max=6, n_max=5, slack_max=3)
+    x = crowded_start(rng, capacities, sizes, primaries)
+    held = [np.flatnonzero(x[:, k]).tolist() for k in range(len(sizes))]
+    cells = [(i, k) for k, reps in enumerate(held) for i in range(len(f))
+             if len(reps) > 1 and i not in reps and i < reps[-1]]
+    if cells:
+        i, k = rng.choice(cells)
+        before = brute_availability(held[k], f, "literal")
+        f[i] = 1e-12 / before * (1 + rng.choice([-1, 1]) * 10 ** rng.uniform(-6, -3))
+    return l, capacities, f, sizes, primaries, traffic, x
+
+
 def drawn_instance(kind: str, rng: random.Random):
-    """A tie-heavy instance, or a random one with slack <= 3 started from its primaries."""
+    """A tie-heavy or boundary instance, or a random one with slack <= 3 from its primaries."""
     if kind == "ties":
         return tie_heavy_instance(rng)
+    if kind == "boundary":
+        return boundary_instance(rng)
     l, capacities, f, sizes, primaries, traffic = random_instance(
         rng, m_max=5, n_max=5, slack_max=3)
     x = primary_only_placement(ServerCatalog(capacities, f), ObjectCatalog(sizes, primaries))
@@ -573,10 +599,12 @@ class TestAgainstReferenceOnTies:
 
 
 class TestLiteralAgainstReference:
-    @pytest.mark.parametrize("kind", ["random", "ties"])
+    @pytest.mark.parametrize("kind", ["random", "ties", "boundary"])
     @pytest.mark.parametrize("scope", SCOPES)
     @pytest.mark.parametrize("algorithm", ["aagg", "aagro"])
     @given(seed=st.integers(0, 10_000))
+    @example(seed=40).via("boundary: the shortcut admits an add the sorted product refuses")
+    @example(seed=81).via("boundary: the shortcut refuses an add the sorted product admits")
     @settings(max_examples=20, deadline=None)
     def test_matches_brute_greedy(self, algorithm, scope, kind, seed):
         rng = random.Random(seed)
@@ -594,6 +622,31 @@ class TestLiteralAgainstReference:
         ).run()
         assert schedule_tuples(result.schedule) == oracle.schedule
         assert [s.benefit for s in result.steps] == oracle.values
+
+
+# Three servers on the path 0-1-2 and one object on servers 1 and 2, wanted at
+# server 0.  Adding it to server 0 lowers its literal availability by 1e-12
+# times (1 - 1.5e-5): ``before x (1 - f_0)`` lands exactly on the tolerance,
+# but the product over sorted ids falls one ulp past it, so the add is refused.
+TOLERANCE_EDGE = dict(
+    l=dijkstra_matrix(3, [(0, 1, 1), (1, 2, 1)]), capacities=[100] * 3,
+    f=[2.33513929202443e-12, 0.4874373561513002, 0.1645242447279971],
+    sizes=[1], primaries=[1], r=[[1000], [0], [0]], x0=[[0], [1], [1]],
+)
+
+
+class TestLiteralToleranceEdge:
+    @pytest.mark.parametrize("scope", SCOPES)
+    @pytest.mark.parametrize("algorithm", ["aagg", "aagro"])
+    def test_matches_brute_greedy(self, algorithm, scope):
+        """The veto decides by the sorted product; the commit used to raise ``RuntimeError``."""
+        edge = TOLERANCE_EDGE
+        state = make_state(edge["l"], edge["capacities"], edge["f"], edge["sizes"],
+                           edge["primaries"], edge["r"], x=edge["x0"])
+        result = solve(state, SolverConfig(algorithm=algorithm, availability_scope=scope,
+                                           availability_semantics="literal"))
+        oracle = BruteGreedy(**edge, algorithm=algorithm, scope=scope, semantics="literal").run()
+        assert schedule_tuples(result.schedule) == oracle.schedule == []
 
 
 def assert_row_maxima(engine):
@@ -765,9 +818,11 @@ def checked_column_run(algorithm: str, cap: int, seed: int, semantics="corrected
     are each row's first maximum and argmax of the window's scores.  After
     each commit, ``_live`` equals a fresh engine's, ``net`` equals
     ``_delta - size * d`` in the columns below the replica cap, except
-    in the cells literal availability vetoes, and is 0 at the cap, and no
-    held cell is positive.  Under literal availability half the servers
-    are made perfect, so that the veto admits some adds.  Returns the
+    in the cells literal availability vetoes (adding server i to the
+    replicators lowers the product over sorted ids by more than ``TOL``),
+    and is 0 at the cap, and no held cell is positive.  Under literal
+    availability half the servers are made perfect, so that the veto
+    admits some adds.  Returns the
     engine, whose ``steps`` count the commits, and the columns that an
     eviction dropped below the cap and whose fresh ``net`` is not all 0.
     """
@@ -795,8 +850,10 @@ def checked_column_run(algorithm: str, cap: int, seed: int, semantics="corrected
         net = heuristics._delta(st, cols) - st.objects.sizes[cols] * st.d[:, cols]
         if semantics == "literal" and algorithm == "aagro":
             for c, k in enumerate(cols):
-                held = brute_availability(np.flatnonzero(st.x[:, k]).tolist(), f, "literal")
-                net[[held * (1.0 - p) < held - TOL for p in f], c] = 0
+                reps = np.flatnonzero(st.x[:, k]).tolist()
+                held = brute_availability(reps, f, "literal")
+                net[[i not in reps and brute_availability(reps + [i], f, "literal") < held - TOL
+                     for i in range(len(f))], c] = 0
         assert np.array_equal(engine.net[:, below], net)
         assert not engine.net[:, ~below].any()
         assert (engine.net[st.x == 1] <= 0).all()
@@ -865,16 +922,30 @@ class TestSetupMemory:
         computing ``net`` and ``_live`` of all 8,000 columns in one call,
         not in blocks, peaks near 50.
         """
-        m, n = 40, 8_000
+        self.check_peak(AAGG)
+
+    def test_literal_peak_per_cell_is_bounded(self):
+        """The literal veto's temporaries stay within a block, and its M x M ones within a column.
+
+        Every start availability is 0.9 or 1 - 1e-12 / 0.9, and server 0's
+        failure probability is 1e-12 / 0.9, so nearly every column has a
+        cell on the tolerance and takes the veto's M x M product.
+        """
+        config = SolverConfig(algorithm="aagg", availability_semantics="literal")
+        self.check_peak(config, [1e-12 / 0.9] + [0.1] * 39)
+
+    @staticmethod
+    def check_peak(config, f=(0.1,) * 40):
+        m, n = len(f), 8_000
         rng = np.random.default_rng(0)
         l = dijkstra_matrix(m, random_connected_graph(random.Random(0), m))
         sizes, primaries = rng.integers(1, 5, n), rng.integers(0, m, n)
         capacities = np.bincount(primaries, weights=sizes, minlength=m).astype(int) + 50
-        state = make_state(l, capacities.tolist(), [0.1] * m, sizes.tolist(),
+        state = make_state(l, capacities.tolist(), list(f), sizes.tolist(),
                            primaries.tolist(), rng.integers(0, 20, (m, n)))
         tracemalloc.start()
         try:
-            _GreedyEngine(state, AAGG)
+            _GreedyEngine(state, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

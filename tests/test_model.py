@@ -251,6 +251,36 @@ class TestPrimaryOnly:
             primary_only_placement(tight.servers, tight.objects)
 
 
+class TestPrimaryIds:
+    """A primary id that names no server is refused as ``Scenario`` refuses it.
+
+    The catalogs are checked apart, so only the calls that join them can
+    see it; each used to fail with a bare ``IndexError``.
+    """
+
+    SERVERS = ServerCatalog([10, 10], [0.1, 0.2])
+    OBJECTS = ObjectCatalog([1, 1], [0, 2])  # object 1's primary names no server
+    X = np.array([[1, 1], [0, 0]], dtype=np.int8)
+
+    def test_validate_placement(self):
+        with pytest.raises(ParameterError, match="primary ids"):
+            validate_placement(self.X, self.SERVERS, self.OBJECTS)
+        with pytest.raises(ParameterError, match="primary ids"):
+            validate_placement(self.X, self.SERVERS, self.OBJECTS, cols=[1])
+
+    def test_narrowed_check_reads_only_listed_primaries(self):
+        assert validate_placement(self.X, self.SERVERS, self.OBJECTS, cols=[0]) == []
+
+    def test_primary_only_placement(self):
+        with pytest.raises(ParameterError, match="primary ids"):
+            primary_only_placement(self.SERVERS, self.OBJECTS)
+
+    def test_placement_state(self):
+        with pytest.raises(ParameterError, match="primary ids"):
+            PlacementState(CostMatrix([[0, 1], [1, 0]]), self.SERVERS, self.OBJECTS,
+                           [[0, 0], [0, 0]], self.X)
+
+
 class TestNearest:
     def test_from_primary_only(self, micro):
         x = primary_only_placement(micro.servers, micro.objects)
@@ -271,6 +301,13 @@ class TestNearest:
         x = np.zeros((3, 2), dtype=np.int8)
         with pytest.raises(StructuralError):
             build_nearest_index(x, micro.cost.l)
+
+    @pytest.mark.parametrize("x", [np.ones((1, 2)), np.ones((3, 2)), np.ones(2), [[1, 1], [0]]],
+                             ids=["one-row", "three-row", "vector", "ragged"])
+    def test_placement_rows_must_match_link_costs(self, x):
+        # Used to raise IndexError (3 rows) or numpy's untyped ValueError (the others).
+        with pytest.raises(StructuralError, match="link costs|rectangular"):
+            build_nearest_index(x, np.array([[0, 1], [1, 0]]))
 
 
 class TestIncrementalIndex:

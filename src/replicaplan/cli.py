@@ -97,12 +97,9 @@ def _parse_cap(text: str) -> int | None:
     if text == "unlimited":
         return None
     try:
-        cap = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError("cap must be an integer or 'unlimited'") from exc
-    if cap < 1:
-        raise argparse.ArgumentTypeError("cap must be >= 1")
-    return cap
+        return topology._count(int(text), "cap")
+    except ValueError as exc:  # not an integer, or below 1
+        raise argparse.ArgumentTypeError(f"cap must be 'unlimited' or >= 1, got {text!r}") from exc
 
 
 def _parse_algs(text: str) -> tuple[str, ...]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, StructuralError
-from .topology import _array, _binary, _whole
+from .topology import _array, _binary, _index, _integral
 
 SEMANTICS = ("corrected", "literal")
 
@@ -44,7 +44,8 @@ def total_access_cost(x, n, r, l) -> CostReport:
 
     The placement ``x``, nearest index ``n`` and traffic ``r`` must share
     one M x N shape, ``l`` must be M x M, and every id in ``n`` must name
-    a server.
+    a server.  ``x`` must hold only 0 and 1, and ``n``, ``r`` and ``l``
+    only integers.
     """
     x, n, r, l = (_array(a, what) for a, what in
                   ((x, "placement"), (n, "nearest index"), (r, "traffic"), (l, "link costs")))
@@ -52,6 +53,9 @@ def total_access_cost(x, n, r, l) -> CostReport:
         raise StructuralError(f"placement, nearest index, traffic and link costs must be "
                               f"M x N, M x N, M x N and M x M; got shapes "
                               f"{x.shape}, {n.shape}, {r.shape} and {l.shape}")
+    x = _binary(x, "placement")
+    n, r, l = (np.asarray(_integral(a, what), dtype=np.int64) for a, what in
+               ((n, "nearest index"), (r, "traffic"), (l, "link costs")))
     m = len(x)
     if n.size and not 0 <= n.min() <= n.max() < m:
         raise StructuralError(f"nearest index names a server outside [0, {m})")
@@ -99,11 +103,7 @@ def replicator_availability(failure_probs, replicators, semantics: str = "correc
     failure_probs = _failure_probs(failure_probs)
     held = np.zeros((failure_probs.size, 1), dtype=bool)
     for i in replicators:
-        i = _whole(i, "replicator id")
-        if not 0 <= i < failure_probs.size:
-            raise StructuralError(f"replicator id {i} lies outside the "
-                                  f"{failure_probs.size} servers")
-        held[i] = True
+        held[_index(i, failure_probs.size, "replicator id")] = True
     if not held.any():
         raise StructuralError("availability of an unreplicated object is undefined")
     return float(_availability(held, failure_probs, semantics)[0])

@@ -79,7 +79,7 @@ import numpy as np
 from . import costs
 from .errors import ParameterError, StructuralError
 from .model import PlacementState, _check_headroom, validate_placement
-from .topology import _binary, _whole
+from .topology import _binary, _count, _index, _whole
 
 ALGORITHMS = ("aagg", "aagro", "gg", "gro")
 SCOPES = ("focal_object", "all_changed_objects")
@@ -101,8 +101,8 @@ class SolverConfig:
         if self.algorithm not in ALGORITHMS:
             raise ParameterError(f"unknown algorithm {self.algorithm!r}")
         cap = self.max_replicas_per_object
-        if cap is not None and _whole(cap, "max_replicas_per_object", ParameterError) < 1:
-            raise ParameterError("max_replicas_per_object must be >= 1")
+        if cap is not None:
+            _count(cap, "max_replicas_per_object", ParameterError)
         object.__setattr__(self, "seed", _whole(self.seed, "seed", ParameterError))
         if self.availability_scope not in SCOPES:
             raise ParameterError(f"unknown availability scope {self.availability_scope!r}")
@@ -208,20 +208,13 @@ def replay_schedule(x_old, schedule) -> np.ndarray:
     read from the end.
     """
     x = np.array(_binary(x_old, "placement"), dtype=np.int8)
-
-    def index(value, axis: int) -> int:
-        i = _whole(value, "schedule id")
-        if not 0 <= i < x.shape[axis]:
-            raise StructuralError(f"schedule id {i} lies outside the "
-                                  f"{x.shape[0]}x{x.shape[1]} placement")
-        return i
-
+    m, n = x.shape
     for action in schedule:
         if not isinstance(action, (Add, Evict)):
             raise ParameterError(f"unknown schedule action {action!r}")
-        i, k = index(action.server, 0), index(action.object_id, 1)
+        i, k = _index(action.server, m, "server id"), _index(action.object_id, n, "object id")
         if isinstance(action, Add):
-            source = index(action.source, 0)
+            source = _index(action.source, m, "source id")
             if x[source, k] != 1:
                 raise StructuralError(
                     f"add of object {k} sources from non-replicator {source}"
@@ -595,7 +588,7 @@ class _GreedyEngine:
         """
         n = self.st.objects.count
         if self.cfg.algorithm in ("aagg", "gg"):
-            windows = [slice(0, n)] if n else []
+            windows = [slice(0, n)]
         else:
             order = list(range(n))
             random.Random(self.cfg.seed).shuffle(order)

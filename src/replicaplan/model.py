@@ -23,8 +23,8 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .topology import (INT64_LIMIT, CostMatrix, _array, _binary, _integral, _read_json,
-                       _whole, _write_json)
+from .topology import (INT64_LIMIT, CostMatrix, _array, _binary, _index, _integral,
+                       _read_json, _write_json)
 
 
 def _traffic(values, m: int, n: int) -> np.ndarray:
@@ -102,8 +102,8 @@ class ObjectCatalog:
     def __post_init__(self):
         sizes = np.array(_integral(self.sizes, "object sizes"), dtype=np.int64)
         prim = np.array(_integral(self.primaries, "primary ids"), dtype=np.int64)
-        if sizes.ndim != 1:
-            raise StructuralError("sizes must be a vector")
+        if sizes.ndim != 1 or sizes.size == 0:
+            raise StructuralError("sizes must be a non-empty vector")
         if prim.shape != sizes.shape:
             raise StructuralError("primaries must match sizes in length")
         if (sizes <= 0).any():
@@ -152,15 +152,12 @@ class Scenario:
 
     @classmethod
     def load(cls, path) -> "Scenario":
-        payload = _read_json(path, "scenario")
-        try:
+        def parse(payload):
             servers = ServerCatalog(payload["capacities"], payload["failure_probs"])
             objects = ObjectCatalog(payload["sizes"], payload["primaries"])
             return cls(servers, objects, payload["traffic"], meta=payload.get("meta"))
-        except KeyError as exc:
-            raise StructuralError(f"scenario file {path} is missing field {exc}") from exc
-        except TypeError as exc:  # e.g. a JSON object where numbers belong
-            raise StructuralError(f"malformed scenario file {path}: {exc}") from exc
+
+        return _read_json(path, "scenario", parse)
 
 
 def _primaries(objects: ObjectCatalog, m: int, cols=slice(None)) -> np.ndarray:
@@ -256,12 +253,14 @@ def _nearest(l, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def build_nearest_index(x, l) -> tuple[np.ndarray, np.ndarray]:
     """Compute (nearest-id, nearest-distance) matrices for every (server, object).
 
-    ``l`` must be M x M for the M x N placement ``x``.
+    ``l`` must be M x M for the M x N placement ``x``; ``x`` must hold only
+    0 and 1, and ``l`` only integers.
     """
     x, l = _array(x, "placement"), _array(l, "link costs")
     if x.ndim != 2 or l.shape != (len(x),) * 2:
         raise StructuralError(f"link costs must be M x M for an M x N placement, "
                               f"got shapes {l.shape} and {x.shape}")
+    x, l = _binary(x, "placement"), np.asarray(_integral(l, "link costs"), dtype=np.int64)
     m, n = x.shape
     near = np.empty((m, n), dtype=np.int64)
     dist = np.empty((m, n), dtype=np.int64)
@@ -283,8 +282,6 @@ class PlacementState:
 
     def __init__(self, cost: CostMatrix, servers: ServerCatalog, objects: ObjectCatalog,
                  traffic, x):
-        if cost.m != servers.count:
-            raise StructuralError("cost matrix size must match server count")
         if (cost.l < 0).any():
             raise ParameterError("link costs must be non-negative")
         r = _traffic(traffic, servers.count, objects.count)
@@ -360,19 +357,12 @@ def save_placement(x, path) -> None:
 
 
 def load_placement(path, m: int, n: int) -> np.ndarray:
-    payload = _read_json(path, "placement")
-    x = np.zeros((m, n), dtype=np.int8)
-    try:
-        entries = payload["objects"]
-        for entry in entries:
-            k = _whole(entry["id"], "object id")
-            if not 0 <= k < n:
-                raise StructuralError(f"placement references unknown object {k}")
+    def parse(payload):
+        x = np.zeros((m, n), dtype=np.int8)
+        for entry in payload["objects"]:
+            k = _index(entry["id"], n, "object id")
             for i in entry["replicators"]:
-                i = _whole(i, "server id")
-                if not 0 <= i < m:
-                    raise StructuralError(f"placement references unknown server {i}")
-                x[i, k] = 1
-    except (KeyError, TypeError) as exc:
-        raise StructuralError(f"malformed placement file {path}: {exc}") from exc
-    return x
+                x[_index(i, m, "server id"), k] = 1
+        return x
+
+    return _read_json(path, "placement", parse)

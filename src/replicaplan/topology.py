@@ -81,6 +81,25 @@ def _whole(value, what: str, error=StructuralError) -> int:
     raise error(f"{what} must be an integer, got {value!r}")
 
 
+def _count(value, what: str, error=StructuralError) -> int:
+    """``value`` as a whole number of at least 1; ``_whole``'s refusals raise ``error``."""
+    count = _whole(value, what, error)
+    if count < 1:
+        raise ParameterError(f"{what} must be >= 1, got {count}")
+    return count
+
+
+def _index(value, count: int, what: str) -> int:
+    """``value`` as a server or object id: a whole number in ``range(count)``.
+
+    Anything else, a negative id included, is a StructuralError.
+    """
+    i = _whole(value, what)
+    if not 0 <= i < count:
+        raise StructuralError(f"{what} {i} lies outside [0, {count})")
+    return i
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected server network; each edge carries a positive integer cost.
@@ -93,9 +112,7 @@ class Graph:
     edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        node_count = _whole(self.node_count, "node count")
-        if node_count < 1:
-            raise ParameterError("node_count must be >= 1")
+        node_count = _count(self.node_count, "node count")
         seen = set()
         normalized = []
         for edge in self.edges:
@@ -170,12 +187,8 @@ def generate_ba_topology(n: int, m_links: int, seed: int) -> Graph:
     attaches to all of them.  ``m_links=1`` yields a tree.  Edge costs are a
     placeholder 1 until :func:`assign_link_costs` runs.
     """
-    n, m_links = _whole(n, "node count"), _whole(m_links, "m_links")
+    n, m_links = _count(n, "node count"), _count(m_links, "m_links")
     seed = _whole(seed, "seed", ParameterError)
-    if n < 1:
-        raise ParameterError(f"need at least one node, got {n}")
-    if m_links < 1:
-        raise ParameterError(f"m_links must be >= 1, got {m_links}")
     if n > 1 and m_links >= n:
         raise ParameterError(f"m_links={m_links} must be < node count {n}")
     if n == 1:
@@ -200,9 +213,9 @@ def generate_ba_topology(n: int, m_links: int, seed: int) -> Graph:
 
 def assign_link_costs(graph: Graph, cost_lo: int, cost_hi: int, seed: int) -> Graph:
     """Return a copy of ``graph`` with integer costs drawn uniformly from [lo, hi]."""
-    cost_lo, cost_hi = _whole(cost_lo, "cost_lo"), _whole(cost_hi, "cost_hi")
+    cost_lo, cost_hi = _count(cost_lo, "cost_lo"), _whole(cost_hi, "cost_hi")
     seed = _whole(seed, "seed", ParameterError)
-    if cost_lo <= 0 or cost_lo > cost_hi:
+    if cost_lo > cost_hi:
         raise ParameterError(f"cost range must satisfy 0 < lo <= hi, got [{cost_lo}, {cost_hi}]")
     rng = random.Random(seed)
     # Edges are kept in canonical sorted order, so draws are reproducible.
@@ -249,8 +262,12 @@ def _write_json(path, payload) -> None:
         fh.write(text)
 
 
-def _read_json(path, what: str) -> dict:
-    """The JSON object in ``path``; any other content is a StructuralError."""
+def _read_json(path, what: str, parse):
+    """``parse`` applied to the JSON object in ``path``; any other content is a StructuralError.
+
+    A field ``parse`` finds missing (``KeyError``) or of the wrong kind
+    (``TypeError``) is refused with a StructuralError that names ``path``.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -258,7 +275,10 @@ def _read_json(path, what: str) -> dict:
         raise StructuralError(f"{what} file {path} is not JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise StructuralError(f"{what} file {path} must hold a JSON object")
-    return payload
+    try:
+        return parse(payload)
+    except (KeyError, TypeError) as exc:
+        raise StructuralError(f"malformed {what} file {path}: {exc!r}") from exc
 
 
 def save_topology(graph: Graph, path) -> None:
@@ -267,10 +287,5 @@ def save_topology(graph: Graph, path) -> None:
 
 
 def load_topology(path) -> Graph:
-    payload = _read_json(path, "topology")
-    try:
-        nodes = payload["nodes"]
-        edges = tuple((u, v, c) for u, v, c in payload["edges"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructuralError(f"malformed topology file {path}: {exc}") from exc
-    return Graph(nodes, edges)
+    return _read_json(path, "topology",
+                      lambda payload: Graph(payload["nodes"], tuple(payload["edges"])))

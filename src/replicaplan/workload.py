@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ParameterError, TraceError
 from .model import INT64_LIMIT, ObjectCatalog
-from .topology import _whole
+from .topology import _count, _whole
 
 
 # Highest failure probability a trace estimate may take.
@@ -50,10 +50,10 @@ class TrafficModel:
         if (isinstance(skew, bool) or not isinstance(skew, numbers.Real)
                 or not (math.isfinite(skew) and skew >= 0)):
             raise ParameterError(f"zipf skew must be a finite number >= 0, got {skew!r}")
-        object.__setattr__(self, "total_volume", _whole(self.total_volume, "total volume"))
+        object.__setattr__(self, "total_volume", _count(self.total_volume, "total volume"))
         object.__setattr__(self, "seed", _whole(self.seed, "seed", ParameterError))
-        if not 0 < self.total_volume < INT64_LIMIT:
-            raise ParameterError("total volume must be positive and below 2**63")
+        if self.total_volume >= INT64_LIMIT:
+            raise ParameterError("total volume must be below 2**63")
 
 
 def _time(value, what: str) -> float:
@@ -124,15 +124,11 @@ class FailureTrace:
 def generate_object_catalog(n_objects: int, size_lo: int, size_hi: int,
                             n_servers: int, seed: int) -> ObjectCatalog:
     """Draw object sizes uniformly from [lo, hi] and primaries uniformly over servers."""
-    n_objects, n_servers = _whole(n_objects, "object count"), _whole(n_servers, "server count")
-    size_lo, size_hi = _whole(size_lo, "size_lo"), _whole(size_hi, "size_hi")
+    n_objects, n_servers = _count(n_objects, "object count"), _count(n_servers, "server count")
+    size_lo, size_hi = _count(size_lo, "size_lo"), _whole(size_hi, "size_hi")
     seed = _whole(seed, "seed", ParameterError)
-    if n_objects < 1:
-        raise ParameterError("need at least one object")
-    if size_lo <= 0 or size_lo > size_hi:
+    if size_lo > size_hi:
         raise ParameterError(f"size range must satisfy 0 < lo <= hi, got [{size_lo}, {size_hi}]")
-    if n_servers < 1:
-        raise ParameterError("need at least one server")
     rng = random.Random(seed)
     sizes = [rng.randint(size_lo, size_hi) for _ in range(n_objects)]
     primaries = [rng.randrange(n_servers) for _ in range(n_objects)]
@@ -162,9 +158,7 @@ def generate_traffic(model: TrafficModel, n_servers: int, n_objects: int) -> np.
     Volume is split by popularity alone, not by object size, so column shares
     stay exactly Zipf.
     """
-    n_servers, n_objects = _whole(n_servers, "server count"), _whole(n_objects, "object count")
-    if n_servers < 1 or n_objects < 1:
-        raise ParameterError("traffic needs at least one server and one object")
+    n_servers, n_objects = _count(n_servers, "server count"), _count(n_objects, "object count")
     rng = random.Random(model.seed)
     r = np.zeros((n_servers, n_objects), dtype=np.int64)
     if model.kind == "uniform":
@@ -230,9 +224,7 @@ def trace_availability_for_servers(trace: FailureTrace, n_servers: int) -> np.nd
     probability 0.  No array is sized by the node ids, so a huge id costs
     nothing.
     """
-    n_servers = _whole(n_servers, "server count")
-    if n_servers < 1:
-        raise ParameterError("need at least one server")
+    n_servers = _count(n_servers, "server count")
     spans: dict[int, list[float]] = {}  # node -> [first start, last end, downtime]
     for rec in trace.records:
         span = spans.setdefault(rec.node, [rec.start, rec.end, 0.0])
@@ -252,9 +244,7 @@ def trace_availability_for_servers(trace: FailureTrace, n_servers: int) -> np.nd
 
 def synthetic_availability(n_servers: int, spec: str, seed: int) -> np.ndarray:
     """Draw per-server failure probabilities from 'constant:F' or 'uniform:LO:HI'."""
-    n_servers, seed = _whole(n_servers, "server count"), _whole(seed, "seed", ParameterError)
-    if n_servers < 1:
-        raise ParameterError("need at least one server")
+    n_servers, seed = _count(n_servers, "server count"), _whole(seed, "seed", ParameterError)
     if not isinstance(spec, str):
         raise ParameterError(f"availability spec must be a string, got {spec!r}")
     kind, *bounds = spec.split(":")

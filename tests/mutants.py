@@ -1,0 +1,189 @@
+"""Mutation check: does the test suite catch a broken engine or input rule?
+
+Each mutant is a source patch: one snippet that must occur exactly once in
+a file under ``src/replicaplan``, and its replacement.  For each mutant the
+script copies ``src/``, ``tests/``, ``pyproject.toml`` and ``README.md`` to
+a temporary directory, applies the patch there, runs the tests named for
+the mutant, and prints one line:
+
+    killed     the tests failed, as they should
+    SURVIVED   the tests passed on the broken code
+    ERROR      the patch no longer applies, or pytest could not run
+
+Usage, from the repository root::
+
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py -k row-skip  # mutants whose name contains "row-skip"
+    python tests/mutants.py --list       # names and tests only
+
+The exit status is 0 only if every mutant run was killed.  The file name
+does not match ``test_*.py``, so pytest never collects it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "pyproject.toml", "README.md")
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/replicaplan
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest arguments, run from the copy's root
+
+
+HEURISTICS = "tests/test_heuristics.py"
+
+MUTANTS = (
+    # The one eligibility rule, ``_columns``.
+    Mutant("columns-no-veto", "heuristics.py",
+           "            net[veto] = 0\n",
+           "            net[veto] = net[veto]\n",
+           (HEURISTICS, "-k", "Literal")),
+    Mutant("columns-no-transfer-term", "heuristics.py",
+           "net -= st.objects.sizes[below] * st.d[:, below]",
+           "net -= 0 * st.d[:, below]",
+           (HEURISTICS, "-k", "TestAgainstReference")),
+    Mutant("veto-slack-0", "heuristics.py",
+           "slack = before * self.weight[:, None], 4 * m * np.finfo(float).eps * before",
+           "slack = before * self.weight[:, None], 0 * before",
+           (HEURISTICS, "-k", "Literal")),
+    Mutant("veto-no-exact-recompute", "heuristics.py",
+           "for c in np.flatnonzero(near.any(axis=0)).tolist():",
+           "for c in []:",
+           (HEURISTICS, "-k", "Literal")),
+    # Evictable lists and the eviction prefix.
+    Mutant("store-stable-argsort", "heuristics.py",
+           "order = np.lexsort((objs, damages))",
+           'order = np.argsort(damages, kind="stable")',
+           (HEURISTICS, "-k", "TestEvictionCache")),
+    Mutant("entries-keep-own-row", "heuristics.py",
+           "        others[i] = False\n",
+           "        others[i] = others[i]\n",
+           (HEURISTICS, "-k", "TestEvictionEntries")),
+    Mutant("resolve-searchsorted-right", "heuristics.py",
+           "t = np.searchsorted(ev.cum_size, sz - st.free[i])",
+           't = np.searchsorted(ev.cum_size, sz - st.free[i], side="right")',
+           (HEURISTICS, "-k", "TestAgainstReference")),
+    # Row maxima of the swept window.
+    Mutant("sweep-no-window-refresh", "heuristics.py",
+           "self._score(slice(None), cs)\n            self._refresh(slice(None))\n",
+           "self._score(slice(None), cs)\n",
+           (HEURISTICS, "-k", "TestColumnCaches or TestSweepCache")),
+    # The row skip in ``_invalidate``.
+    Mutant("row-skip-limit-free-after-only", "heuristics.py",
+           "limits[rows == i] = min(free_before, int(self.st.free[i]))",
+           "limits[rows == i] = int(self.st.free[i])",
+           (HEURISTICS, "-k", "TestRescoredSuffix")),
+    Mutant("row-skip-limit-free-before-only", "heuristics.py",
+           "limits[rows == i] = min(free_before, int(self.st.free[i]))",
+           "limits[rows == i] = free_before",
+           (HEURISTICS, "-k", "TestRescoredSuffix")),
+    Mutant("row-skip-holders-not-rescored", "heuristics.py",
+           "            rows.add(j)\n",
+           "            rows.add(i)\n",
+           (HEURISTICS, "-k", "TestRescoredSuffix or TestSweepCache")),
+    Mutant("row-skip-touched-best-not-refreshed", "heuristics.py",
+           "stale = (self._row_arg[:, None] == cols).any(axis=1)",
+           "stale = np.zeros(self._row_arg.size, dtype=bool)",
+           (HEURISTICS, "-k", "TestRescoredSuffix or TestSweepCache or TestColumnCaches")),
+    Mutant("row-skip-tie-to-higher-column", "heuristics.py",
+           "(arg < self._row_arg)",
+           "(arg > self._row_arg)",
+           (HEURISTICS, "-k", "TestRescoredSuffix or TestSweepCache")),
+    Mutant("row-skip-rescored-not-refreshed", "heuristics.py",
+           "        stale[rows] = True\n",
+           "        stale[rows] = stale[rows]\n",
+           (HEURISTICS, "-k", "TestRescoredSuffix or TestSweepCache")),
+    Mutant("row-skip-off-by-one-byte", "heuristics.py",
+           "rows = rows[limits < self._largest]",
+           "rows = rows[limits + 1 < self._largest]",
+           (HEURISTICS, "-k", "TestRescoredSuffix or TestSweepCache")),
+    # Placement state.
+    Mutant("nearest-ties-to-higher-id", "model.py",
+           "pos = sub.argmin(axis=1)",
+           "pos = sub.shape[1] - 1 - sub[:, ::-1].argmin(axis=1)",
+           ("tests/test_model.py", "-k", "TestNearest or TestIncrementalIndex")),
+    Mutant("copy-without-replica-counts", "model.py",
+           'for name in ("x", "n", "d", "free", "replica_counts"):',
+           'for name in ("x", "n", "d", "free"):',
+           ("tests/test_model.py", "-k", "TestIncrementalIndex")),
+    # The input rules.
+    Mutant("index-accepts-count", "topology.py",
+           "    if not 0 <= i < count:\n",
+           "    if not 0 <= i <= count:\n",
+           ("tests/test_model.py", "-k", "TestPlacementFiles")),
+    Mutant("count-accepts-0", "topology.py",
+           "    if count < 1:\n",
+           "    if count < 0:\n",
+           ("tests/test_topology.py", "-k", "TestGenerate")),
+)
+
+
+def run(mutant: Mutant) -> tuple[str, str]:
+    """Apply ``mutant`` to a fresh copy of the tree and run its tests; (verdict, detail)."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tmp = Path(tmp)
+        for name in COPIED:
+            src = ROOT / name
+            if src.is_dir():
+                shutil.copytree(src, tmp / name,
+                                ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+            else:
+                shutil.copy2(src, tmp / name)
+        target = tmp / "src" / "replicaplan" / mutant.file
+        text = target.read_text()
+        found = text.count(mutant.old)
+        if found != 1:
+            return "ERROR", f"snippet found {found} times in {mutant.file}"
+        target.write_text(text.replace(mutant.old, mutant.new))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             *mutant.tests],
+            cwd=tmp, capture_output=True, text=True,
+        )
+    lines = proc.stdout.strip().splitlines()
+    failed = next((line for line in lines if line.startswith("FAILED")), "")
+    summary = failed or (lines[-1] if lines else proc.stderr.strip()[-200:])
+    if proc.returncode == 1:
+        return "killed", summary
+    if proc.returncode == 0:
+        return "SURVIVED", summary
+    return "ERROR", f"pytest exit {proc.returncode}: {summary}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("-k", default="", help="run only mutants whose name contains this")
+    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
+    args = parser.parse_args(argv)
+    chosen = [m for m in MUTANTS if args.k in m.name]
+    if args.list:
+        for m in chosen:
+            print(f"{m.name}: {' '.join(m.tests)}")
+        return 0
+    verdicts = []
+    for m in chosen:
+        started = time.perf_counter()
+        verdict, detail = run(m)
+        verdicts.append(verdict)
+        print(f"{verdict:8} {m.name} ({time.perf_counter() - started:.0f} s): {detail}",
+              flush=True)
+    killed = verdicts.count("killed")
+    print(f"{killed} of {len(verdicts)} mutants killed")
+    return 0 if killed == len(verdicts) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,6 +23,8 @@ MICRO_SCENARIO = {
     "traffic": [[0, 60], [40, 20], [10, 0]],
 }
 
+ZERO_OBJECT_SCENARIO = {**MICRO_SCENARIO, "sizes": [], "primaries": [], "traffic": [[], [], []]}
+
 
 def write_micro_instance(tmp_path):
     """The hand-checkable path instance, in the on-disk formats the CLI reads."""
@@ -136,7 +138,10 @@ class TestGen:
         (["--traffic-volume", str(10**20)], "2**63"),
         (["--zipf-skew", "nan"], "zipf skew"),
         (["--zipf-skew", "inf"], "zipf skew"),
-    ], ids=["slack-inf", "slack-nan", "slack-1e300", "volume-1e20", "skew-nan", "skew-inf"])
+        (["--capacity-policy", "slack:abc"], "bad capacity policy"),
+        (["--capacity-policy", "bogus"], "unknown capacity policy"),
+    ], ids=["slack-inf", "slack-nan", "slack-1e300", "volume-1e20", "skew-nan", "skew-inf",
+            "slack-abc", "policy-bogus"])
     def test_out_of_range_flag_exits_1(self, tmp_path, capsys, flags, message):
         out = tmp_path / "inst"
         args = ["gen", "--nodes", "5", "--objects", "10", *flags, "--out", str(out)]
@@ -154,6 +159,13 @@ class TestGen:
         assert main(args) == 0
         traffic = Scenario.load(out / "scenario.json").traffic
         assert sum(int(v) for v in traffic.ravel()) == volume
+
+    def test_unbounded_capacity_holds_the_catalog(self, tmp_path):
+        out = tmp_path / "inst"
+        assert main(["gen", "--nodes", "5", "--objects", "10", "--capacity-policy", "unbounded",
+                     "--out", str(out)]) == 0
+        scenario = Scenario.load(out / "scenario.json")
+        assert (scenario.servers.capacities >= scenario.objects.sizes.sum()).all()
 
     def test_trace_availability(self, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -296,6 +308,14 @@ class TestSolve:
         assert "2**63" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_zero_objects_exits_1(self, tmp_path, capsys):
+        # Used to fail in numpy's min() with "zero-size array to reduction operation".
+        topo, scen = write_micro_instance(tmp_path)
+        scen.write_text(json.dumps(ZERO_OBJECT_SCENARIO))
+        assert main(solve_args(topo, scen, tmp_path / "run", "--alg", "aagg")) == 1
+        assert "non-empty" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_algorithm_exits_2(self, tmp_path):
         topo, scen = write_micro_instance(tmp_path)
         assert main(solve_args(topo, scen, tmp_path / "run", "--alg", "anneal")) == 2
@@ -393,6 +413,17 @@ class TestInspect:
         assert report["valid"] is True
         assert report["total_access_cost"] == 70
         assert report["replica_histogram"] == {"2": 2}
+
+    def test_zero_objects_exits_1(self, tmp_path, capsys):
+        # Used to fail in numpy's min() with "zero-size array to reduction operation".
+        topo, scen = write_micro_instance(tmp_path)
+        scen.write_text(json.dumps(ZERO_OBJECT_SCENARIO))
+        placement = tmp_path / "placement.json"
+        placement.write_text('{"objects":[]}')
+        code = main(["inspect", "--placement", str(placement),
+                     "--topology", str(topo), "--scenario", str(scen)])
+        assert code == 1
+        assert "non-empty" in capsys.readouterr().err
 
     def test_tampered_placement_exits_1(self, tmp_path, capsys):
         topo, scen = write_micro_instance(tmp_path)

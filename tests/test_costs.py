@@ -79,6 +79,21 @@ class TestAccessCost:
         with pytest.raises(StructuralError, match="nearest"):
             total_access_cost([[1, 1], [0, 0]], [[0, 0], [bad, 0]], [[5, 5], [1, 1]], self.L)
 
+    @pytest.mark.parametrize("x, n, r, l", [
+        # An id of 0.5 used to raise IndexError.
+        ([[1, 1], [0, 0]], [[0, 0], [0.5, 0]], [[5, 5], [1, 1]], L),
+        # Traffic of 1.5 used to give a total of 2, not 2.5.
+        ([[1, 1], [0, 0]], [[0, 0], [0, 0]], [[5, 5], [1.5, 1]], L),
+        # Placements holding 2 or 0.5 used to be accepted.
+        ([[2, 1], [0, 0]], [[0, 0], [0, 0]], [[5, 5], [1, 1]], L),
+        ([[1, 1], [0.5, 0]], [[0, 0], [0, 0]], [[5, 5], [1, 1]], L),
+        # String link costs used to raise numpy's UFuncTypeError.
+        ([[1, 1], [0, 0]], [[0, 0], [0, 0]], [[5, 5], [1, 1]], [["0", "1"], ["1", "0"]]),
+    ], ids=["nearest-half", "traffic-1.5", "placement-2", "placement-half", "cost-str"])
+    def test_values_are_checked(self, x, n, r, l):
+        with pytest.raises(ParameterError):
+            total_access_cost(x, n, r, l)
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force(self, seed):
@@ -221,6 +236,10 @@ class TestAvailability:
     def test_replicator_ids_must_index_a_server(self, replicators):
         with pytest.raises(StructuralError):
             replicator_availability([0.1, 0.5], replicators)
+
+    def test_unreplicated_object_is_undefined(self):
+        with pytest.raises(StructuralError, match="unreplicated"):
+            replicator_availability([0.1, 0.5], [])
 
     @given(seed=st.integers(0, 10_000))
     @example(seed=0)  # the micro placement with one extra replica

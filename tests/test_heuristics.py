@@ -196,6 +196,10 @@ class TestReplay:
         with pytest.raises(StructuralError):
             replay_schedule(self.X_OLD, [action])
 
+    def test_source_must_hold_the_object(self):
+        with pytest.raises(StructuralError, match="non-replicator"):
+            replay_schedule(self.X_OLD, [Add(1, 0, 2, 0)])
+
     def test_unknown_action(self):
         with pytest.raises(ParameterError, match="unknown schedule action"):
             replay_schedule(self.X_OLD, [("add", 1, 0)])

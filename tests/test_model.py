@@ -58,6 +58,15 @@ class TestCatalogs:
         with pytest.raises(ParameterError):
             ObjectCatalog([0], [0])
 
+    def test_object_catalog_must_be_non_empty(self):
+        # An empty catalog used to be accepted; solve and inspect then failed in numpy's min().
+        with pytest.raises(StructuralError, match="non-empty"):
+            ObjectCatalog([], [])
+
+    def test_primary_ids_non_negative(self):
+        with pytest.raises(ParameterError, match="primary ids"):
+            ObjectCatalog([1], [-1])
+
     @pytest.mark.parametrize("bad", [1.7, float("nan"), float("inf"), 1e30, 2**70, "5"])
     def test_non_integral_inputs_rejected(self, micro, bad):
         # An int64 cast would truncate 1.7 to 1 and wrap the rest silently.
@@ -309,6 +318,23 @@ class TestNearest:
         with pytest.raises(StructuralError, match="link costs|rectangular"):
             build_nearest_index(x, np.array([[0, 1], [1, 0]]))
 
+    @pytest.mark.parametrize("x, l", [
+        ([[2, 0], [0, 1]], [[0, 1], [1, 0]]),          # a 2 used to count as a replica
+        ([[1, 0], [0.5, 1]], [[0, 1], [1, 0]]),        # so did 0.5
+        ([[1, 0], [0, 1]], [[0, 1.5], [1.5, 0]]),      # used to be truncated to d = 1
+        ([[1, 0], [0, 1]], [["0", "1"], ["1", "0"]]),
+    ], ids=["placement-2", "placement-half", "cost-1.5", "cost-str"])
+    def test_values_are_checked(self, x, l):
+        with pytest.raises(ParameterError):
+            build_nearest_index(x, np.array(l))
+
+    def test_cost_matrix_must_match_the_servers(self):
+        servers = ServerCatalog([10, 10], [0.1, 0.2])
+        objects = ObjectCatalog([1], [0])
+        cost = CostMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        with pytest.raises(StructuralError, match="link costs"):
+            PlacementState(cost, servers, objects, [[0], [1]], [[1], [0]])
+
 
 class TestIncrementalIndex:
     def test_add_updates_column(self, micro):
@@ -491,6 +517,12 @@ class TestPlacementFiles:
         path = tmp_path / "placement.json"
         path.write_text('{"objects":[{"id":1.0,"replicators":[2.0]}]}')
         assert load_placement(path, 3, 2).tolist() == [[0, 0], [0, 0], [0, 1]]
+
+    def test_unknown_object_rejected(self, tmp_path):
+        path = tmp_path / "placement.json"
+        path.write_text('{"objects":[{"id":1,"replicators":[0]}]}')
+        with pytest.raises(StructuralError, match="object"):
+            load_placement(path, 3, 1)
 
     def test_unknown_server_rejected(self, tmp_path):
         path = tmp_path / "placement.json"

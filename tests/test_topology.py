@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracle import dijkstra_matrix
 from replicaplan import (
     ConnectivityError,
+    CostMatrix,
     Graph,
     ParameterError,
     StructuralError,
@@ -136,6 +137,19 @@ class TestShortestPaths:
             off = l[~np.eye(25, dtype=bool)]
             assert (off > 0).all()
             matrix.validate()  # includes the triangle inequality
+
+    def test_asymmetric_matrix_rejected(self):
+        with pytest.raises(StructuralError, match="symmetric"):
+            CostMatrix([[0, 1], [2, 0]]).validate()
+
+    def test_triangle_violation_rejected(self):
+        with pytest.raises(StructuralError, match="triangle"):
+            CostMatrix([[0, 1, 5], [1, 0, 1], [5, 1, 0]]).validate()
+
+    def test_unsigned_costs_at_2_63_rejected(self):
+        l = np.array([[0, 2**63], [2**63, 0]], dtype=np.uint64)
+        with pytest.raises(ParameterError, match="2\\*\\*63"):
+            CostMatrix(l)
 
 
 class TestGraphValidation:

@@ -354,6 +354,10 @@ class TestSyntheticAvailability:
         with pytest.raises(ParameterError, match="must be a string"):
             synthetic_availability(3, spec, seed=1)
 
+    def test_no_servers(self):
+        with pytest.raises(ParameterError, match="server"):
+            synthetic_availability(0, "constant:0.1", seed=1)
+
     def test_unknown_kind_reported_once(self):
         with pytest.raises(ParameterError) as info:
             synthetic_availability(3, "gauss:0.1", seed=1)

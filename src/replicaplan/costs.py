@@ -63,7 +63,8 @@ def total_access_cost(x, n, r, l) -> CostReport:
         missing = int(np.flatnonzero(x.sum(axis=0) == 0)[0])
         raise StructuralError(f"object {missing} has no replicator")
     dist = l[np.arange(m)[:, None], n]
-    return CostReport(total=int((dist * r).sum(dtype=np.int64)))
+    # Summed without the M x N product; exact, as every partial sum stays below the total.
+    return CostReport(total=int(np.einsum("ij,ij->", dist, r, dtype=np.int64)))
 
 
 def _failure_probs(values) -> np.ndarray:

@@ -13,7 +13,7 @@ The aware planners refuse a flip that would lower an availability.  One
 comparison, ``costs._fell``, decides it, between an object's availability
 over the sorted replicator ids with the flip and without it.  The engine
 applies it in two places and nowhere else: under ``literal`` semantics
-``_columns`` vetoes each add it refuses (under ``corrected`` semantics an
+``_saving`` vetoes each add it refuses (under ``corrected`` semantics an
 add only raises availability, so none is refused), and under the
 ``all_changed_objects`` scope ``_entries`` flags each evictee whose
 availability would fall.
@@ -45,16 +45,19 @@ from those M row maxima.  An eviction-needing candidate first holds its
 eviction-free score, an upper bound, and is scored exactly,
 ``(net - damage) * weight``, only when that bound reaches the top of the
 matrix.  A commit on server i that adds object k and evicts some objects
-re-scores, before it returns, the window's columns of k and the evictees.
-Elsewhere only the rows of i and of every server whose cached evictable
-list holds one of those columns can change, and in them only the cells
-whose object is larger than the row's free space before or after the
-commit.  A row without such a cell is left as it is; the others are
-re-scored whole.  A row's maximum is recomputed only if its row or its best
-column was re-scored.  The commit's placement check covers only row i and
-the touched columns.  A touched server's evictable list keeps its untouched
-entries, takes the touched ones afresh and is sorted again by the rule of
-its first build.
+recomputes, before it returns, the ``net`` block of k and the evictees,
+scores the window's columns from that block and merges them into the row
+maxima; a commit that evicts nothing addresses its one column as a slice,
+a view.  Elsewhere only the rows of i and of every server whose cached
+evictable list holds one of those columns can change, and in them only
+the cells whose object is larger than the row's free space before or
+after the commit.  A row without such a cell is left as it is; the others
+are re-scored whole.  A row's maximum is recomputed whole only if its row
+was re-scored, or its best column was touched and now holds less.  The
+commit's placement check covers only row i and the touched columns.  A
+touched server's evictable list keeps its untouched entries, takes the
+touched ones afresh and is sorted again by the rule of its first build.
+Each step is a few NumPy calls, and none repeats work another did.
 
 Work whose result cannot change is skipped.  A column's ``net`` depends only
 on that column, so a column with no positive entry, marked in the bool mask
@@ -283,7 +286,8 @@ class _GreedyEngine:
         self.on_commit = on_commit
         self.on_mutation = on_mutation
         m, n = self.st.d.shape
-        self.net = np.zeros((m, n), dtype=np.int64)  # positive only where eligible
+        # Positive only where eligible; column-major, as a commit rewrites whole columns.
+        self.net = np.zeros((m, n), dtype=np.int64, order="F")
         self._live = np.zeros(n, dtype=bool)  # column k holds a positive net saving
         width = max(1, SETUP_CELLS // m)
         for start in range(0, n, width):
@@ -328,12 +332,13 @@ class _GreedyEngine:
         """
         if cs != self._window:
             self._window = cs
-            self._scores, self._pending = self._score(slice(None), cs)
+            self._scores, self._pending = self._score(
+                self.net[:, cs], slice(None), self.st.objects.sizes[cs])
             self._refresh(slice(None))
             if cs.stop - cs.start > 1:  # a commit's touched column covers a one-column window
                 self._largest = int(self.st.objects.sizes[cs].max())
         while True:
-            i = int(np.argmax(self._row_best))
+            i = int(self._row_best.argmax())
             c = int(self._row_arg[i])
             if not self._pending[i, c]:
                 break
@@ -342,27 +347,45 @@ class _GreedyEngine:
             return None
         return i, cs.start + c, self._row_best[i].item()
 
-    def _score(self, rows, cols) -> tuple[np.ndarray, np.ndarray]:
-        """Scores and pending mask of the block ``rows`` x ``cols``.
+    def _score(self, net, rows, sizes) -> tuple[np.ndarray, np.ndarray]:
+        """Scores and pending mask of a ``net`` block: servers ``rows``, objects of ``sizes``.
 
-        One of the two is a slice and the other a slice or an index list.
-        A candidate with a positive ``net`` scores ``net`` times its
-        server's ``weight`` and is pending if its server lacks the space;
-        every other candidate scores 0.
+        ``rows`` is a slice or an index list.  A candidate with a positive
+        ``net`` scores ``net`` times its server's ``weight`` and is pending
+        if its server lacks the space; every other candidate scores 0.  Both
+        are row-major, whatever the layout of ``net``: ``_refresh`` scans rows.
         """
-        net, sz = self.net[rows, cols], self.st.objects.sizes[cols]
-        eligible = net > 0
-        scores = np.where(eligible, net * self.weight[rows, None], 0)
-        return scores, eligible & (self.st.free[rows, None] < sz)
+        return (np.multiply(np.maximum(net, 0), self.weight[rows, None], order="C"),
+                np.logical_and(net > 0, self.st.free[rows, None] < sizes, order="C"))
 
-    def _columns(self, cols: np.ndarray) -> None:
-        """Recompute ``net`` and ``_live`` of the columns ``cols``.
+    def _columns(self, cols) -> np.ndarray:
+        """Recompute ``net`` and ``_live`` of the columns ``cols``; return their ``net`` block.
 
-        This is the one eligibility rule.  ``net`` is the access saving
-        ``_delta`` minus the transfer bytes ``size * d``, and is 0 in
-        columns at the replica cap, where ``_delta`` does not run, and
-        where literal availability vetoes the add.  A held cell is never
-        positive: there ``d[:, k] <= l[:, i]``, so it saves nothing.
+        ``cols`` is a slice or an index array.  This is the one eligibility
+        rule: ``net`` is ``_saving`` below the replica cap and 0 in a column
+        at the cap, where ``_delta`` does not run.  The block is built whole
+        and written to ``net`` and ``_live`` once.
+        """
+        st = self.st
+        counts = st.replica_counts[cols]
+        below = (counts < self.cap_val).nonzero()[0]
+        if below.size == counts.size:
+            net = self._saving(cols)
+        else:  # a slice here is one capped column
+            net = np.zeros((st.x.shape[0], counts.size), dtype=np.int64)
+            if below.size:
+                net[:, below] = self._saving(cols[below])
+        self.net[:, cols] = net
+        self._live[cols] = np.logical_or.reduce(net > 0)  # any per column, without a Python frame
+        return net
+
+    def _saving(self, cols) -> np.ndarray:
+        """``net`` of the columns ``cols``, each below the replica cap.
+
+        It is the access saving ``_delta`` minus the transfer bytes
+        ``size * d``, and 0 where literal availability vetoes the add.  A
+        held cell is never positive: there ``d[:, k] <= l[:, i]``, so it
+        saves nothing.
 
         The veto is the reference's admission rule: adding i to k's
         replicators must not make ``_fell`` hold for the product over the
@@ -374,23 +397,19 @@ class _GreedyEngine:
         stay M x M however many columns are near.
         """
         st = self.st
-        below = cols[st.replica_counts[cols] < self.cap_val]
-        net = _delta(st, below)
-        net -= st.objects.sizes[below] * st.d[:, below]  # in place: one M x W array fewer
+        net = _delta(st, cols)
+        net -= st.objects.sizes[cols] * st.d[:, cols]  # in place: one M x W array fewer
         if self.use_factor and self.cfg.availability_semantics == "literal":
-            held, probs, m = st.x[:, below] == 1, st.servers.failure_probs, st.x.shape[0]
+            held, probs, m = st.x[:, cols] == 1, st.servers.failure_probs, st.x.shape[0]
             before = costs._availability(held, probs, "literal")
             after, slack = before * self.weight[:, None], 4 * m * np.finfo(float).eps * before
             veto = costs._fell(after + slack, before)  # falls however the product rounds
             near = costs._fell(after - slack, before) ^ veto  # within ``slack`` of the tolerance
-            for c in np.flatnonzero(near.any(axis=0)).tolist():
+            for c in near.any(axis=0).nonzero()[0].tolist():
                 exact = costs._availability(held[:, [c]] | np.eye(m, dtype=bool), probs, "literal")
                 veto[:, c] = costs._fell(exact, before[c])
             net[veto] = 0
-        self.net[:, cols] = 0
-        self.net[:, below] = net
-        self._live[cols] = False
-        self._live[below] = (net > 0).any(axis=0)
+        return net
 
     def _resolve(self, i: int) -> None:
         """Replace server i's pending bounds in the window by exact scores; refresh its maximum.
@@ -404,26 +423,32 @@ class _GreedyEngine:
         prefix would lose availability.
         """
         st = self.st
-        local = np.flatnonzero(self._pending[i])
+        local = self._pending[i].nonzero()[0]
         ks = self._window.start + local
-        sz = st.objects.sizes[ks]
         ev = self._evictable(i)
-        t = np.searchsorted(ev.cum_size, sz - st.free[i])
+        t = ev.cum_size.searchsorted(st.objects.sizes[ks] - st.free[i])
         scores = (self.net[i, ks] - ev.cum_damage[t]) * self.weight[i]
-        self._scores[i, local] = np.where(ev.blocked[t], 0, scores)
+        scores[ev.blocked[t]] = 0
+        self._scores[i, local] = scores
         self._pending[i, local] = False
-        self._refresh([i])
+        self._refresh(slice(i, i + 1))
 
     def _refresh(self, rows) -> None:
-        """Recompute ``_row_best`` and ``_row_arg`` of ``rows`` from their scores."""
+        """Set ``_row_best`` and ``_row_arg`` of ``rows``, a slice or an index array.
+
+        One ``argmax`` per row finds its first maximum, and the maximum is
+        read at it.
+        """
         block = self._scores[rows]
-        self._row_best[rows], self._row_arg[rows] = block.max(axis=1), block.argmax(axis=1)
+        arg = block.argmax(axis=1)
+        self._row_arg[rows] = arg
+        self._row_best[rows] = block[np.arange(arg.size), arg]
 
     def _evictable(self, i: int) -> _Evictables:
         """Server i's evictable replicas with their prefix sums, built on first use."""
         cached = self._evict_cache.get(i)
         if cached is None:
-            cached = self._store(i, *self._entries(i, np.flatnonzero(self.st.x[i])))
+            cached = self._store(i, *self._entries(i, self.st.x[i].nonzero()[0]))
         return cached
 
     def _entries(self, i: int, objs: np.ndarray) -> tuple:
@@ -438,8 +463,8 @@ class _GreedyEngine:
         objs = objs[(st.x[i, objs] == 1) & (st.objects.primaries[objs] != i)]
         others = st.x[:, objs] == 1
         others[i] = False
-        col, rep = np.nonzero(others.T)  # grouped by column, servers ascending
-        r = np.minimum.reduceat(st.l[:, rep], np.searchsorted(col, np.arange(objs.size)), axis=1)
+        col, rep = others.T.nonzero()  # grouped by column, servers ascending
+        r = np.minimum.reduceat(st.l[:, rep], col.searchsorted(np.arange(objs.size)), axis=1)
         extra = (r - st.d[:, objs]) * st.traffic[:, objs]
         damages = np.where(st.n[:, objs] == i, extra, 0).sum(axis=0)
         lowers = np.zeros(objs.size, dtype=bool)
@@ -453,29 +478,36 @@ class _GreedyEngine:
         """Sort server i's entries by (damage, object), add their prefix sums and cache them."""
         order = np.lexsort((objs, damages))
         objs, damages, lowers = objs[order], damages[order], lowers[order]
+        cum_damage = np.zeros(objs.size + 1, dtype=np.int64)
+        blocked = np.zeros(objs.size + 1, dtype=bool)
+        damages.cumsum(out=cum_damage[:-1])
+        np.logical_or.accumulate(lowers, out=blocked[:-1])
+        blocked[-1] = True
         cached = self._evict_cache[i] = _Evictables(
             objects=objs,
             damages=damages,
             lowers=lowers,
-            cum_size=np.cumsum(self.st.objects.sizes[objs]),
-            cum_damage=np.append(np.cumsum(damages), 0),
-            blocked=np.append(np.logical_or.accumulate(lowers), True),
+            cum_size=self.st.objects.sizes[objs].cumsum(),
+            cum_damage=cum_damage,
+            blocked=blocked,
         )
         return cached
 
-    def _invalidate(self, i: int, touched: np.ndarray, free_before: int) -> None:
+    def _invalidate(self, i: int, k: int, evicted: tuple, free_before: int) -> None:
         """Bring the caches up to date after a commit on server i.
 
-        ``touched`` holds the added object and the evicted ones.  Their
-        columns' nearest index, placement and replica counts changed, so
-        once all of the commit's mutations are done ``_columns`` recomputes
-        their ``net`` and ``_live``, evictees outside the window included,
-        and the window's touched columns are scored again.  An evictable
-        entry's damage and availability flag depend only on its own column,
-        so only the cached servers holding a touched column have entries to
-        redo.  Each such list drops its touched entries, appends their new
-        ones (1 to 3) and goes back through ``_store``, so it keeps the
-        (damage, object) order a first build gives.
+        The commit added object k and evicted the objects ``evicted``.
+        Their columns' nearest index, placement and replica counts changed,
+        so once all of the commit's mutations are done ``_columns``
+        recomputes their ``net`` and ``_live``, evictees outside the window
+        included; a commit that evicts nothing addresses its one column as
+        a slice, a view.  The window's touched columns are scored from the
+        block ``_columns`` returns.  An evictable entry's damage and
+        availability flag depend only on its own column, so only the cached
+        servers holding a touched column have entries to redo (none while
+        no list is cached).  Each such list drops its touched entries,
+        appends their new ones (1 to 3) and goes back through ``_store``,
+        so it keeps the (damage, object) order a first build gives.
 
         Outside the touched columns ``net`` and ``weight`` did not change,
         so a cell's score or pending flag can change only in the row of i,
@@ -490,42 +522,52 @@ class _GreedyEngine:
         cell and is left as it is; the others are re-scored whole.  Nothing
         more is re-scored when the touched columns cover the window.
 
-        A row's best is recomputed if the row was re-scored or its best
-        column was; any other row keeps its best unless a re-scored column
-        beats it, the lower column winning a tie.
+        Each touched window column is merged into the row maxima in turn,
+        the lower column winning a tie.  A row is refreshed whole if it
+        was re-scored, or if its best column was touched and now holds
+        less than the row's best.  If that column holds at least as much,
+        every other column holds at most the old best, so the merge alone
+        is exact.
         """
+        st = self.st
+        touched = np.array(sorted((k, *evicted)), dtype=np.int64)
+        cols = touched if evicted else slice(k, k + 1)
         rows = {i}
-        for j in np.flatnonzero(self.st.x[:, touched].any(axis=1)).tolist():
-            ev = self._evict_cache.get(j)
-            if ev is None:
-                continue
-            keep = ~(ev.objects[:, None] == touched).any(axis=1)
-            self._store(j, *(np.concatenate((a[keep], b))
-                             for a, b in zip(ev[:3], self._entries(j, touched))))
-            rows.add(j)
-        cols = np.sort(touched)
-        self._columns(cols)
-        cs = self._window  # holds the added object, so ``cols`` is never empty
-        cols = cols[(cs.start <= cols) & (cols < cs.stop)]
-        scores = self._score(slice(None), cols)
-        cols -= cs.start
-        self._scores[:, cols], self._pending[:, cols] = scores
-        if cols.size == cs.stop - cs.start:
+        if self._evict_cache:
+            for j in st.x[:, cols].any(axis=1).nonzero()[0].tolist():
+                ev = self._evict_cache.get(j)
+                if ev is None:
+                    continue
+                keep = ~(ev.objects[:, None] == touched).any(axis=1)
+                self._store(j, *(np.concatenate((a[keep], b))
+                                 for a, b in zip(ev[:3], self._entries(j, touched))))
+                rows.add(j)
+        net = self._columns(cols)
+        cs = self._window  # holds k
+        if evicted:  # keep the window's columns
+            inside = (cs.start <= touched) & (touched < cs.stop)
+            net, touched = net[:, inside], touched[inside]
+        scores, pending = self._score(net, slice(None), st.objects.sizes[touched])
+        local = touched - cs.start
+        self._scores[:, local], self._pending[:, local] = scores, pending
+        if local.size == cs.stop - cs.start:
             self._refresh(slice(None))
             return
-        rows = np.array(sorted(rows))
-        limits = self.st.free[rows]
-        limits[rows == i] = min(free_before, int(self.st.free[i]))
-        rows = rows[limits < self._largest]  # else every window object fits, before and after
-        if rows.size:
-            self._scores[rows], self._pending[rows] = self._score(rows, cs)
-        stale = (self._row_arg[:, None] == cols).any(axis=1)
-        stale[rows] = True
-        block = self._scores[:, cols]
-        best, arg = block.max(axis=1), cols[block.argmax(axis=1)]
-        wins = (best > self._row_best) | ((best == self._row_best) & (arg < self._row_arg))
-        self._row_best[wins], self._row_arg[wins] = best[wins], arg[wins]
-        self._refresh(np.flatnonzero(stale))
+        limit_i = min(free_before, int(st.free[i]))
+        rows = [j for j in rows if (limit_i if j == i else int(st.free[j])) < self._largest]
+        best, arg = self._row_best, self._row_arg
+        stale = False  # an array from the first column on; the window holds k
+        for c, s in zip(local.tolist(), scores.T):
+            stale = stale | ((arg == c) & (s < best))
+            wins = (s > best) | ((s == best) & (arg > c))
+            best[wins], arg[wins] = s[wins], c
+        if rows:  # else every window object fits, before and after
+            self._scores[rows], self._pending[rows] = self._score(
+                self.net[rows, cs], rows, st.objects.sizes[cs])
+            stale[rows] = True
+        stale = stale.nonzero()[0]
+        if stale.size:
+            self._refresh(stale)
 
     # -- committing -------------------------------------------------------
 
@@ -546,8 +588,8 @@ class _GreedyEngine:
         evicted, damage = (), 0
         if needed > 0:
             ev = self._evictable(i)
-            t = int(np.searchsorted(ev.cum_size, needed))
-            evicted = tuple(int(kk) for kk in ev.objects[:t + 1])
+            t = int(ev.cum_size.searchsorted(needed))
+            evicted = tuple(ev.objects[:t + 1].tolist())
             damage = int(ev.cum_damage[t])
         for kk in evicted:
             st.remove_replica(i, kk)
@@ -571,7 +613,7 @@ class _GreedyEngine:
         step = StepStat(i, k, c_before, c_after, tcost, benefit)
         self.steps.append(step)
         self.c = c_after
-        self._invalidate(i, np.array([k, *evicted], dtype=np.int64), free_before)
+        self._invalidate(i, k, evicted, free_before)
         if self.on_commit:
             self.on_commit(st, step)
 

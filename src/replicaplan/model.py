@@ -219,11 +219,14 @@ def validate_placement(x, servers: ServerCatalog, objects: ObjectCatalog, *,
 
 
 def _subset(indices, count: int, what: str) -> np.ndarray:
-    """``indices`` as an int64 array of positions in ``range(count)``; None means all."""
+    """``indices`` as an int64 array of positions in ``range(count)``; None means all.
+
+    One range check: viewed as unsigned, a negative position is 2**63 or more.
+    """
     if indices is None:
         return np.arange(count)
-    idx = _integral(indices, what).astype(np.int64).reshape(-1)
-    if ((idx < 0) | (idx >= count)).any():
+    idx = np.asarray(_integral(indices, what), dtype=np.int64).reshape(-1)
+    if np.maximum.reduce(idx.view(np.uint64), initial=0) >= count:
         raise StructuralError(f"{what} must lie in [0, {count}), got {idx.tolist()}")
     return idx
 
@@ -247,14 +250,15 @@ def _nearest(l, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each server's cheapest replicator among ``reps`` (lowest id on ties) and its cost."""
     sub = l[:, reps]
     pos = sub.argmin(axis=1)  # first minimum = lowest replicator id
-    return reps[pos], sub.min(axis=1)
+    return reps[pos], sub[np.arange(len(sub)), pos]
 
 
 def build_nearest_index(x, l) -> tuple[np.ndarray, np.ndarray]:
     """Compute (nearest-id, nearest-distance) matrices for every (server, object).
 
     ``l`` must be M x M for the M x N placement ``x``; ``x`` must hold only
-    0 and 1, and ``l`` only integers.
+    0 and 1, and ``l`` only integers.  Both matrices are column-major: each
+    add or drop rewrites one column of each.
     """
     x, l = _array(x, "placement"), _array(l, "link costs")
     if x.ndim != 2 or l.shape != (len(x),) * 2:
@@ -262,8 +266,8 @@ def build_nearest_index(x, l) -> tuple[np.ndarray, np.ndarray]:
                               f"got shapes {l.shape} and {x.shape}")
     x, l = _binary(x, "placement"), np.asarray(_integral(l, "link costs"), dtype=np.int64)
     m, n = x.shape
-    near = np.empty((m, n), dtype=np.int64)
-    dist = np.empty((m, n), dtype=np.int64)
+    near = np.empty((m, n), dtype=np.int64, order="F")
+    dist = np.empty((m, n), dtype=np.int64, order="F")
     for k in range(n):
         reps = np.flatnonzero(x[:, k])
         if reps.size == 0:
@@ -308,10 +312,10 @@ class PlacementState:
         return cls(cost, scenario.servers, scenario.objects, scenario.traffic, x)
 
     def copy(self) -> "PlacementState":
-        """An independent copy; the instance it is bound to is shared."""
+        """An independent copy, each array in its own memory order; the instance is shared."""
         dup = copy.copy(self)
         for name in ("x", "n", "d", "free", "replica_counts"):
-            setattr(dup, name, getattr(self, name).copy())
+            setattr(dup, name, getattr(self, name).copy(order="K"))
         return dup
 
     def add_replica(self, i: int, k: int) -> np.ndarray:
@@ -339,8 +343,8 @@ class PlacementState:
         self.x[i, k] = bit
         self.free[i] -= step * self.objects.sizes[k]
         self.replica_counts[k] += step
-        new_n, new_d = _nearest(self.l, np.flatnonzero(self.x[:, k]))
-        changed = np.flatnonzero(new_n != self.n[:, k])  # d moves only with n: d = l[j, n]
+        new_n, new_d = _nearest(self.l, self.x[:, k].nonzero()[0])
+        changed = (new_n != self.n[:, k]).nonzero()[0]  # d moves only with n: d = l[j, n]
         self.n[:, k] = new_n
         self.d[:, k] = new_d
         return changed

@@ -113,9 +113,13 @@ class Graph:
 
     def __post_init__(self):
         node_count = _count(self.node_count, "node count")
+        try:
+            edges = tuple(self.edges)
+        except TypeError as exc:
+            raise StructuralError(f"edges must be iterable, got {self.edges!r}") from exc
         seen = set()
         normalized = []
-        for edge in self.edges:
+        for edge in edges:
             try:
                 u, v, cost = (_whole(value, "edge entry") for value in edge)
             except (TypeError, ValueError) as exc:  # not iterable, or not three entries

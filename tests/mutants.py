@@ -52,15 +52,15 @@ MUTANTS = (
            "            net[veto] = net[veto]\n",
            (HEURISTICS, "-k", "Literal")),
     Mutant("columns-no-transfer-term", "heuristics.py",
-           "net -= st.objects.sizes[below] * st.d[:, below]",
-           "net -= 0 * st.d[:, below]",
+           "net -= st.objects.sizes[cols] * st.d[:, cols]",
+           "net -= 0 * st.d[:, cols]",
            (HEURISTICS, "-k", "TestAgainstReference")),
     Mutant("veto-slack-0", "heuristics.py",
            "slack = before * self.weight[:, None], 4 * m * np.finfo(float).eps * before",
            "slack = before * self.weight[:, None], 0 * before",
            (HEURISTICS, "-k", "Literal")),
     Mutant("veto-no-exact-recompute", "heuristics.py",
-           "for c in np.flatnonzero(near.any(axis=0)).tolist():",
+           "for c in near.any(axis=0).nonzero()[0].tolist():",
            "for c in []:",
            (HEURISTICS, "-k", "Literal")),
     # Evictable lists and the eviction prefix.
@@ -73,48 +73,65 @@ MUTANTS = (
            "        others[i] = others[i]\n",
            (HEURISTICS, "-k", "TestEvictionEntries")),
     Mutant("resolve-searchsorted-right", "heuristics.py",
-           "t = np.searchsorted(ev.cum_size, sz - st.free[i])",
-           't = np.searchsorted(ev.cum_size, sz - st.free[i], side="right")',
+           "t = ev.cum_size.searchsorted(st.objects.sizes[ks] - st.free[i])",
+           't = ev.cum_size.searchsorted(st.objects.sizes[ks] - st.free[i], side="right")',
            (HEURISTICS, "-k", "TestAgainstReference")),
     # Row maxima of the swept window.
     Mutant("sweep-no-window-refresh", "heuristics.py",
-           "self._score(slice(None), cs)\n            self._refresh(slice(None))\n",
-           "self._score(slice(None), cs)\n",
+           "self.st.objects.sizes[cs])\n            self._refresh(slice(None))\n",
+           "self.st.objects.sizes[cs])\n",
            (HEURISTICS, "-k", "TestColumnCaches or TestSweepCache")),
-    # The row skip in ``_invalidate``.
+    # The row skip and the maxima merge in ``_invalidate``.
     Mutant("row-skip-limit-free-after-only", "heuristics.py",
-           "limits[rows == i] = min(free_before, int(self.st.free[i]))",
-           "limits[rows == i] = int(self.st.free[i])",
+           "limit_i = min(free_before, int(st.free[i]))",
+           "limit_i = int(st.free[i])",
            (HEURISTICS, "-k", "TestRescoredSuffix")),
     Mutant("row-skip-limit-free-before-only", "heuristics.py",
-           "limits[rows == i] = min(free_before, int(self.st.free[i]))",
-           "limits[rows == i] = free_before",
+           "limit_i = min(free_before, int(st.free[i]))",
+           "limit_i = free_before",
            (HEURISTICS, "-k", "TestRescoredSuffix")),
     Mutant("row-skip-holders-not-rescored", "heuristics.py",
-           "            rows.add(j)\n",
-           "            rows.add(i)\n",
+           "                rows.add(j)\n",
+           "                rows.add(i)\n",
            (HEURISTICS, "-k", "TestRescoredSuffix or TestSweepCache")),
     Mutant("row-skip-touched-best-not-refreshed", "heuristics.py",
-           "stale = (self._row_arg[:, None] == cols).any(axis=1)",
-           "stale = np.zeros(self._row_arg.size, dtype=bool)",
+           "stale = stale | ((arg == c) & (s < best))",
+           "stale = stale | ((arg == c) & (s < best) & (s != s))",
            (HEURISTICS, "-k", "TestRescoredSuffix or TestSweepCache or TestColumnCaches")),
     Mutant("row-skip-tie-to-higher-column", "heuristics.py",
-           "(arg < self._row_arg)",
-           "(arg > self._row_arg)",
+           "((s == best) & (arg > c))",
+           "((s == best) & (arg < c))",
+           (HEURISTICS, "-k", "TestRescoredSuffix or TestSweepCache")),
+    Mutant("merge-tie-keeps-higher-column", "heuristics.py",
+           "wins = (s > best) | ((s == best) & (arg > c))",
+           "wins = s > best",
            (HEURISTICS, "-k", "TestRescoredSuffix or TestSweepCache")),
     Mutant("row-skip-rescored-not-refreshed", "heuristics.py",
-           "        stale[rows] = True\n",
-           "        stale[rows] = stale[rows]\n",
+           "            stale[rows] = True\n",
+           "            stale[rows] = stale[rows]\n",
            (HEURISTICS, "-k", "TestRescoredSuffix or TestSweepCache")),
     Mutant("row-skip-off-by-one-byte", "heuristics.py",
-           "rows = rows[limits < self._largest]",
-           "rows = rows[limits + 1 < self._largest]",
+           "int(st.free[j])) < self._largest]",
+           "int(st.free[j])) + 1 < self._largest]",
            (HEURISTICS, "-k", "TestRescoredSuffix or TestSweepCache")),
+    Mutant("refresh-last-maximum", "heuristics.py",
+           "arg = block.argmax(axis=1)",
+           "arg = block.shape[1] - 1 - block[:, ::-1].argmax(axis=1)",
+           (HEURISTICS, "-k", "TestSweepCache or TestColumnCaches")),
+    # Set-up computes ``net`` in blocks; only a check at size spans several.
+    Mutant("setup-skips-block-start", "heuristics.py",
+           "self._columns(np.arange(start, min(start + width, n)))",
+           "self._columns(np.arange(start + (start > 0), min(start + width, n)))",
+           (HEURISTICS,)),
     # Placement state.
     Mutant("nearest-ties-to-higher-id", "model.py",
            "pos = sub.argmin(axis=1)",
            "pos = sub.shape[1] - 1 - sub[:, ::-1].argmin(axis=1)",
            ("tests/test_model.py", "-k", "TestNearest or TestIncrementalIndex")),
+    Mutant("subset-accepts-count", "model.py",
+           "initial=0) >= count:",
+           "initial=0) > count:",
+           ("tests/test_model.py", "-k", "TestValidate")),
     Mutant("copy-without-replica-counts", "model.py",
            'for name in ("x", "n", "d", "free", "replica_counts"):',
            'for name in ("x", "n", "d", "free"):',

@@ -94,6 +94,39 @@ class TestAccessCost:
         with pytest.raises(ParameterError):
             total_access_cost(x, n, r, l)
 
+    def test_exact_just_below_int64_headroom(self):
+        """max(l) x total traffic is within 2**25 of 2**63: the sum equals the Python-int sum."""
+        rng = np.random.default_rng(3)
+        m, n, unit = 4, 64, 2**20
+        l = np.array([[abs(a - b) * unit for b in range(m)] for a in range(m)])
+        weights = rng.integers(1, 1000, size=(m, n))
+        total = 2**63 // (3 * unit) - 2**3
+        traffic = weights * (total // int(weights.sum()))
+        traffic[-1, -1] += total - int(traffic.sum())
+        state = make_state(l, [10**6] * m, [0.1] * m, [1] * n, [0] * n, traffic)
+        want = sum(int(l[j, 0]) * int(traffic[j, k]) for j in range(m) for k in range(n))
+        assert want > 2**62
+        assert total_access_cost(state.x, state.n, state.traffic, state.l).total == want
+
+    def test_peak_is_one_matrix(self):
+        """The sum builds the gathered distances, one M x N int64 matrix, and no product of them."""
+        m, n = 20, 5_000
+        rng = np.random.default_rng(0)
+        l = rng.integers(1, 100, size=(m, m))
+        l = np.minimum(l, l.T)
+        np.fill_diagonal(l, 0)
+        x = np.zeros((m, n), dtype=np.int8)
+        x[0] = 1
+        n_index = np.zeros((m, n), dtype=np.int64)
+        r = rng.integers(0, 1000, size=(m, n))
+        tracemalloc.start()
+        try:
+            total_access_cost(x, n_index, r, l)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * m * n * 8
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force(self, seed):

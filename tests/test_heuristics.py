@@ -19,20 +19,26 @@ from oracle import (
 from test_model import make_state
 from replicaplan import (
     Add,
+    CostMatrix,
     Evict,
     ObjectCatalog,
     ParameterError,
+    PlacementState,
+    Scenario,
     ServerCatalog,
     SolverConfig,
     StructuralError,
     action_from_dict,
     action_to_dict,
+    all_pairs_shortest_paths,
+    load_topology,
     primary_only_placement,
     replay_schedule,
     solve,
     validate_placement,
 )
 from replicaplan import heuristics
+from replicaplan.cli import main
 from replicaplan.costs import SEMANTICS
 from replicaplan.heuristics import SCOPES, _GreedyEngine
 
@@ -669,7 +675,8 @@ def window_matches_fresh(engine, window: slice):
     fresh = _GreedyEngine(engine.st, engine.cfg)
     assert np.array_equal(engine.net, fresh.net)
     plan = fresh._sweep(window)
-    bound, needs_space = fresh._score(slice(None), window)
+    bound, needs_space = fresh._score(fresh.net[:, window], slice(None),
+                                      fresh.st.objects.sizes[window])
     for i in np.flatnonzero(fresh._pending.any(axis=1)):
         fresh._resolve(int(i))
     pending = engine._pending
@@ -954,6 +961,65 @@ class TestSetupMemory:
         finally:
             tracemalloc.stop()
         assert peak < 45 * m * n
+
+
+@pytest.fixture(scope="module")
+def gen_state(tmp_path_factory):
+    """A `gen` instance too large for the oracle: 40 servers, 2,000 objects, two set-up blocks.
+
+    Every eighth server is made perfect (f = 0), so that literal
+    availability admits some adds.
+    """
+    out = tmp_path_factory.mktemp("gen")
+    assert main(["gen", "--nodes", "40", "--objects", "2000", "--capacity-policy", "slack:1.2",
+                 "--caps", "1..2", "--seed", "5", "--out", str(out)]) == 0
+    scenario = Scenario.load(out / "scenario.json")
+    f = scenario.servers.failure_probs.copy()
+    f[::8] = 0.0
+    servers = ServerCatalog(scenario.servers.capacities, f)
+    return PlacementState(all_pairs_shortest_paths(load_topology(out / "topology.json")),
+                          servers, scenario.objects, scenario.traffic,
+                          primary_only_placement(servers, scenario.objects))
+
+
+class TestFixedPointAtSize:
+    """A finished plan's caches equal a one-call recompute, and a global plan re-solves to nothing.
+
+    The recompute does not repeat set-up's blocks: one ``_columns`` call
+    covers every column.  The blind planners ignore semantics and scope,
+    so they run once.
+    """
+
+    @pytest.mark.parametrize("algorithm, semantics, scope", [
+        *itertools.product(("aagg", "aagro"), SEMANTICS, SCOPES),
+        ("gg", "corrected", "focal_object"),
+        ("gro", "corrected", "focal_object"),
+    ])
+    def test_caches_match_recompute(self, gen_state, algorithm, semantics, scope):
+        m, n = gen_state.x.shape
+        assert n > heuristics.SETUP_CELLS // m  # set-up spans at least two blocks
+        config = SolverConfig(algorithm=algorithm, max_replicas_per_object=2,
+                              availability_semantics=semantics, availability_scope=scope)
+        engine = _GreedyEngine(gen_state, config)
+        engine.run()
+        result = engine.result()
+        assert result.steps
+        net, live = engine.net.copy(), engine._live.copy()
+        assert np.array_equal(engine._columns(np.arange(n)), net)
+        assert np.array_equal(engine.net, net)
+        assert np.array_equal(engine._live, live)
+        assert engine._evict_cache
+        for i, cached in list(engine._evict_cache.items()):
+            fresh = engine._store(i, *engine._entries(i, np.arange(n)))
+            for name, got, want in zip(cached._fields, cached, fresh):
+                assert got.dtype == want.dtype, (i, name)
+                assert np.array_equal(got, want), (i, name)
+        if algorithm in ("aagg", "gg"):
+            again = solve(PlacementState(CostMatrix(gen_state.l), gen_state.servers,
+                                         gen_state.objects, gen_state.traffic, result.x_new),
+                          config)
+            assert again.schedule == ()
+            assert again.c_new == result.c_new
 
 
 class TestFloatScoreBound:

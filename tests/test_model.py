@@ -225,6 +225,8 @@ class TestValidatePlacement:
         ({"cols": [-1]}, StructuralError),
         ({"rows": [0.5]}, ParameterError),
         ({"cols": ["0"]}, ParameterError),
+        ({"cols": [2]}, StructuralError),
+        ({"rows": [-2**63]}, StructuralError),
     ])
     def test_narrowed_check_refuses_bad_indices(self, micro, narrowed, error):
         x = primary_only_placement(micro.servers, micro.objects)
@@ -467,6 +469,13 @@ class TestIncrementalIndex:
         for name in ("x", "n", "d", "free", "replica_counts"):
             assert (getattr(state, name) == getattr(fresh, name)).all(), name
             assert not (getattr(dup, name) == getattr(fresh, name)).all(), name
+
+    def test_nearest_index_stays_column_major(self, micro):
+        """Each add or drop rewrites a column of ``n`` and ``d``; a copy keeps them column-major."""
+        state = micro.state()
+        for s in (state, state.copy()):
+            assert s.n.flags.f_contiguous and s.d.flags.f_contiguous
+            assert s.x.flags.c_contiguous
 
     def test_replicator_maps_to_itself(self, micro):
         state = micro.state()

@@ -181,6 +181,11 @@ class TestGraphValidation:
         with pytest.raises(StructuralError, match="triple"):
             Graph(3, (edge,))
 
+    @pytest.mark.parametrize("edges", [None, 5, 1.5])
+    def test_edges_must_be_iterable(self, edges):
+        with pytest.raises(StructuralError, match="iterable"):
+            Graph(2, edges)
+
 
 class TestSerialization:
     def test_json_round_trip(self, tmp_path):

@@ -22,9 +22,11 @@ When a target server lacks space, non-primary replicas it hosts are evicted
 least-damaging-first until the newcomer fits; a candidate whose evictions
 cannot free enough space is skipped.  A replica's damage is the cost of
 rerouting the servers it serves to their next-cheapest replicator; one
-vectorized pass per server prices all its replicas, kept sorted by (damage,
-object) with prefix sums of sizes and damages, so one binary search scores
-every eviction-needing candidate on it.  Ties keep the lowest (server, object).
+vectorized pass per server prices all its replicas, with prefix sums of
+sizes and damages, so one binary search scores every eviction-needing
+candidate on it.  The list is kept sorted by (damage, object) only as far as
+its server can evict: its reach, the shortest prefix that makes room for
+the catalog's largest object.  Ties keep the lowest (server, object).
 
 Every score starts from one cached M x N matrix, ``net``: the access saving
 of the add minus its transfer bytes ``size * d``.  ``net`` also carries the
@@ -41,23 +43,30 @@ for the blind ones, whose scores so stay exact integers.
 Scores are kept exact and incremental, and a commit costs in proportion to
 what it changed.  The engine caches the score matrix of the column window it
 sweeps, with each row's maximum and its first column, and picks the winner
-from those M row maxima.  An eviction-needing candidate first holds its
-eviction-free score, an upper bound, and is scored exactly,
-``(net - damage) * weight``, only when that bound reaches the top of the
-matrix.  A commit on server i that adds object k and evicts some objects
-recomputes, before it returns, the ``net`` block of k and the evictees,
-scores the window's columns from that block and merges them into the row
-maxima; a commit that evicts nothing addresses its one column as a slice,
-a view.  Elsewhere only the rows of i and of every server whose cached
-evictable list holds one of those columns can change, and in them only
-the cells whose object is larger than the row's free space before or
-after the commit.  A row without such a cell is left as it is; the others
-are re-scored whole.  A row's maximum is recomputed whole only if its row
-was re-scored, or its best column was touched and now holds less.  The
-commit's placement check covers only row i and the touched columns.  A
-touched server's evictable list keeps its untouched entries, takes the
-touched ones afresh and is sorted again by the rule of its first build.
-Each step is a few NumPy calls, and none repeats work another did.
+from those M row maxima.  An eviction-needing candidate first holds an
+upper bound, ``(net - floor) * weight`` clipped at 0, and is scored
+exactly, ``(net - damage) * weight``, only when that bound reaches the top
+of the matrix.  Every eviction on a server includes the first entry of its
+list, so the server's floor is that entry's damage, and no bound on it is
+positive if that eviction is blocked; a server whose list is not built yet
+has floor 0.  A commit on server i that adds object k and evicts some
+objects recomputes, before it returns, the ``net`` block of k and the
+evictees, scores the window's columns from that block and merges them into
+the row maxima; a commit that evicts nothing addresses its one column as a
+slice, a view.  Elsewhere only the rows of i and of every server whose
+cached evictable list was sorted again can change, and in them only the
+cells whose object is larger than the row's free space after the commit.
+A row without such a cell is left as it is; the others are re-scored
+whole.  A row's maximum is recomputed whole only if its row was
+re-scored, or its best column was touched and now holds less.  The
+commit's placement check covers only row i and the touched columns.
+Server i's evictable list keeps its untouched entries, takes the touched
+ones afresh and is sorted again by the rule of its first build.  Another
+server's list keeps its objects, and its touched entries are rewritten in
+place.  It is sorted again, and its row re-scored, only if one of them
+lies within its reach or now sorts before the reach's last entry;
+otherwise its floor, its reach and every price read from it stay as they
+were.  Each step is a few NumPy calls, and none repeats work another did.
 
 Work whose result cannot change is skipped.  A column's ``net`` depends only
 on that column, so a column with no positive entry, marked in the bool mask
@@ -88,6 +97,7 @@ ALGORITHMS = ("aagg", "aagro", "gg", "gro")
 SCOPES = ("focal_object", "all_changed_objects")
 FLOAT_EXACT_LIMIT = 2**53
 SETUP_CELLS = 1 << 16  # set-up computes ``net`` in blocks of about this many cells
+BLOCKED_FLOOR = np.iinfo(np.int64).max  # the floor of a server whose cheapest eviction is blocked
 
 
 @dataclass(frozen=True)
@@ -206,12 +216,16 @@ def action_from_dict(payload: dict):
 def replay_schedule(x_old, schedule) -> np.ndarray:
     """Re-apply a schedule to a placement; raises if any step is inconsistent.
 
-    ``x_old`` must hold only 0 and 1.  Every server, source and object id
-    must be a whole number indexing ``x_old``: a negative id is refused, not
-    read from the end.
+    ``x_old`` must hold only 0 and 1, and ``schedule`` must be iterable.
+    Every server, source and object id must be a whole number indexing
+    ``x_old``: a negative id is refused, not read from the end.
     """
     x = np.array(_binary(x_old, "placement"), dtype=np.int8)
     m, n = x.shape
+    try:
+        schedule = tuple(schedule)
+    except TypeError as exc:
+        raise ParameterError(f"schedule must be iterable, got {schedule!r}") from exc
     for action in schedule:
         if not isinstance(action, (Add, Evict)):
             raise ParameterError(f"unknown schedule action {action!r}")
@@ -252,11 +266,16 @@ def _delta(state: PlacementState, cols) -> np.ndarray:
 
 
 class _Evictables(NamedTuple):
-    """One server's evictable (non-primary) replicas, sorted by (damage, object).
+    """One server's evictable (non-primary) replicas, sorted by (damage, object) within its reach.
 
-    ``cum_damage`` and ``blocked`` carry one sentinel past the end (0 and
-    True), so a search that runs off ``cum_size`` lands on "cannot free
-    enough space".
+    The first ``reach`` entries (see ``_GreedyEngine._store``) are the
+    smallest by (damage, object), in that order, with exact prefix sums and
+    flags.  The later entries hold exact objects, damages and flags in any
+    order, and ``cum_damage`` and ``blocked`` may be stale there.  An
+    in-place update moves no entry, so ``cum_size`` stays exact throughout
+    and a binary search on it stays valid.  ``cum_damage`` and ``blocked``
+    carry one sentinel past the end (0 and True), so a search that runs off
+    ``cum_size`` lands on "cannot free enough space".
     """
 
     objects: np.ndarray     # int64 object ids
@@ -299,11 +318,15 @@ class _GreedyEngine:
         self.steps: list = []
         self.iterations = 0
         self._evict_cache: dict[int, _Evictables] = {}
+        # Set by ``_store`` for each server with a cached list: the damage of its
+        # cheapest eviction, and how many entries a flip on it can evict.
+        self._floor = np.zeros(m, dtype=np.int64)
+        self._reach = np.zeros(m, dtype=np.int64)
+        self._largest = int(self.st.objects.sizes.max())  # the catalog's largest object
         # Scores of the last swept column window, kept across commits.
         self._window: slice | None = None
         self._scores: np.ndarray | None = None   # M x W; an upper bound where pending
         self._pending: np.ndarray | None = None  # bool M x W: eviction damage not yet scored
-        self._largest = 0  # the window's largest object size (W > 1 only)
         self._row_best = np.zeros(m, self.weight.dtype)  # each row's max
         self._row_arg = np.zeros(m, dtype=np.int64)  # its first column in the window
 
@@ -316,8 +339,7 @@ class _GreedyEngine:
         window is scored whole, and a commit re-scores what it changed (see
         ``_invalidate``).  A candidate that fits holds its exact score,
         ``net`` times its server's ``weight``.  A candidate that needs space
-        holds that value as an upper bound and is marked pending: eviction
-        damage is never negative, and a blocked candidate scores 0.
+        holds an upper bound and is marked pending (see ``_score``).
 
         The first argmax of the matrix wins.  It is read from each row's
         maximum and first column holding it, ``_row_best`` and ``_row_arg``,
@@ -327,36 +349,43 @@ class _GreedyEngine:
         pending, all of its server's pending candidates are resolved exactly
         (``_resolve``) and the winner is read again.  Bounds never fall
         below exact scores, so a non-pending argmax is also the first argmax
-        of the exact scores: ties keep the lowest (server, object).  It is
-        returned only if its score is positive.
+        of the exact scores: ties keep the lowest (server, object).  For the
+        same reason no flip is positive once the top score is not, and the
+        sweep returns None without resolving anything more.
         """
         if cs != self._window:
             self._window = cs
             self._scores, self._pending = self._score(
                 self.net[:, cs], slice(None), self.st.objects.sizes[cs])
             self._refresh(slice(None))
-            if cs.stop - cs.start > 1:  # a commit's touched column covers a one-column window
-                self._largest = int(self.st.objects.sizes[cs].max())
         while True:
             i = int(self._row_best.argmax())
+            if self._row_best[i] <= 0:
+                return None
             c = int(self._row_arg[i])
             if not self._pending[i, c]:
-                break
+                return i, cs.start + c, self._row_best[i].item()
             self._resolve(i)
-        if self._row_best[i] <= 0:
-            return None
-        return i, cs.start + c, self._row_best[i].item()
 
     def _score(self, net, rows, sizes) -> tuple[np.ndarray, np.ndarray]:
         """Scores and pending mask of a ``net`` block: servers ``rows``, objects of ``sizes``.
 
         ``rows`` is a slice or an index list.  A candidate with a positive
-        ``net`` scores ``net`` times its server's ``weight`` and is pending
-        if its server lacks the space; every other candidate scores 0.  Both
-        are row-major, whatever the layout of ``net``: ``_refresh`` scans rows.
+        ``net`` scores ``net`` times its server's ``weight``, and every
+        other candidate scores 0.  It is pending if its server lacks the
+        space, and then its server's floor (see ``_store``) comes off
+        ``net`` first, clipped at 0: every eviction's damage is at least the
+        floor, so the bound never falls below the exact score.  The floors
+        are subtracted in place, only while some list is cached.  Both
+        results are row-major, whatever the layout of ``net``: ``_refresh``
+        scans rows.
         """
-        return (np.multiply(np.maximum(net, 0), self.weight[rows, None], order="C"),
-                np.logical_and(net > 0, self.st.free[rows, None] < sizes, order="C"))
+        gain = np.maximum(net, 0)
+        pending = np.logical_and(net > 0, self.st.free[rows, None] < sizes, order="C")
+        if self._evict_cache:  # else every floor is 0
+            np.subtract(gain, self._floor[rows, None], out=gain, where=pending)
+            np.maximum(gain, 0, out=gain)
+        return np.multiply(gain, self.weight[rows, None], order="C"), pending
 
     def _columns(self, cols) -> np.ndarray:
         """Recompute ``net`` and ``_live`` of the columns ``cols``; return their ``net`` block.
@@ -420,7 +449,9 @@ class _GreedyEngine:
         damages is its damage, and the score is ``net - damage`` times
         ``weight[i]``.  It scores 0 when no prefix frees enough space or,
         under the ``all_changed_objects`` scope, when an evictee in the
-        prefix would lose availability.
+        prefix would lose availability.  No object exceeds the catalog's
+        largest, so every prefix ends within i's reach, where the list is
+        sorted and its sums are exact.
         """
         st = self.st
         local = self._pending[i].nonzero()[0]
@@ -475,7 +506,16 @@ class _GreedyEngine:
         return objs, damages, lowers
 
     def _store(self, i: int, objs, damages, lowers) -> _Evictables:
-        """Sort server i's entries by (damage, object), add their prefix sums and cache them."""
+        """Sort server i's entries by (damage, object), add their prefix sums and cache them.
+
+        It also sets i's floor and reach.  Every eviction on i includes the
+        first entry, so the floor is that entry's damage, or
+        ``BLOCKED_FLOOR`` if its eviction is blocked; the sentinel makes an
+        empty list blocked too.  The reach, ``1 + cum_size.searchsorted(
+        largest - free[i])``, counts the entries any flip on i can evict
+        while i's free space stays as it is: no shortfall exceeds the
+        catalog's largest object's.
+        """
         order = np.lexsort((objs, damages))
         objs, damages, lowers = objs[order], damages[order], lowers[order]
         cum_damage = np.zeros(objs.size + 1, dtype=np.int64)
@@ -483,17 +523,20 @@ class _GreedyEngine:
         damages.cumsum(out=cum_damage[:-1])
         np.logical_or.accumulate(lowers, out=blocked[:-1])
         blocked[-1] = True
+        cum_size = self.st.objects.sizes[objs].cumsum()
+        self._floor[i] = BLOCKED_FLOOR if blocked[0] else cum_damage[0]
+        self._reach[i] = cum_size.searchsorted(self._largest - self.st.free[i]) + 1
         cached = self._evict_cache[i] = _Evictables(
             objects=objs,
             damages=damages,
             lowers=lowers,
-            cum_size=self.st.objects.sizes[objs].cumsum(),
+            cum_size=cum_size,
             cum_damage=cum_damage,
             blocked=blocked,
         )
         return cached
 
-    def _invalidate(self, i: int, k: int, evicted: tuple, free_before: int) -> None:
+    def _invalidate(self, i: int, k: int, evicted: tuple) -> None:
         """Bring the caches up to date after a commit on server i.
 
         The commit added object k and evicted the objects ``evicted``.
@@ -505,22 +548,32 @@ class _GreedyEngine:
         block ``_columns`` returns.  An evictable entry's damage and
         availability flag depend only on its own column, so only the cached
         servers holding a touched column have entries to redo (none while
-        no list is cached).  Each such list drops its touched entries,
-        appends their new ones (1 to 3) and goes back through ``_store``,
-        so it keeps the (damage, object) order a first build gives.
+        no list is cached).  Server i's list drops its touched entries,
+        appends their new ones and goes back through ``_store``, so it
+        keeps the (damage, object) order a first build gives, and takes
+        i's new floor and reach.  Another holder j keeps its objects and
+        its free space, so its reach.  Its touched entries (1 to 3) are
+        rewritten in place.  If none lies within the reach and each new
+        (damage, object) sorts after the reach's last entry, the reach
+        still holds the smallest entries in order, with the same sums, so
+        j's floor and every price read from the list stand.  Otherwise the
+        list goes back through ``_store``.
 
         Outside the touched columns ``net`` and ``weight`` did not change,
         so a cell's score or pending flag can change only in the row of i,
-        whose free space changed, and in the rows of the servers whose
-        evictable lists were just updated, whose resolved scores were priced
-        with the old damages.  In those rows only a cell whose object is
-        larger than the row's limit can change: the smaller of i's free
-        space before (``free_before``) and after the commit, and a holder's
-        free space, which did not change.  A smaller object fits before and
-        after, so its cell holds ``net`` times ``weight`` and is not pending.
-        A row whose limit reaches the window's largest object has no such
-        cell and is left as it is; the others are re-scored whole.  Nothing
-        more is re-scored when the touched columns cover the window.
+        whose free space changed, and in the rows of the holders whose
+        lists went through ``_store``, whose floors changed and whose
+        resolved scores were priced with the old order.  In those rows only
+        a cell whose object is larger than the row's free space after the
+        commit can change.  For a holder that space did not change; for i,
+        it is below the catalog's largest object whenever the commit
+        evicted, since an eviction frees less than its last evictee's size
+        beyond what the add needs, and otherwise it fell.  A smaller object
+        fits before and after, so its cell holds ``net`` times ``weight``
+        and is not pending.  A row whose free space reaches the largest
+        object has no such cell and is left as it is; the others are
+        re-scored whole.  Nothing more is re-scored when the touched
+        columns cover the window.
 
         Each touched window column is merged into the row maxima in turn,
         the lower column winning a tie.  A row is refreshed whole if it
@@ -538,10 +591,22 @@ class _GreedyEngine:
                 ev = self._evict_cache.get(j)
                 if ev is None:
                     continue
-                keep = ~(ev.objects[:, None] == touched).any(axis=1)
-                self._store(j, *(np.concatenate((a[keep], b))
-                                 for a, b in zip(ev[:3], self._entries(j, touched))))
-                rows.add(j)
+                hit = touched[:, None] == ev.objects
+                new = self._entries(j, touched)
+                if j == i:
+                    self._store(i, *(np.concatenate((a[~hit.any(axis=0)], b))
+                                     for a, b in zip(ev[:3], new)))
+                    continue
+                objs, damages, lowers = new
+                if not objs.size:
+                    continue
+                pos = hit.nonzero()[1]  # where ``objs`` sit: j's objects did not change
+                ev.damages[pos], ev.lowers[pos] = damages, lowers
+                reach = int(self._reach[j])
+                if (pos.min() < reach or min(zip(damages.tolist(), objs.tolist()))
+                        < (ev.damages[reach - 1], ev.objects[reach - 1])):
+                    self._store(j, *ev[:3])
+                    rows.add(j)
         net = self._columns(cols)
         cs = self._window  # holds k
         if evicted:  # keep the window's columns
@@ -553,8 +618,7 @@ class _GreedyEngine:
         if local.size == cs.stop - cs.start:
             self._refresh(slice(None))
             return
-        limit_i = min(free_before, int(st.free[i]))
-        rows = [j for j in rows if (limit_i if j == i else int(st.free[j])) < self._largest]
+        rows = [j for j in rows if int(st.free[j]) < self._largest]
         best, arg = self._row_best, self._row_arg
         stale = False  # an array from the first column on; the window holds k
         for c, s in zip(local.tolist(), scores.T):
@@ -583,8 +647,8 @@ class _GreedyEngine:
         """
         st = self.st
         c_before = self.c
-        size, free_before = int(st.objects.sizes[k]), int(st.free[i])
-        needed = size - free_before
+        size = int(st.objects.sizes[k])
+        needed = size - int(st.free[i])
         evicted, damage = (), 0
         if needed > 0:
             ev = self._evictable(i)
@@ -613,7 +677,7 @@ class _GreedyEngine:
         step = StepStat(i, k, c_before, c_after, tcost, benefit)
         self.steps.append(step)
         self.c = c_after
-        self._invalidate(i, k, evicted, free_before)
+        self._invalidate(i, k, evicted)
         if self.on_commit:
             self.on_commit(st, step)
 

@@ -76,19 +76,49 @@ MUTANTS = (
            "t = ev.cum_size.searchsorted(st.objects.sizes[ks] - st.free[i])",
            't = ev.cum_size.searchsorted(st.objects.sizes[ks] - st.free[i], side="right")',
            (HEURISTICS, "-k", "TestAgainstReference")),
+    # The floor: a pending bound takes off its server's cheapest eviction.
+    Mutant("floor-from-last-entry", "heuristics.py",
+           "BLOCKED_FLOOR if blocked[0] else cum_damage[0]",
+           "BLOCKED_FLOOR if blocked[0] else cum_damage[-2]",
+           (HEURISTICS, "-k", "TestSweepCache or TestRescoredSuffix")),
+    Mutant("floor-ignores-blocked", "heuristics.py",
+           "BLOCKED_FLOOR if blocked[0] else cum_damage[0]",
+           "cum_damage[0]",
+           (HEURISTICS, "-k", "TestSweepCache or TestRescoredSuffix")),
+    Mutant("floor-on-fitting-cells", "heuristics.py",
+           "np.subtract(gain, self._floor[rows, None], out=gain, where=pending)",
+           "np.subtract(gain, self._floor[rows, None], out=gain)",
+           (HEURISTICS, "-k", "TestSweepCache or TestRescoredSuffix")),
+    # The reach: a list is kept sorted only as far as its server can evict.
+    Mutant("reach-one-short", "heuristics.py",
+           "self._reach[i] = cum_size.searchsorted(self._largest - self.st.free[i]) + 1",
+           "self._reach[i] = cum_size.searchsorted(self._largest - self.st.free[i])",
+           (HEURISTICS, "-k", "TestEvictionCache")),
+    Mutant("in-place-drops-lowers", "heuristics.py",
+           "ev.damages[pos], ev.lowers[pos] = damages, lowers",
+           "ev.damages[pos] = damages",
+           (HEURISTICS, "-k", "TestEvictionCache")),
+    Mutant("in-place-for-committing-server", "heuristics.py",
+           "                if j == i:\n",
+           "                if False:\n",
+           (HEURISTICS, "-k", "TestEvictionCache")),
+    Mutant("in-place-ignores-position", "heuristics.py",
+           "if (pos.min() < reach or",
+           "if (pos.min() < 0 or",
+           (HEURISTICS, "-k", "TestEvictionCache")),
+    Mutant("in-place-ignores-new-keys", "heuristics.py",
+           "if (pos.min() < reach or min(",
+           "if (pos.min() < reach or False and min(",
+           (HEURISTICS, "-k", "TestEvictionCache")),
     # Row maxima of the swept window.
     Mutant("sweep-no-window-refresh", "heuristics.py",
            "self.st.objects.sizes[cs])\n            self._refresh(slice(None))\n",
            "self.st.objects.sizes[cs])\n",
            (HEURISTICS, "-k", "TestColumnCaches or TestSweepCache")),
     # The row skip and the maxima merge in ``_invalidate``.
-    Mutant("row-skip-limit-free-after-only", "heuristics.py",
-           "limit_i = min(free_before, int(st.free[i]))",
-           "limit_i = int(st.free[i])",
-           (HEURISTICS, "-k", "TestRescoredSuffix")),
-    Mutant("row-skip-limit-free-before-only", "heuristics.py",
-           "limit_i = min(free_before, int(st.free[i]))",
-           "limit_i = free_before",
+    Mutant("row-skip-own-row-not-rescored", "heuristics.py",
+           "        rows = {i}\n",
+           "        rows = set()\n",
            (HEURISTICS, "-k", "TestRescoredSuffix")),
     Mutant("row-skip-holders-not-rescored", "heuristics.py",
            "                rows.add(j)\n",
@@ -111,8 +141,8 @@ MUTANTS = (
            "            stale[rows] = stale[rows]\n",
            (HEURISTICS, "-k", "TestRescoredSuffix or TestSweepCache")),
     Mutant("row-skip-off-by-one-byte", "heuristics.py",
-           "int(st.free[j])) < self._largest]",
-           "int(st.free[j])) + 1 < self._largest]",
+           "if int(st.free[j]) < self._largest]",
+           "if int(st.free[j]) + 1 < self._largest]",
            (HEURISTICS, "-k", "TestRescoredSuffix or TestSweepCache")),
     Mutant("refresh-last-maximum", "heuristics.py",
            "arg = block.argmax(axis=1)",

@@ -22,7 +22,7 @@ import hashlib
 import math
 import sys
 import time
-from dataclasses import astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -294,8 +294,7 @@ def cmd_inspect(args) -> int:
     x = load_placement(args.placement, scenario.servers.count, scenario.objects.count)
     violations = validate_placement(x, scenario.servers, scenario.objects)
     report: dict = {"valid": not violations,
-                    "violations": [{"kind": v.kind, "index": v.index, "detail": v.detail}
-                                   for v in violations]}
+                    "violations": [asdict(v) for v in violations]}
     if not violations:
         state = PlacementState.from_scenario(matrix, scenario, x=x)
         cost_report = costs.total_access_cost(state.x, state.n, state.traffic, state.l)

@@ -22,11 +22,14 @@ When a target server lacks space, non-primary replicas it hosts are evicted
 least-damaging-first until the newcomer fits; a candidate whose evictions
 cannot free enough space is skipped.  A replica's damage is the cost of
 rerouting the servers it serves to their next-cheapest replicator; one
-vectorized pass per server prices all its replicas, with prefix sums of
-sizes and damages, so one binary search scores every eviction-needing
+vectorized pass per server prices all its replicas.  Its list carries the
+prefix sums of sizes and one price per prefix, the sum of its damages, or
+``BLOCKED`` if the prefix holds an eviction the ``all_changed_objects``
+scope refuses, so one binary search scores every eviction-needing
 candidate on it.  The list is kept sorted by (damage, object) only as far as
 its server can evict: its reach, the shortest prefix that makes room for
-the catalog's largest object.  Ties keep the lowest (server, object).
+the catalog's largest object, which the list records.  Ties keep the
+lowest (server, object).
 
 Every score starts from one cached M x N matrix, ``net``: the access saving
 of the add minus its transfer bytes ``size * d``.  ``net`` also carries the
@@ -43,30 +46,30 @@ for the blind ones, whose scores so stay exact integers.
 Scores are kept exact and incremental, and a commit costs in proportion to
 what it changed.  The engine caches the score matrix of the column window it
 sweeps, with each row's maximum and its first column, and picks the winner
-from those M row maxima.  An eviction-needing candidate first holds an
-upper bound, ``(net - floor) * weight`` clipped at 0, and is scored
-exactly, ``(net - damage) * weight``, only when that bound reaches the top
-of the matrix.  Every eviction on a server includes the first entry of its
-list, so the server's floor is that entry's damage, and no bound on it is
-positive if that eviction is blocked; a server whose list is not built yet
-has floor 0.  A commit on server i that adds object k and evicts some
-objects recomputes, before it returns, the ``net`` block of k and the
-evictees, scores the window's columns from that block and merges them into
-the row maxima; a commit that evicts nothing addresses its one column as a
-slice, a view.  Elsewhere only the rows of i and of every server whose
-cached evictable list was sorted again can change, and in them only the
-cells whose object is larger than the row's free space after the commit.
-A row without such a cell is left as it is; the others are re-scored
-whole.  A row's maximum is recomputed whole only if its row was
-re-scored, or its best column was touched and now holds less.  The
-commit's placement check covers only row i and the touched columns.
-Server i's evictable list keeps its untouched entries, takes the touched
-ones afresh and is sorted again by the rule of its first build.  Another
-server's list keeps its objects, and its touched entries are rewritten in
-place.  It is sorted again, and its row re-scored, only if one of them
-lies within its reach or now sorts before the reach's last entry;
-otherwise its floor, its reach and every price read from it stay as they
-were.  Each step is a few NumPy calls, and none repeats work another did.
+from those M row maxima.  An eviction-needing candidate first holds an upper
+bound, ``(net - floor) * weight`` clipped at 0, and is scored exactly,
+``(net - price) * weight`` clipped at 0, only when that bound reaches the
+top of the matrix.  Every eviction on a server includes the first entry of
+its list, so the server's floor is the price of that entry alone, and no
+bound on it is positive if that price is ``BLOCKED``; a server whose list is
+not built yet has floor 0.  A commit on server i that adds object k and
+evicts some objects recomputes, before it returns, the ``net`` block of k
+and the evictees, scores the window's columns from that block and merges
+them into the row maxima; a commit that evicts nothing addresses its one
+column as a slice, a view.  Elsewhere only the rows of i and of every server
+whose cached evictable list was sorted again can change, and in them only
+the cells whose object is larger than the row's free space after the commit.
+A row without such a cell is left as it is; the others are re-scored whole.
+A row's maximum is recomputed whole only if its row was re-scored, or its
+best column was touched and now holds less.  The commit's placement check
+covers only row i and the touched columns.  Server i's evictable list keeps
+its untouched entries, takes the touched ones afresh and is sorted again by
+the rule of its first build.  Another server's list keeps its objects, and
+its touched entries are rewritten in place.  It is sorted again, and its row
+re-scored, only if one of them lies within its reach or now sorts before the
+reach's last entry; otherwise its floor, its reach and every price read from
+it stay as they were.  Each step is a few NumPy calls, and none repeats work
+another did.
 
 Work whose result cannot change is skipped.  A column's ``net`` depends only
 on that column, so a column with no positive entry, marked in the bool mask
@@ -97,7 +100,7 @@ ALGORITHMS = ("aagg", "aagro", "gg", "gro")
 SCOPES = ("focal_object", "all_changed_objects")
 FLOAT_EXACT_LIMIT = 2**53
 SETUP_CELLS = 1 << 16  # set-up computes ``net`` in blocks of about this many cells
-BLOCKED_FLOOR = np.iinfo(np.int64).max  # the floor of a server whose cheapest eviction is blocked
+BLOCKED = np.iinfo(np.int64).max  # the price of an eviction prefix that is not allowed
 
 
 @dataclass(frozen=True)
@@ -173,17 +176,12 @@ class PlacementResult:
         return sum(1 for a in self.schedule if isinstance(a, Evict))
 
     def to_json_dict(self) -> dict:
-        return {
-            "c_old": self.c_old,
-            "c_new": self.c_new,
-            "impl_cost_total": self.impl_cost_total,
-            "benefit_total": self.benefit_total,
-            "iterations": self.iterations,
-            "flips": self.flips,
-            "evictions": self.evictions,
-            "schedule": [action_to_dict(a) for a in self.schedule],
-            "steps": [_record(s) for s in self.steps],
-        }
+        """Every field but ``x_new``, the two counts, and the action and step records."""
+        record = {**_record(self), "flips": self.flips, "evictions": self.evictions,
+                  "schedule": [action_to_dict(a) for a in self.schedule],
+                  "steps": [_record(s) for s in self.steps]}
+        del record["x_new"]
+        return record
 
 
 def _key(name: str) -> str:
@@ -269,21 +267,24 @@ class _Evictables(NamedTuple):
     """One server's evictable (non-primary) replicas, sorted by (damage, object) within its reach.
 
     The first ``reach`` entries (see ``_GreedyEngine._store``) are the
-    smallest by (damage, object), in that order, with exact prefix sums and
-    flags.  The later entries hold exact objects, damages and flags in any
-    order, and ``cum_damage`` and ``blocked`` may be stale there.  An
-    in-place update moves no entry, so ``cum_size`` stays exact throughout
-    and a binary search on it stays valid.  ``cum_damage`` and ``blocked``
-    carry one sentinel past the end (0 and True), so a search that runs off
-    ``cum_size`` lands on "cannot free enough space".
+    smallest by (damage, object), in that order, with exact prefix sums.
+    The later entries hold exact objects, damages and flags in any order,
+    and ``price`` may be stale there.  An in-place update moves no entry,
+    so ``cum_size`` stays exact throughout and a binary search on it stays
+    valid.  ``price[t]`` is the damage of evicting entries ``0..t``, or
+    ``BLOCKED`` if one of them lowers its object's availability.  One
+    sentinel past the end is ``BLOCKED`` too, so a search that runs off
+    ``cum_size`` lands on "cannot free enough space".  A price is
+    subtracted only from a positive ``net``: ``net - BLOCKED`` wraps
+    around in int64 once ``net <= -2``.
     """
 
-    objects: np.ndarray     # int64 object ids
-    damages: np.ndarray     # int64 access-cost increase of each eviction alone
-    lowers: np.ndarray      # bool: eviction lowers the evictee's availability
-    cum_size: np.ndarray    # bytes freed by evicting entries [0..t]
-    cum_damage: np.ndarray  # damage of evicting entries [0..t]
-    blocked: np.ndarray     # any of lowers[0..t] (guarded scope only)
+    objects: np.ndarray   # int64 object ids
+    damages: np.ndarray   # int64 access-cost increase of each eviction alone
+    lowers: np.ndarray    # bool: eviction lowers the evictee's availability
+    cum_size: np.ndarray  # bytes freed by evicting entries [0..t]
+    price: np.ndarray     # damage of evicting entries [0..t], or BLOCKED
+    reach: int            # how many entries any flip on the server can evict
 
 
 class _GreedyEngine:
@@ -318,10 +319,8 @@ class _GreedyEngine:
         self.steps: list = []
         self.iterations = 0
         self._evict_cache: dict[int, _Evictables] = {}
-        # Set by ``_store`` for each server with a cached list: the damage of its
-        # cheapest eviction, and how many entries a flip on it can evict.
+        # Set by ``_store`` for each server with a cached list: its cheapest eviction's price.
         self._floor = np.zeros(m, dtype=np.int64)
-        self._reach = np.zeros(m, dtype=np.int64)
         self._largest = int(self.st.objects.sizes.max())  # the catalog's largest object
         # Scores of the last swept column window, kept across commits.
         self._window: slice | None = None
@@ -374,11 +373,11 @@ class _GreedyEngine:
         ``net`` scores ``net`` times its server's ``weight``, and every
         other candidate scores 0.  It is pending if its server lacks the
         space, and then its server's floor (see ``_store``) comes off
-        ``net`` first, clipped at 0: every eviction's damage is at least the
+        ``net`` first, clipped at 0: every eviction's price is at least the
         floor, so the bound never falls below the exact score.  The floors
-        are subtracted in place, only while some list is cached.  Both
-        results are row-major, whatever the layout of ``net``: ``_refresh``
-        scans rows.
+        are subtracted in place, only from the positive ``net`` of pending
+        cells and only while some list is cached.  Both results are
+        row-major, whatever the layout of ``net``: ``_refresh`` scans rows.
         """
         gain = np.maximum(net, 0)
         pending = np.logical_and(net > 0, self.st.free[rows, None] < sizes, order="C")
@@ -445,22 +444,24 @@ class _GreedyEngine:
 
         Each candidate evicts the shortest prefix of i's evictable replicas
         (sorted by (damage, object)) whose sizes cover the shortfall: a
-        binary search on the prefix sums of sizes finds it, the prefix sum of
-        damages is its damage, and the score is ``net - damage`` times
-        ``weight[i]``.  It scores 0 when no prefix frees enough space or,
-        under the ``all_changed_objects`` scope, when an evictee in the
-        prefix would lose availability.  No object exceeds the catalog's
-        largest, so every prefix ends within i's reach, where the list is
-        sorted and its sums are exact.
+        binary search on the prefix sums of sizes finds it, and the score is
+        ``max(net - price, 0)`` times ``weight[i]``, the clipped form of
+        ``_score``'s bound.  A prefix that frees too little space, or holds an
+        eviction the ``all_changed_objects`` scope refuses, is priced
+        ``BLOCKED`` and so scores 0; ``net`` is positive in a pending cell,
+        so the difference does not wrap.  The clip turns a negative score
+        into 0 and changes no plan: a sweep commits only a strictly positive
+        top, and a positive cell never ties with one that is not, so only
+        the cached maxima of rows that cannot win change.  No object exceeds
+        the catalog's largest, so every prefix ends within i's reach, where
+        the list is sorted and its prices are exact.
         """
         st = self.st
         local = self._pending[i].nonzero()[0]
         ks = self._window.start + local
         ev = self._evictable(i)
         t = ev.cum_size.searchsorted(st.objects.sizes[ks] - st.free[i])
-        scores = (self.net[i, ks] - ev.cum_damage[t]) * self.weight[i]
-        scores[ev.blocked[t]] = 0
-        self._scores[i, local] = scores
+        self._scores[i, local] = np.maximum(self.net[i, ks] - ev.price[t], 0) * self.weight[i]
         self._pending[i, local] = False
         self._refresh(slice(i, i + 1))
 
@@ -506,33 +507,30 @@ class _GreedyEngine:
         return objs, damages, lowers
 
     def _store(self, i: int, objs, damages, lowers) -> _Evictables:
-        """Sort server i's entries by (damage, object), add their prefix sums and cache them.
+        """Sort server i's entries by (damage, object), add prefix sums and reach, cache them.
 
-        It also sets i's floor and reach.  Every eviction on i includes the
-        first entry, so the floor is that entry's damage, or
-        ``BLOCKED_FLOOR`` if its eviction is blocked; the sentinel makes an
-        empty list blocked too.  The reach, ``1 + cum_size.searchsorted(
-        largest - free[i])``, counts the entries any flip on i can evict
-        while i's free space stays as it is: no shortfall exceeds the
-        catalog's largest object's.
+        Each price from the first entry whose eviction lowers availability
+        on, and the sentinel, is ``BLOCKED``.  Every eviction on i includes
+        the first entry, so i's floor is ``price[0]``: ``BLOCKED`` if that
+        eviction is refused or the list is empty.  The reach, ``1 +
+        cum_size.searchsorted(largest - free[i])``, counts the entries any
+        flip on i can evict while i's free space stays as it is: no
+        shortfall exceeds the catalog's largest object's.
         """
         order = np.lexsort((objs, damages))
         objs, damages, lowers = objs[order], damages[order], lowers[order]
-        cum_damage = np.zeros(objs.size + 1, dtype=np.int64)
-        blocked = np.zeros(objs.size + 1, dtype=bool)
-        damages.cumsum(out=cum_damage[:-1])
-        np.logical_or.accumulate(lowers, out=blocked[:-1])
-        blocked[-1] = True
+        price = np.empty(objs.size + 1, dtype=np.int64)
+        damages.cumsum(out=price[:-1])
+        price[np.append(lowers, True).argmax():] = BLOCKED  # from the first blocked entry on
         cum_size = self.st.objects.sizes[objs].cumsum()
-        self._floor[i] = BLOCKED_FLOOR if blocked[0] else cum_damage[0]
-        self._reach[i] = cum_size.searchsorted(self._largest - self.st.free[i]) + 1
+        self._floor[i] = price[0]
         cached = self._evict_cache[i] = _Evictables(
             objects=objs,
             damages=damages,
             lowers=lowers,
             cum_size=cum_size,
-            cum_damage=cum_damage,
-            blocked=blocked,
+            price=price,
+            reach=int(cum_size.searchsorted(self._largest - self.st.free[i])) + 1,
         )
         return cached
 
@@ -552,12 +550,12 @@ class _GreedyEngine:
         appends their new ones and goes back through ``_store``, so it
         keeps the (damage, object) order a first build gives, and takes
         i's new floor and reach.  Another holder j keeps its objects and
-        its free space, so its reach.  Its touched entries (1 to 3) are
-        rewritten in place.  If none lies within the reach and each new
-        (damage, object) sorts after the reach's last entry, the reach
-        still holds the smallest entries in order, with the same sums, so
-        j's floor and every price read from the list stand.  Otherwise the
-        list goes back through ``_store``.
+        its free space, so the reach its list records.  Its touched
+        entries (1 to 3) are rewritten in place.  If none lies within the
+        reach and each new (damage, object) sorts after the reach's last
+        entry, the reach still holds the smallest entries in order, with
+        the same prices, so j's floor and every price read from the list
+        stand.  Otherwise the list goes back through ``_store``.
 
         Outside the touched columns ``net`` and ``weight`` did not change,
         so a cell's score or pending flag can change only in the row of i,
@@ -602,9 +600,8 @@ class _GreedyEngine:
                     continue
                 pos = hit.nonzero()[1]  # where ``objs`` sit: j's objects did not change
                 ev.damages[pos], ev.lowers[pos] = damages, lowers
-                reach = int(self._reach[j])
-                if (pos.min() < reach or min(zip(damages.tolist(), objs.tolist()))
-                        < (ev.damages[reach - 1], ev.objects[reach - 1])):
+                if (pos.min() < ev.reach or min(zip(damages.tolist(), objs.tolist()))
+                        < (ev.damages[ev.reach - 1], ev.objects[ev.reach - 1])):
                     self._store(j, *ev[:3])
                     rows.add(j)
         net = self._columns(cols)
@@ -638,9 +635,10 @@ class _GreedyEngine:
     def _commit(self, i: int, k: int, score) -> None:
         """Commit flip (i, k), first evicting the prefix ``_resolve`` priced if i lacks space.
 
-        The realized benefit must equal ``score``, the winner's cached score.
-        The availability rule is not checked again: a vetoed add has ``net``
-        0, so it never scores above 0, and a blocked eviction prefix scores 0.
+        The realized benefit must equal ``score``, the winner's cached score,
+        with the prefix's price as the evicted damage.  The availability
+        rule is not checked again: a vetoed add has ``net`` 0, so it never
+        scores above 0, and a ``BLOCKED`` prefix scores 0.
         The placement check covers only what the commit changed, server i's
         storage and the primaries of k and the evictees: the state was valid
         before, and the commit changed ``x`` only in row i at those columns.
@@ -654,7 +652,7 @@ class _GreedyEngine:
             ev = self._evictable(i)
             t = int(ev.cum_size.searchsorted(needed))
             evicted = tuple(ev.objects[:t + 1].tolist())
-            damage = int(ev.cum_damage[t])
+            damage = int(ev.price[t])
         for kk in evicted:
             st.remove_replica(i, kk)
             self.schedule.append(Evict(i, kk))

@@ -320,6 +320,7 @@ class PlacementState:
 
     def add_replica(self, i: int, k: int) -> np.ndarray:
         """Place object ``k`` on server ``i``; returns servers whose nearest changed."""
+        i, k = self._ids(i, k)
         if self.x[i, k]:
             raise PreconditionError(f"server {i} already replicates object {k}")
         size = self.objects.sizes[k]
@@ -331,11 +332,17 @@ class PlacementState:
 
     def remove_replica(self, i: int, k: int) -> np.ndarray:
         """Drop object ``k`` from server ``i``; returns servers whose nearest changed."""
+        i, k = self._ids(i, k)
         if not self.x[i, k]:
             raise PreconditionError(f"server {i} does not replicate object {k}")
         if int(self.objects.primaries[k]) == i:
             raise ConstraintError(f"cannot drop object {k} from its primary server {i}")
         return self._set(i, k, 0)
+
+    def _ids(self, i, k) -> tuple[int, int]:
+        """``(i, k)`` as server and object ids; a negative id is refused, not read from the end."""
+        m, n = self.x.shape
+        return _index(i, m, "server id"), _index(k, n, "object id")
 
     def _set(self, i: int, k: int, bit: int) -> np.ndarray:
         """Set ``x[i, k]`` to ``bit``, re-derive column k; returns rows whose (n, d) changed."""
@@ -351,8 +358,11 @@ class PlacementState:
 
 
 def save_placement(x, path) -> None:
-    """Write placement as {"objects": [{"id", "replicators"}, ...]}, ids ascending."""
-    x = np.asarray(x)
+    """Write placement as {"objects": [{"id", "replicators"}, ...]}, ids ascending.
+
+    ``x`` must hold only 0 and 1.
+    """
+    x = _binary(x, "placement")
     servers = np.nonzero(x.T)[1].tolist()  # grouped by object, ascending within each
     ends = np.cumsum(np.count_nonzero(x, axis=0)).tolist()
     objects = [{"id": k, "replicators": servers[start:end]}

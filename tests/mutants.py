@@ -76,14 +76,27 @@ MUTANTS = (
            "t = ev.cum_size.searchsorted(st.objects.sizes[ks] - st.free[i])",
            't = ev.cum_size.searchsorted(st.objects.sizes[ks] - st.free[i], side="right")',
            (HEURISTICS, "-k", "TestAgainstReference")),
+    Mutant("resolve-no-clip", "heuristics.py",
+           "np.maximum(self.net[i, ks] - ev.price[t], 0) * self.weight[i]",
+           "(self.net[i, ks] - ev.price[t]) * self.weight[i]",
+           (HEURISTICS, "-k", "TestPrice")),
+    # The price: BLOCKED from the first refused eviction on, and past the end.
+    Mutant("price-no-blocked-fold", "heuristics.py",
+           "price[np.append(lowers, True).argmax():] = BLOCKED",
+           "price[-1:] = BLOCKED",
+           (HEURISTICS, "-k", "TestEvictionCache or TestAgainstReference or TestPrice")),
+    Mutant("price-sentinel-0", "heuristics.py",
+           "= BLOCKED  # from the first blocked entry on\n",
+           "= BLOCKED\n        price[-1] = 0\n",
+           (HEURISTICS, "-k", "TestAgainstReference or TestPrice")),
     # The floor: a pending bound takes off its server's cheapest eviction.
     Mutant("floor-from-last-entry", "heuristics.py",
-           "BLOCKED_FLOOR if blocked[0] else cum_damage[0]",
-           "BLOCKED_FLOOR if blocked[0] else cum_damage[-2]",
+           "self._floor[i] = price[0]",
+           "self._floor[i] = price[-2:][0]",
            (HEURISTICS, "-k", "TestSweepCache or TestRescoredSuffix")),
     Mutant("floor-ignores-blocked", "heuristics.py",
-           "BLOCKED_FLOOR if blocked[0] else cum_damage[0]",
-           "cum_damage[0]",
+           "self._floor[i] = price[0]",
+           "self._floor[i] = damages[:1].sum()",
            (HEURISTICS, "-k", "TestSweepCache or TestRescoredSuffix")),
     Mutant("floor-on-fitting-cells", "heuristics.py",
            "np.subtract(gain, self._floor[rows, None], out=gain, where=pending)",
@@ -91,8 +104,8 @@ MUTANTS = (
            (HEURISTICS, "-k", "TestSweepCache or TestRescoredSuffix")),
     # The reach: a list is kept sorted only as far as its server can evict.
     Mutant("reach-one-short", "heuristics.py",
-           "self._reach[i] = cum_size.searchsorted(self._largest - self.st.free[i]) + 1",
-           "self._reach[i] = cum_size.searchsorted(self._largest - self.st.free[i])",
+           "reach=int(cum_size.searchsorted(self._largest - self.st.free[i])) + 1,",
+           "reach=int(cum_size.searchsorted(self._largest - self.st.free[i])),",
            (HEURISTICS, "-k", "TestEvictionCache")),
     Mutant("in-place-drops-lowers", "heuristics.py",
            "ev.damages[pos], ev.lowers[pos] = damages, lowers",
@@ -103,12 +116,12 @@ MUTANTS = (
            "                if False:\n",
            (HEURISTICS, "-k", "TestEvictionCache")),
     Mutant("in-place-ignores-position", "heuristics.py",
-           "if (pos.min() < reach or",
+           "if (pos.min() < ev.reach or",
            "if (pos.min() < 0 or",
            (HEURISTICS, "-k", "TestEvictionCache")),
     Mutant("in-place-ignores-new-keys", "heuristics.py",
-           "if (pos.min() < reach or min(",
-           "if (pos.min() < reach or False and min(",
+           "if (pos.min() < ev.reach or min(",
+           "if (pos.min() < ev.reach or False and min(",
            (HEURISTICS, "-k", "TestEvictionCache")),
     # Row maxima of the swept window.
     Mutant("sweep-no-window-refresh", "heuristics.py",
@@ -162,6 +175,14 @@ MUTANTS = (
            "initial=0) >= count:",
            "initial=0) > count:",
            ("tests/test_model.py", "-k", "TestValidate")),
+    Mutant("remove-reads-negative-ids", "model.py",
+           "        i, k = self._ids(i, k)\n        if not self.x[i, k]:",
+           "        if not self.x[i, k]:",
+           ("tests/test_model.py", "-k", "TestIncrementalIndex")),
+    Mutant("save-placement-any-nonzero", "model.py",
+           '    """\n    x = _binary(x, "placement")\n',
+           '    """\n    x = np.asarray(x)\n',
+           ("tests/test_model.py", "-k", "TestPlacementFiles")),
     Mutant("copy-without-replica-counts", "model.py",
            'for name in ("x", "n", "d", "free", "replica_counts"):',
            'for name in ("x", "n", "d", "free"):',

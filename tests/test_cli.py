@@ -432,7 +432,12 @@ class TestInspect:
             {"id": 0, "replicators": [1]},
             {"id": 1, "replicators": [2]},
         ]}))
+        report_dir = tmp_path / "report"
         code = main(["inspect", "--placement", str(bad),
-                     "--topology", str(topo), "--scenario", str(scen)])
+                     "--topology", str(topo), "--scenario", str(scen),
+                     "--out", str(report_dir)])
         assert code == 1
         assert "violation (primary)" in capsys.readouterr().out
+        assert (report_dir / "report.json").read_text() == (
+            '{"valid":false,"violations":[{"detail":"object 0 has no replica on its primary '
+            'server 0","index":0,"kind":"primary"}]}\n')

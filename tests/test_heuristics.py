@@ -144,6 +144,8 @@ class TestResultJson:
 
     def test_record_keys(self, micro):
         payload = solve(micro.state(), AAGG).to_json_dict()
+        assert sorted(payload) == ["benefit_total", "c_new", "c_old", "evictions", "flips",
+                                   "impl_cost_total", "iterations", "schedule", "steps"]
         assert payload["schedule"][0] == {"action": "add", "server": 0, "object": 1,
                                           "source": 2, "transfer_cost": 100}
         assert payload["steps"][0] == {"server": 0, "object": 1, "c_before": 490,
@@ -677,10 +679,11 @@ def window_matches_fresh(engine, window: slice):
     The ``net`` matrices are equal.  Every pending cell is pending in a
     fresh engine (its object exceeds its server's free space) and holds
     ``max(net - floor, 0) * weight``.  For a server whose evictable list
-    the engine caches, ``floor`` is the damage of the first entry of a
-    fresh ``_entries`` + ``_store`` build, and the bound is 0 if that
-    entry's eviction is blocked or the list is empty; for the other
-    servers ``floor`` is 0.  The bound lies between the exact score and
+    the engine caches, ``floor`` is ``price[0]`` of a fresh ``_entries`` +
+    ``_store`` build, ``BLOCKED`` if that entry's eviction is blocked or the
+    list is empty; for the other servers ``floor`` is 0.  The floor comes
+    off ``max(net, 0)``, never off a negative ``net``, where ``BLOCKED``
+    would wrap around.  The bound lies between the exact score and
     ``net * weight``.  Every settled score equals the exact score.
     """
     fresh = _GreedyEngine(engine.st, engine.cfg)
@@ -691,7 +694,7 @@ def window_matches_fresh(engine, window: slice):
     gain = np.maximum(net, 0)
     for i in engine._evict_cache:
         built = fresh._store(i, *fresh._entries(i, np.arange(fresh.st.objects.count)))
-        gain[i] = 0 if built.blocked[0] else np.maximum(net[i] - built.cum_damage[0], 0)
+        gain[i] = np.maximum(gain[i] - built.price[0], 0)
     bound = gain * weight
     for i in np.flatnonzero(fresh._pending.any(axis=1)):
         fresh._resolve(int(i))
@@ -833,6 +836,7 @@ class TestRescoredSuffix:
     @given(seed=st.integers(0, 10_000))
     @example(seed=9).via("a commit fills a server below the largest object")  # fill
     @example(seed=27).via("evicting makes room for the whole window")  # evict
+    @example(seed=332).via("a touched column ties its row's best from the left")  # evict
     @settings(max_examples=40, deadline=None)
     def test_window_matches_fresh_engine(self, algorithm, regime, seed):
         checked_limit_run(algorithm, regime, seed)
@@ -1084,12 +1088,14 @@ def reach(state, i: int, ev) -> int:
 def assert_list_matches(state, i: int, cached, fresh) -> None:
     """``cached``, server i's evictable list, agrees with a fresh build within i's reach.
 
-    The first ``reach`` entries of all six fields are equal (every entry,
-    and the sentinel, when the list cannot cover the largest object); the
-    other entries are equal as a multiset of (object, damage, lowers).
+    Both lists record the reach ``reach`` gives.  The first ``reach``
+    entries of the five array fields are equal (every entry, and the
+    sentinel, when the list cannot cover the largest object); the other
+    entries are equal as a multiset of (object, damage, lowers).
     """
     r = reach(state, i, fresh)
-    for name, got, want in zip(cached._fields, cached, fresh):
+    assert cached.reach == fresh.reach == r, i
+    for name, got, want in zip(cached._fields[:-1], cached[:-1], fresh[:-1]):
         assert got.dtype == want.dtype and got.shape == want.shape, (i, name)
         assert np.array_equal(got[:r], want[:r]), (i, name)
     rest = [sorted(zip(*(a[r:].tolist() for a in ev[:3]))) for ev in (cached, fresh)]
@@ -1120,7 +1126,7 @@ def checked_upkeep_run(algorithm: str, scope: str, kind: str, seed: int) -> tupl
 
     Before each ``_resolve`` and each evicting commit, every prefix the
     engine is about to read ends inside its server's reach, and the reach
-    the engine keeps is the one a fresh build gives.  After every commit
+    the list records is the one a fresh build gives.  After every commit
     each cached list passes ``assert_list_matches`` against a fresh
     engine's build.  Counted over the lists that hold a changed column and
     are not the committing server's, returns how many a commit updated in
@@ -1141,9 +1147,9 @@ def checked_upkeep_run(algorithm: str, scope: str, kind: str, seed: int) -> tupl
 
     def assert_reads_within_reach(i, ks):
         ev = engine._evict_cache[i]
-        assert engine._reach[i] == reach(st, i, ev)
+        assert ev.reach == reach(st, i, ev)
         ends = ev.cum_size.searchsorted(st.objects.sizes[ks] - st.free[i])
-        assert (ends < engine._reach[i]).all()
+        assert (ends < ev.reach).all()
 
     def checked_resolve(i):
         assert_reads_within_reach(i, engine._window.start + engine._pending[i].nonzero()[0])
@@ -1217,6 +1223,62 @@ class TestEvictionCache:
             assert in_place and stored, (scope, kind)
         _, flagged, stored = checked_upkeep_run(algorithm, "all_changed_objects", "perfect", 157)
         assert flagged and stored
+
+
+class TestPrice:
+    """Each eviction prefix has one price, ``BLOCKED`` where it is refused, and scores clip at 0."""
+
+    def test_blocked_first_entry_and_empty_list(self):
+        """Server 1's one evictee would lose availability; servers 0 and 2 hold only primaries.
+
+        Both lists price their first prefix ``BLOCKED``, which is their
+        floor, so the bounds of their pending cells are 0: the sweep finds
+        no positive score and resolves nothing.  The exact scores are 0 too.
+        """
+        l = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        x = np.array([[0, 1], [0, 1], [1, 0]], dtype=np.int8)
+        state = make_state(l, [10, 10, 10], [0.3, 0.2, 0.1], [10, 10], [2, 0],
+                           np.array([[1000, 0], [1000, 5], [0, 0]]), x=x)
+        engine = _GreedyEngine(state, SolverConfig(availability_scope="all_changed_objects"))
+        blocked, empty = engine._evictable(1), engine._evictable(0)
+        assert blocked.objects.tolist() == [1] and blocked.lowers.tolist() == [True]
+        assert empty.objects.size == 0
+        for i, ev in ((1, blocked), (0, empty)):
+            assert ev.price[0] == engine._floor[i] == heuristics.BLOCKED
+        window = slice(0, 2)
+        scores, pending = engine._score(engine.net[:, window], slice(None), state.objects.sizes)
+        assert pending[:2, 0].all() and (engine.net[:2, 0] > 0).all()
+        assert (scores[:2] == 0).all()
+        assert engine._sweep(window) is None
+        assert np.array_equal(engine._pending, pending) and (engine._scores == 0).all()
+        for i in (0, 1):
+            engine._resolve(i)
+        assert not engine._pending.any() and (engine._scores == 0).all()
+
+    @pytest.mark.parametrize("kind", ["random", "ties"])
+    @pytest.mark.parametrize("scope", SCOPES)
+    @pytest.mark.parametrize("algorithm", ["aagg", "aagro", "gg"])
+    @given(seed=st.integers(0, 10_000))
+    @example(seed=12).via("a resolved prefix costs more than its net saving")
+    @settings(max_examples=20, deadline=None)
+    def test_window_scores_never_negative(self, algorithm, scope, kind, seed):
+        """After every commit and every ``_resolve`` each cached window score is at least 0."""
+        rng = random.Random(seed)
+        l, capacities, f, sizes, primaries, traffic, x = drawn_instance(kind, rng)
+        engine = _GreedyEngine(make_state(l, capacities, f, sizes, primaries, traffic, x=x),
+                               SolverConfig(algorithm=algorithm, availability_scope=scope))
+        resolve, commit = engine._resolve, engine._commit
+
+        def checked_resolve(i):
+            resolve(i)
+            assert (engine._scores >= 0).all()
+
+        def checked_commit(i, k, score):
+            commit(i, k, score)
+            assert (engine._scores >= 0).all()
+
+        engine._resolve, engine._commit = checked_resolve, checked_commit
+        engine.run()
 
 
 class TestEvictionEntries:

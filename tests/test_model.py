@@ -338,6 +338,11 @@ class TestNearest:
             PlacementState(cost, servers, objects, [[0], [1]], [[1], [0]])
 
 
+def mutated_arrays(state) -> list:
+    """Copies of the arrays a replica mutation writes."""
+    return [a.copy() for a in (state.x, state.n, state.d, state.free, state.replica_counts)]
+
+
 class TestIncrementalIndex:
     def test_add_updates_column(self, micro):
         state = micro.state()
@@ -377,6 +382,28 @@ class TestIncrementalIndex:
         state = micro.state()
         with pytest.raises(ConstraintError):
             state.remove_replica(0, 0)
+
+    @pytest.mark.parametrize("i, k", [(-1, 0), (3, 0), (1.5, 0), (True, 0), (1, -1), (1, 2)])
+    def test_add_refuses_ids_outside_the_placement(self, micro, i, k):
+        """A negative id is refused, not read from the end; the state is left as it was."""
+        state = micro.state()
+        before = mutated_arrays(state)
+        with pytest.raises(StructuralError):
+            state.add_replica(i, k)
+        assert all(map(np.array_equal, mutated_arrays(state), before))
+
+    @pytest.mark.parametrize("second_copy", [False, True])
+    @pytest.mark.parametrize("i, k", [(-3, 0), (-1, 1), (3, 0), (0.5, 0), (True, 0), (0, -2)])
+    def test_remove_refuses_ids_outside_the_placement(self, micro, second_copy, i, k):
+        """``(-3, 0)`` names object 0's primary server from the end; it must not drop it."""
+        state = micro.state()
+        if second_copy:
+            state.add_replica(1, 0)
+            state.add_replica(1, 1)
+        before = mutated_arrays(state)
+        with pytest.raises(StructuralError):
+            state.remove_replica(i, k)
+        assert all(map(np.array_equal, mutated_arrays(state), before))
 
     def test_invalid_start_rejected(self, micro):
         x = np.zeros((3, 2), dtype=np.int8)
@@ -512,6 +539,14 @@ class TestPlacementFiles:
         path = tmp_path / "placement.json"
         save_placement(x, path)
         assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("x", [[[2, 0], [0, 1]], [[0.5, 0], [0, 1]], [[1, -1], [0, 1]]])
+    def test_non_binary_placement_not_saved(self, tmp_path, x):
+        """Only 0 and 1 are written: 2 and 0.5 are not read as a replicator."""
+        path = tmp_path / "placement.json"
+        with pytest.raises(ParameterError, match="placement"):
+            save_placement(x, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("entry", [{"id": 0.7, "replicators": [0]},
                                        {"id": 0, "replicators": [1.9]},

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import costs, heuristics, topology, workload
-from .errors import ParameterError, ReplicaPlanError
+from .errors import ConstraintError, ParameterError, ReplicaPlanError, StructuralError
 from .model import (
     INT64_LIMIT,
     PlacementState,
@@ -127,14 +127,14 @@ def _capacities(policy: str, caps: tuple[int, ...], objects, n_servers: int) -> 
         try:
             factor = float(policy.split(":", 1)[1])
         except ValueError as exc:
-            raise ReplicaPlanError(f"bad capacity policy {policy!r}") from exc
+            raise ParameterError(f"bad capacity policy {policy!r}") from exc
         if not (math.isfinite(factor) and factor >= 0):
             raise ParameterError(f"slack factor must be a finite number >= 0, got {factor}")
         extra_replicas = max(caps) - 1
         # Capped at 2**63 (an inf product included) so the check below refuses it.
         extra = int(min(factor * total_size * extra_replicas / n_servers, INT64_LIMIT))
     else:
-        raise ReplicaPlanError(f"unknown capacity policy {policy!r}")
+        raise ParameterError(f"unknown capacity policy {policy!r}")
     if int(primary_load.max(initial=1)) + extra >= INT64_LIMIT:
         raise ParameterError(f"capacity policy {policy!r} gives capacities reaching 2**63")
     return np.maximum(primary_load, 1) + extra
@@ -185,7 +185,7 @@ def _load_instance(args) -> tuple[topology.CostMatrix, Scenario]:
     matrix = topology.all_pairs_shortest_paths(graph)
     scenario = Scenario.load(args.scenario)
     if scenario.servers.count != graph.node_count:
-        raise ReplicaPlanError(
+        raise StructuralError(
             f"scenario has {scenario.servers.count} servers but topology has "
             f"{graph.node_count} nodes"
         )
@@ -242,7 +242,7 @@ def cmd_solve(args) -> int:
         x_old = load_placement(args.x_old, scenario.servers.count, scenario.objects.count)
         bad = validate_placement(x_old, scenario.servers, scenario.objects)
         if bad:
-            raise ReplicaPlanError(f"starting placement is invalid: {bad[0].detail}")
+            raise ConstraintError(f"starting placement is invalid: {bad[0].detail}")
     state = PlacementState.from_scenario(matrix, scenario, x=x_old)
     result, row = _run_cell(state, args.alg, args.cap, args)
     out = Path(args.out)

@@ -15,6 +15,14 @@ over a bool server x object matrix.  Its product runs down the server axis
 in ascending server order, so each value is the same float as the product
 over the sorted replicator ids.  One comparison, ``_fell``, decides whether
 an availability fell: by more than :data:`AVAILABILITY_TOL`.
+
+This module also holds the rules every cost and availability input is read
+by.  ``_placement_links`` reads a placement with its link costs, by
+``CostMatrix``'s rule; ``_traffic`` reads traffic and ``_failure_probs``
+failure probabilities; ``_check_headroom`` refuses an instance whose exact
+costs could reach 2**63 (or 2**53 for float scores); and ``_replicated``
+refuses an object without a replicator, whose cost and availability are
+undefined.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, StructuralError
-from .topology import _array, _binary, _index, _integral
+from .topology import INT64_LIMIT, CostMatrix, _array, _binary, _index, _integral, _items
 
 SEMANTICS = ("corrected", "literal")
 
@@ -42,29 +50,79 @@ class CostReport:
 def total_access_cost(x, n, r, l) -> CostReport:
     """Access cost of the whole placement, summed over servers and objects.
 
-    The placement ``x``, nearest index ``n`` and traffic ``r`` must share
-    one M x N shape, ``l`` must be M x M, and every id in ``n`` must name
-    a server.  ``x`` must hold only 0 and 1, and ``n``, ``r`` and ``l``
-    only integers.
+    ``x`` is an M x N placement of 0s and 1s that gives every object a
+    replicator, ``l`` its M x M link costs (non-negative integers, as in
+    ``CostMatrix``), ``r`` its M x N traffic (non-negative integers, as in
+    ``Scenario``) and ``n`` an M x N nearest index of integer server ids.
+    ``max(l) * sum(r)`` must stay below 2**63, so the total is exact.
     """
-    x, n, r, l = (_array(a, what) for a, what in
-                  ((x, "placement"), (n, "nearest index"), (r, "traffic"), (l, "link costs")))
-    if x.ndim != 2 or n.shape != x.shape or r.shape != x.shape or l.shape != (len(x),) * 2:
-        raise StructuralError(f"placement, nearest index, traffic and link costs must be "
-                              f"M x N, M x N, M x N and M x M; got shapes "
-                              f"{x.shape}, {n.shape}, {r.shape} and {l.shape}")
-    x = _binary(x, "placement")
-    n, r, l = (np.asarray(_integral(a, what), dtype=np.int64) for a, what in
-               ((n, "nearest index"), (r, "traffic"), (l, "link costs")))
+    x, l = _placement_links(x, l)
     m = len(x)
-    if n.size and not 0 <= n.min() <= n.max() < m:
-        raise StructuralError(f"nearest index names a server outside [0, {m})")
-    if (x.sum(axis=0) == 0).any():
-        missing = int(np.flatnonzero(x.sum(axis=0) == 0)[0])
-        raise StructuralError(f"object {missing} has no replicator")
+    r = _traffic(r, *x.shape)
+    _check_headroom(l, np.empty(0, dtype=np.int64), r, INT64_LIMIT)
+    n = np.asarray(_integral(n, "nearest index"), dtype=np.int64)
+    if n.shape != x.shape or (n.size and not 0 <= n.min() <= n.max() < m):
+        raise StructuralError(f"nearest index must be a {x.shape} array of server ids "
+                              f"in [0, {m}), got shape {n.shape}")
     dist = l[np.arange(m)[:, None], n]
     # Summed without the M x N product; exact, as every partial sum stays below the total.
     return CostReport(total=int(np.einsum("ij,ij->", dist, r, dtype=np.int64)))
+
+
+def _placement_links(x, l) -> tuple[np.ndarray, np.ndarray]:
+    """The M x N placement ``x`` and its M x M link costs ``l``, read as a ``CostMatrix``.
+
+    ``x`` must hold only 0 and 1, and give every object a replicator.
+    """
+    x, l = _array(x, "placement"), CostMatrix(l).l
+    if x.ndim != 2 or len(l) != len(x):
+        raise StructuralError(f"link costs must be M x M for an M x N placement, "
+                              f"got shapes {l.shape} and {x.shape}")
+    x = _binary(x, "placement")
+    _replicated(x)
+    return x, l
+
+
+def _traffic(values, m: int, n: int) -> np.ndarray:
+    """``values`` as an m x n int64 traffic matrix; an int64 array is not copied."""
+    r = np.asarray(_integral(values, "traffic"), dtype=np.int64)
+    if r.shape != (m, n):
+        raise StructuralError(f"traffic must be {m}x{n}, got shape {r.shape}")
+    if (r < 0).any():
+        raise ParameterError("traffic entries must be non-negative")
+    return r
+
+
+def exact_sum(values: np.ndarray) -> int:
+    """Exact sum of a non-negative int64 array, such as traffic or object sizes."""
+    if int(values.max(initial=0)) <= (INT64_LIMIT - 1) // max(values.size, 1):
+        return int(values.sum())
+    return sum(int(v) for v in values.ravel())  # the int64 sum itself could wrap
+
+
+def _check_headroom(l: np.ndarray, sizes: np.ndarray, traffic: np.ndarray, limit: int) -> None:
+    """Refuse instances whose exact costs could reach ``limit``, a power of two.
+
+    Every access cost, saving and eviction damage (and every prefix sum of
+    damages) is at most ``max(l) * sum(traffic)``, and every transfer cost
+    at most ``max(l) * max(size)``.  The model keeps them below 2**63, the
+    float-scored planners below 2**53.
+    """
+    max_l = int(l.max(initial=0))
+    total, max_size = exact_sum(traffic), int(sizes.max(initial=0))
+    if max_l * max(total, max_size) >= limit:
+        raise ParameterError(
+            f"max link cost {max_l} x max(total traffic {total}, max object size {max_size}) "
+            f"reaches 2**{limit.bit_length() - 1}; costs and scores would not stay exact"
+        )
+
+
+def _replicated(held) -> None:
+    """Refuse a server x object matrix ``held`` with a column that holds no replicator."""
+    missing = np.flatnonzero(~held.any(axis=0))
+    if missing.size:
+        raise StructuralError(f"object {missing[0]} is unreplicated, so its cost and "
+                              f"availability are undefined")
 
 
 def _failure_probs(values) -> np.ndarray:
@@ -103,10 +161,9 @@ def replicator_availability(failure_probs, replicators, semantics: str = "correc
     """Availability of an object held by the given replicator set, each a server id."""
     failure_probs = _failure_probs(failure_probs)
     held = np.zeros((failure_probs.size, 1), dtype=bool)
-    for i in replicators:
+    for i in _items(replicators, "replicators"):
         held[_index(i, failure_probs.size, "replicator id")] = True
-    if not held.any():
-        raise StructuralError("availability of an unreplicated object is undefined")
+    _replicated(held)
     return float(_availability(held, failure_probs, semantics)[0])
 
 
@@ -118,7 +175,5 @@ def availability_per_object(x, failure_probs, semantics: str = "corrected") -> n
         raise StructuralError(f"placement must have one row per failure probability "
                               f"({probs.size}), got shape {x.shape}")
     held = x == 1
-    unreplicated = np.flatnonzero(~held.any(axis=0))
-    if unreplicated.size:
-        raise StructuralError(f"object {unreplicated[0]} has no replicator")
+    _replicated(held)
     return _availability(held, probs, semantics)

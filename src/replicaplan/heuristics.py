@@ -93,8 +93,8 @@ import numpy as np
 
 from . import costs
 from .errors import ParameterError, StructuralError
-from .model import PlacementState, _check_headroom, validate_placement
-from .topology import _binary, _count, _index, _whole
+from .model import PlacementState, validate_placement
+from .topology import _binary, _count, _index, _items, _whole
 
 ALGORITHMS = ("aagg", "aagro", "gg", "gro")
 SCOPES = ("focal_object", "all_changed_objects")
@@ -220,11 +220,7 @@ def replay_schedule(x_old, schedule) -> np.ndarray:
     """
     x = np.array(_binary(x_old, "placement"), dtype=np.int8)
     m, n = x.shape
-    try:
-        schedule = tuple(schedule)
-    except TypeError as exc:
-        raise ParameterError(f"schedule must be iterable, got {schedule!r}") from exc
-    for action in schedule:
+    for action in _items(schedule, "schedule", ParameterError):
         if not isinstance(action, (Add, Evict)):
             raise ParameterError(f"unknown schedule action {action!r}")
         i, k = _index(action.server, m, "server id"), _index(action.object_id, n, "object id")
@@ -294,8 +290,8 @@ class _GreedyEngine:
         self.cfg = config
         self.use_factor = config.algorithm in ("aagg", "aagro")
         if self.use_factor:  # weighted scores are floats, exact only below 2**53
-            _check_headroom(self.st.l, self.st.objects.sizes, self.st.traffic,
-                            FLOAT_EXACT_LIMIT)
+            costs._check_headroom(self.st.l, self.st.objects.sizes, self.st.traffic,
+                                  FLOAT_EXACT_LIMIT)
         self.guard_evictees = (self.use_factor
                                and config.availability_scope == "all_changed_objects")
         # Every score is a net saving times its server's weight: float availability

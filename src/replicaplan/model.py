@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import _failure_probs
+from .costs import _check_headroom, _failure_probs, _placement_links, _traffic, exact_sum
 from .errors import (
     CapacityError,
     ConstraintError,
@@ -23,47 +23,13 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .topology import (INT64_LIMIT, CostMatrix, _array, _binary, _index, _integral,
+from .topology import (INT64_LIMIT, CostMatrix, _array, _binary, _count, _index, _integral,
                        _read_json, _write_json)
-
-
-def _traffic(values, m: int, n: int) -> np.ndarray:
-    """``values`` as an m x n int64 traffic matrix; an int64 array is not copied."""
-    r = np.asarray(_integral(values, "traffic"), dtype=np.int64)
-    if r.shape != (m, n):
-        raise StructuralError(f"traffic must be {m}x{n}, got {r.shape}")
-    if (r < 0).any():
-        raise ParameterError("traffic entries must be non-negative")
-    return r
-
-
-def exact_sum(values: np.ndarray) -> int:
-    """Exact sum of a non-negative int64 array, such as traffic or object sizes."""
-    if int(values.max(initial=0)) <= (INT64_LIMIT - 1) // max(values.size, 1):
-        return int(values.sum())
-    return sum(int(v) for v in values.ravel())  # the int64 sum itself could wrap
 
 
 def _loads(x, sizes: np.ndarray) -> np.ndarray:
     """Exact int64 bytes per server under ``x`` (sizes sum below 2**63); ``x`` is not copied."""
     return np.einsum("ij,j->i", x, sizes)
-
-
-def _check_headroom(l: np.ndarray, sizes: np.ndarray, traffic: np.ndarray, limit: int) -> None:
-    """Refuse instances whose exact costs could reach ``limit``, a power of two.
-
-    Every access cost, saving and eviction damage (and every prefix sum of
-    damages) is at most ``max(l) * sum(traffic)``, and every transfer cost
-    at most ``max(l) * max(size)``.  The model keeps them below 2**63, the
-    float-scored planners below 2**53.
-    """
-    max_l = int(l.max(initial=0))
-    total, max_size = exact_sum(traffic), int(sizes.max(initial=0))
-    if max_l * max(total, max_size) >= limit:
-        raise ParameterError(
-            f"max link cost {max_l} x max(total traffic {total}, max object size {max_size}) "
-            f"reaches 2**{limit.bit_length() - 1}; costs and scores would not stay exact"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +154,8 @@ def validate_placement(x, servers: ServerCatalog, objects: ObjectCatalog, *,
     last changes and each changed entry lies in a listed row and a listed
     column: a server's load and an object's primary bit move only with
     their own row or column.  A listed object whose primary id names no
-    server raises ``ParameterError``.
+    server, and an entry other than 0 or 1 in a listed row, raise
+    ``ParameterError``.
     """
     x = _array(x, "placement")
     m, n = servers.count, objects.count
@@ -196,7 +163,7 @@ def validate_placement(x, servers: ServerCatalog, objects: ObjectCatalog, *,
         raise StructuralError(f"placement must be {m}x{n}, got {x.shape}")
     rows, cols = _subset(rows, m, "rows"), _subset(cols, n, "cols")
     violations = []
-    loads = _loads(x[rows], objects.sizes)
+    loads = _loads(_binary(x[rows], "placement"), objects.sizes)
     over = loads > servers.capacities[rows]
     for i, load in zip(rows[over].tolist(), loads[over].tolist()):
         violations.append(
@@ -256,23 +223,17 @@ def _nearest(l, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def build_nearest_index(x, l) -> tuple[np.ndarray, np.ndarray]:
     """Compute (nearest-id, nearest-distance) matrices for every (server, object).
 
-    ``l`` must be M x M for the M x N placement ``x``; ``x`` must hold only
-    0 and 1, and ``l`` only integers.  Both matrices are column-major: each
-    add or drop rewrites one column of each.
+    ``l`` must be M x M for the M x N placement ``x`` and follow
+    ``CostMatrix``'s rule; ``x`` must hold only 0 and 1 and give every
+    object a replicator.  Both matrices are column-major: each add or drop
+    rewrites one column of each.
     """
-    x, l = _array(x, "placement"), _array(l, "link costs")
-    if x.ndim != 2 or l.shape != (len(x),) * 2:
-        raise StructuralError(f"link costs must be M x M for an M x N placement, "
-                              f"got shapes {l.shape} and {x.shape}")
-    x, l = _binary(x, "placement"), np.asarray(_integral(l, "link costs"), dtype=np.int64)
+    x, l = _placement_links(x, l)
     m, n = x.shape
     near = np.empty((m, n), dtype=np.int64, order="F")
     dist = np.empty((m, n), dtype=np.int64, order="F")
     for k in range(n):
-        reps = np.flatnonzero(x[:, k])
-        if reps.size == 0:
-            raise StructuralError(f"object {k} has no replicator")
-        near[:, k], dist[:, k] = _nearest(l, reps)
+        near[:, k], dist[:, k] = _nearest(l, np.flatnonzero(x[:, k]))
     return near, dist
 
 
@@ -286,11 +247,8 @@ class PlacementState:
 
     def __init__(self, cost: CostMatrix, servers: ServerCatalog, objects: ObjectCatalog,
                  traffic, x):
-        if (cost.l < 0).any():
-            raise ParameterError("link costs must be non-negative")
         r = _traffic(traffic, servers.count, objects.count)
         _check_headroom(cost.l, objects.sizes, r, INT64_LIMIT)
-        x = _binary(x, "placement")
         violations = validate_placement(x, servers, objects)
         if violations:
             raise ConstraintError(
@@ -371,6 +329,9 @@ def save_placement(x, path) -> None:
 
 
 def load_placement(path, m: int, n: int) -> np.ndarray:
+    """The m x n placement in ``path``; ``m`` and ``n`` are read by the count rule first."""
+    m, n = _count(m, "server count"), _count(n, "object count")
+
     def parse(payload):
         x = np.zeros((m, n), dtype=np.int8)
         for entry in payload["objects"]:

@@ -89,6 +89,14 @@ def _count(value, what: str, error=StructuralError) -> int:
     return count
 
 
+def _items(values, what: str, error=StructuralError) -> tuple:
+    """``values`` as a tuple; one that is not iterable is refused with ``error``."""
+    try:
+        return tuple(values)
+    except TypeError as exc:
+        raise error(f"{what} must be iterable, got {values!r}") from exc
+
+
 def _index(value, count: int, what: str) -> int:
     """``value`` as a server or object id: a whole number in ``range(count)``.
 
@@ -113,13 +121,9 @@ class Graph:
 
     def __post_init__(self):
         node_count = _count(self.node_count, "node count")
-        try:
-            edges = tuple(self.edges)
-        except TypeError as exc:
-            raise StructuralError(f"edges must be iterable, got {self.edges!r}") from exc
         seen = set()
         normalized = []
-        for edge in edges:
+        for edge in _items(self.edges, "edges"):
             try:
                 u, v, cost = (_whole(value, "edge entry") for value in edge)
             except (TypeError, ValueError) as exc:  # not iterable, or not three entries
@@ -145,7 +149,10 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class CostMatrix:
-    """Dense symmetric matrix of cheapest per-byte transfer costs; ``m`` is its size."""
+    """Dense symmetric matrix of cheapest per-byte transfer costs; ``m`` is its size.
+
+    Entries must be non-negative integers below 2**63.
+    """
 
     l: np.ndarray
 
@@ -153,6 +160,8 @@ class CostMatrix:
         arr = np.array(_integral(self.l, "link costs"), dtype=np.int64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise StructuralError(f"cost matrix must be square, got shape {arr.shape}")
+        if (arr < 0).any():
+            raise ParameterError("link costs must be non-negative")
         arr.setflags(write=False)
         object.__setattr__(self, "l", arr)
 

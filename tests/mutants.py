@@ -196,6 +196,30 @@ MUTANTS = (
            "    if count < 1:\n",
            "    if count < 0:\n",
            ("tests/test_topology.py", "-k", "TestGenerate")),
+    Mutant("cost-matrix-accepts-negative", "topology.py",
+           "        if (arr < 0).any():\n",
+           "        if False:\n",
+           ("tests/test_topology.py", "-k", "TestShortestPaths")),
+    Mutant("load-placement-no-count", "model.py",
+           '    m, n = _count(m, "server count"), _count(n, "object count")\n',
+           "",
+           ("tests/test_model.py", "-k", "TestPlacementFiles")),
+    Mutant("validate-reads-any-value", "model.py",
+           '_loads(_binary(x[rows], "placement"), objects.sizes)',
+           "_loads(x[rows], objects.sizes)",
+           ("tests/test_model.py", "-k", "TestValidatePlacement")),
+    Mutant("nearest-no-replicated-check", "costs.py",
+           "    _replicated(x)\n",
+           "",
+           ("tests/test_model.py", "-k", "TestNearest")),
+    Mutant("access-cost-unchecked-traffic", "costs.py",
+           "    r = _traffic(r, *x.shape)\n",
+           '    r = np.asarray(_integral(r, "traffic"), dtype=np.int64)\n',
+           ("tests/test_costs.py", "-k", "TestAccessCost")),
+    Mutant("access-cost-no-headroom", "costs.py",
+           "    _check_headroom(l, np.empty(0, dtype=np.int64), r, INT64_LIMIT)\n",
+           "",
+           ("tests/test_costs.py", "-k", "TestAccessCost")),
 )
 
 

@@ -3,12 +3,22 @@ import json
 
 import pytest
 
-from replicaplan import PlacementState, Scenario, load_placement
+from replicaplan import (
+    ConstraintError,
+    ObjectCatalog,
+    ParameterError,
+    PlacementState,
+    Scenario,
+    StructuralError,
+    load_placement,
+)
 from replicaplan.cli import (
     RESULTS_HEADER,
     ResultRow,
+    _capacities,
     _parse_cap,
     _parse_caps,
+    build_parser,
     derive_seed,
     main,
 )
@@ -38,6 +48,12 @@ def write_micro_instance(tmp_path):
 def solve_args(topo, scen, out, *extra):
     return ["solve", "--topology", str(topo), "--scenario", str(scen),
             "--out", str(out), *extra]
+
+
+def run_command(argv):
+    """Run the parsed command without ``main()``'s handler, so the raised type shows."""
+    args = build_parser().parse_args(argv)
+    return args.func(args)
 
 
 class TestSeedDerivation:
@@ -149,6 +165,12 @@ class TestGen:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("policy", ["slack:abc", "bogus"])
+    def test_bad_capacity_policy_is_a_parameter_error(self, policy):
+        # Used to raise the base class ReplicaPlanError.
+        with pytest.raises(ParameterError, match="capacity policy"):
+            _capacities(policy, (1, 2), ObjectCatalog([1, 2], [0, 1]), 2)
 
     @pytest.mark.parametrize("volume", [2**62, 2**63 - 1], ids=["2^62", "2^63-1"])
     def test_huge_volume_splits_exactly(self, tmp_path, volume):
@@ -281,6 +303,15 @@ class TestSolve:
         assert code == 1
         assert "invalid" in capsys.readouterr().err
 
+    def test_invalid_x_old_is_a_constraint_error(self, tmp_path):
+        # Used to raise the base class ReplicaPlanError; the state build raises this class.
+        topo, scen = write_micro_instance(tmp_path)
+        start = tmp_path / "start.json"
+        start.write_text('{"objects":[{"id":0,"replicators":[1]},{"id":1,"replicators":[2]}]}')
+        with pytest.raises(ConstraintError, match="starting placement is invalid"):
+            run_command(solve_args(topo, scen, tmp_path / "run", "--alg", "aagg",
+                                   "--x-old", str(start)))
+
     @pytest.mark.parametrize("text", ["[]", "3", "null", '"scenario"'])
     def test_non_object_scenario_exits_1(self, tmp_path, capsys, text):
         topo, scen = write_micro_instance(tmp_path)
@@ -333,6 +364,16 @@ class TestSolve:
             {"nodes": 4, "edges": [[0, 1, 2], [1, 2, 3], [2, 3, 1]]}
         ))
         assert main(solve_args(other, scen, tmp_path / "run", "--alg", "aagg")) == 1
+
+    def test_server_count_mismatch_is_structural(self, tmp_path, capsys):
+        # Used to raise the base class ReplicaPlanError.
+        topo, scen = write_micro_instance(tmp_path)
+        topo.write_text(json.dumps({"nodes": 2, "edges": [[0, 1, 2]]}))
+        argv = solve_args(topo, scen, tmp_path / "run", "--alg", "aagg")
+        with pytest.raises(StructuralError, match="3 servers but topology has 2 nodes"):
+            run_command(argv)
+        assert main(argv) == 1
+        assert "3 servers but topology has 2 nodes" in capsys.readouterr().err
 
 
 class TestSweep:

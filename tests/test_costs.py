@@ -89,10 +89,22 @@ class TestAccessCost:
         ([[1, 1], [0.5, 0]], [[0, 0], [0, 0]], [[5, 5], [1, 1]], L),
         # String link costs used to raise numpy's UFuncTypeError.
         ([[1, 1], [0, 0]], [[0, 0], [0, 0]], [[5, 5], [1, 1]], [["0", "1"], ["1", "0"]]),
-    ], ids=["nearest-half", "traffic-1.5", "placement-2", "placement-half", "cost-str"])
+        # Negative traffic used to give a total of -4, negative link costs one of -8.
+        ([[1, 1], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [-5, 3]], [[0, 2], [2, 0]]),
+        ([[1, 1], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [1, 3]], [[0, -2], [-2, 0]]),
+        # 2**62 x 8 used to wrap in int64 to a total of 0.
+        ([[1, 1], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [4, 4]], [[0, 2**62], [2**62, 0]]),
+    ], ids=["nearest-half", "traffic-1.5", "placement-2", "placement-half", "cost-str",
+            "traffic-negative", "cost-negative", "cost-wraps"])
     def test_values_are_checked(self, x, n, r, l):
         with pytest.raises(ParameterError):
             total_access_cost(x, n, r, l)
+
+    def test_headroom_is_max_cost_times_total_traffic(self):
+        x, n, l = [[1, 1], [0, 0]], [[0, 0], [0, 0]], [[0, 2**61], [2**61, 0]]
+        assert total_access_cost(x, n, [[0, 0], [2, 1]], l).total == 3 * 2**61
+        with pytest.raises(ParameterError, match="2\\*\\*63"):  # used to wrap to -2**63
+            total_access_cost(x, n, [[0, 0], [2, 2]], l)
 
     def test_exact_just_below_int64_headroom(self):
         """max(l) x total traffic is within 2**25 of 2**63: the sum equals the Python-int sum."""
@@ -273,6 +285,12 @@ class TestAvailability:
     def test_unreplicated_object_is_undefined(self):
         with pytest.raises(StructuralError, match="unreplicated"):
             replicator_availability([0.1, 0.5], [])
+
+    @pytest.mark.parametrize("replicators", [5, None])
+    def test_replicator_set_must_be_iterable(self, replicators):
+        # Used to raise an untyped TypeError: "'int' object is not iterable".
+        with pytest.raises(StructuralError, match="iterable"):
+            replicator_availability([0.1, 0.2], replicators)
 
     @given(seed=st.integers(0, 10_000))
     @example(seed=0)  # the micro placement with one extra replica

@@ -41,6 +41,7 @@ from replicaplan import (
     action_to_dict,
     assign_link_costs,
     availability_per_object,
+    build_nearest_index,
     generate_ba_topology,
     generate_object_catalog,
     generate_traffic,
@@ -49,7 +50,9 @@ from replicaplan import (
     load_topology,
     replay_schedule,
     synthetic_availability,
+    total_access_cost,
     trace_availability_for_servers,
+    validate_placement,
 )
 from replicaplan.cli import main
 
@@ -193,9 +196,9 @@ entries = st.one_of(
 arrays = st.recursive(entries, lambda kids: st.lists(kids, max_size=4), max_leaves=12)
 
 
-def grid(rows: int, cols: int):
+def grid(rows: int, cols: int, values=entries):
     """Well-shaped ``rows`` x ``cols`` lists, which reach the checks past the shape."""
-    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
+    return st.lists(st.lists(values, min_size=cols, max_size=cols),
                     min_size=rows, max_size=rows)
 
 
@@ -203,6 +206,9 @@ LIB_FUZZ = settings(max_examples=150, deadline=None)
 
 MICRO_COSTS = [[0, 2, 5], [2, 0, 3], [5, 3, 0]]
 MICRO_X = [[1, 0], [0, 0], [0, 1]]
+MICRO_NEAREST = [[0, 2], [0, 2], [0, 2]]
+# Small integers around the domain's edges: most such grids are accepted.
+small = st.integers(-1, 3)
 
 
 @given(values=arrays, probs=arrays)
@@ -264,6 +270,62 @@ def test_placement_state(l, traffic, x):
     assert state.x.tolist() == x
     assert set(state.x.ravel().tolist()) <= {0, 1}
     assert state.traffic.tolist() == traffic
+
+
+HALF = [[1, 1], [0, 0]]  # both objects on server 0 alone
+ZEROS = [[0, 0], [0, 0]]
+
+
+@given(x=st.one_of(st.just(MICRO_X), arrays, grid(3, 2), grid(3, 2, small)),
+       n=st.one_of(st.just(MICRO_NEAREST), arrays, grid(3, 2, small)),
+       r=st.one_of(st.just(MICRO_SCENARIO["traffic"]), arrays, grid(3, 2), grid(3, 2, small)),
+       l=st.one_of(st.just(MICRO_COSTS), arrays, grid(3, 3), grid(3, 3, small)))
+@example(x=HALF, n=ZEROS, r=[[0, 0], [-5, 3]], l=[[0, 2], [2, 0]])
+@example(x=HALF, n=ZEROS, r=[[0, 0], [1, 3]], l=[[0, -2], [-2, 0]])
+@example(x=HALF, n=ZEROS, r=[[0, 0], [4, 4]], l=[[0, 2**62], [2**62, 0]])
+@LIB_FUZZ
+def test_total_access_cost(x, n, r, l):
+    """An accepted total is the exact, non-negative sum of traffic times cost to the nearest id."""
+    try:
+        total = total_access_cost(x, n, r, l).total
+    except ReplicaPlanError:
+        return
+    want = sum(int(l[j][int(n[j][k])]) * int(r[j][k])
+               for j in range(len(x)) for k in range(len(x[j])))
+    assert total == want >= 0
+
+
+@given(x=st.one_of(st.just(MICRO_X), arrays, grid(3, 2), grid(3, 2, small)),
+       l=st.one_of(st.just(MICRO_COSTS), arrays, grid(3, 3), grid(3, 3, small)))
+@example(x=HALF, l=[[0, -2], [-2, 0]])
+@LIB_FUZZ
+def test_build_nearest_index(x, l):
+    """Every accepted distance is non-negative and the cost to a replicator no other beats."""
+    try:
+        near, dist = build_nearest_index(x, l)
+    except ReplicaPlanError:
+        return
+    for (j, k), i in np.ndenumerate(near):
+        reps = [s for s in range(len(x)) if x[s][k] == 1]
+        assert i in reps and dist[j, k] == l[j][i] == min(l[j][s] for s in reps) >= 0
+
+
+@given(x=st.one_of(st.just([[1, 0], [0, 1]]), arrays, grid(2, 2), grid(2, 2, small)))
+@example(x=[[1, 1], [-1, 1]])
+@example(x=[[1, 0.5], [0, 1]])
+@example(x=[[1, 0], [2, 1]])
+@example(x=[[1, "1"], [0, 1]])
+@LIB_FUZZ
+def test_validate_placement(x):
+    """An accepted placement holds only 0 and 1; the violations are its primaries' zeros."""
+    servers, objects = ServerCatalog([20, 20], [0.1, 0.2]), ObjectCatalog([6, 6], [0, 1])
+    try:
+        violations = validate_placement(x, servers, objects)
+    except ReplicaPlanError:
+        return
+    assert set(np.asarray(x).ravel().tolist()) <= {0, 1}
+    assert [(v.kind, v.index) for v in violations] == [("primary", k) for k in (0, 1)
+                                                       if x[k][k] != 1]
 
 
 # Counts and bounds near the domain's edges: whole floats pass, anything else is refused.

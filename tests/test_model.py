@@ -195,6 +195,14 @@ class TestValidatePlacement:
         with pytest.raises(StructuralError, match="rectangular"):
             validate_placement([[1, 0], [1], [0, 1]], micro.servers, micro.objects)
 
+    @pytest.mark.parametrize("x", [[[1, 1], [-1, 1]], [[1, 0.5], [0, 1]], [[1, 0], [2, 1]],
+                                   [[1, "1"], [0, 1]]], ids=["-1", "half", "2", "str"])
+    def test_entries_must_be_0_or_1(self, x):
+        # -1, 0.5 and 2 used to pass as valid; a string raised numpy's untyped TypeError.
+        servers, objects = ServerCatalog([20, 20], [0.1, 0.2]), ObjectCatalog([6, 6], [0, 1])
+        with pytest.raises(ParameterError, match="placement"):
+            validate_placement(x, servers, objects)
+
     # Servers 0 and 1 over capacity, object 1 off its primary server 2.
     BROKEN = np.array([[1, 1], [0, 1], [0, 0]], dtype=np.int8)
 
@@ -325,7 +333,8 @@ class TestNearest:
         ([[1, 0], [0.5, 1]], [[0, 1], [1, 0]]),        # so did 0.5
         ([[1, 0], [0, 1]], [[0, 1.5], [1.5, 0]]),      # used to be truncated to d = 1
         ([[1, 0], [0, 1]], [["0", "1"], ["1", "0"]]),
-    ], ids=["placement-2", "placement-half", "cost-1.5", "cost-str"])
+        ([[1, 1], [0, 0]], [[0, -2], [-2, 0]]),        # used to give distances of -2
+    ], ids=["placement-2", "placement-half", "cost-1.5", "cost-str", "cost-negative"])
     def test_values_are_checked(self, x, l):
         with pytest.raises(ParameterError):
             build_nearest_index(x, np.array(l))
@@ -567,6 +576,17 @@ class TestPlacementFiles:
         path.write_text('{"objects":[{"id":1,"replicators":[0]}]}')
         with pytest.raises(StructuralError, match="object"):
             load_placement(path, 3, 1)
+
+    @pytest.mark.parametrize("m, n, error", [(-1, 1, ParameterError), (2.5, 1, StructuralError),
+                                             (0, 0, ParameterError), (1, True, StructuralError)],
+                             ids=["m-negative", "m-half", "zero", "n-bool"])
+    def test_counts_obey_the_count_rule(self, tmp_path, m, n, error):
+        # Used to raise numpy's untyped ValueError (m = -1), or to blame the file.
+        path = tmp_path / "placement.json"
+        path.write_text('{"objects":[{"id":0,"replicators":[0]}]}')
+        with pytest.raises(error, match="count") as info:
+            load_placement(path, m, n)
+        assert str(path) not in str(info.value)
 
     def test_unknown_server_rejected(self, tmp_path):
         path = tmp_path / "placement.json"

@@ -146,6 +146,11 @@ class TestShortestPaths:
         with pytest.raises(StructuralError, match="triangle"):
             CostMatrix([[0, 1, 5], [1, 0, 1], [5, 1, 0]]).validate()
 
+    def test_negative_costs_rejected(self):
+        # Used to be accepted: only PlacementState refused them.
+        with pytest.raises(ParameterError, match="non-negative"):
+            CostMatrix([[0, -2], [-2, 0]])
+
     def test_unsigned_costs_at_2_63_rejected(self):
         l = np.array([[0, 2**63], [2**63, 0]], dtype=np.uint64)
         with pytest.raises(ParameterError, match="2\\*\\*63"):

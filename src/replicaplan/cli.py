@@ -35,7 +35,6 @@ from .model import (
     Scenario,
     ServerCatalog,
     load_placement,
-    primary_only_placement,
     save_placement,
     validate_placement,
 )

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, StructuralError
-from .topology import INT64_LIMIT, CostMatrix, _array, _binary, _index, _integral, _items
+from .topology import (INT64_LIMIT, CostMatrix, _array, _binary, _index, _indices, _integral,
+                       _items)
 
 SEMANTICS = ("corrected", "literal")
 
@@ -60,10 +61,9 @@ def total_access_cost(x, n, r, l) -> CostReport:
     m = len(x)
     r = _traffic(r, *x.shape)
     _check_headroom(l, np.empty(0, dtype=np.int64), r, INT64_LIMIT)
-    n = np.asarray(_integral(n, "nearest index"), dtype=np.int64)
-    if n.shape != x.shape or (n.size and not 0 <= n.min() <= n.max() < m):
-        raise StructuralError(f"nearest index must be a {x.shape} array of server ids "
-                              f"in [0, {m}), got shape {n.shape}")
+    n = _indices(n, m, "nearest index")
+    if n.shape != x.shape:
+        raise StructuralError(f"nearest index must have shape {x.shape}, got shape {n.shape}")
     dist = l[np.arange(m)[:, None], n]
     # Summed without the M x N product; exact, as every partial sum stays below the total.
     return CostReport(total=int(np.einsum("ij,ij->", dist, r, dtype=np.int64)))

@@ -72,12 +72,12 @@ it stay as they were.  Each step is a few NumPy calls, and none repeats work
 another did.
 
 Work whose result cannot change is skipped.  A column's ``net`` depends only
-on that column, so a column with no positive entry, marked in the bool mask
-``_live`` that ``_columns`` keeps with ``net``, stays dead until a commit
-touches it.  ``run`` counts a window with no live column as one iteration and
-does not sweep it.  The engine is the only implementation of flip scoring,
-and :func:`solve` its one entry point.  Availability-weighted scores are
-floats, so instances whose scores could reach 2**53 are refused.
+on that column, so a column with no positive entry stays dead until a commit
+touches it.  ``run`` reads ``net`` once as it enters a window, and counts a
+window with no positive entry as one iteration and does not sweep it.  The
+engine is the only implementation of flip scoring, and :func:`solve` its one
+entry point.  Availability-weighted scores are floats, so instances whose
+scores could reach 2**53 are refused.
 """
 
 from __future__ import annotations
@@ -304,7 +304,6 @@ class _GreedyEngine:
         m, n = self.st.d.shape
         # Positive only where eligible; column-major, as a commit rewrites whole columns.
         self.net = np.zeros((m, n), dtype=np.int64, order="F")
-        self._live = np.zeros(n, dtype=bool)  # column k holds a positive net saving
         width = max(1, SETUP_CELLS // m)
         for start in range(0, n, width):
             self._columns(np.arange(start, min(start + width, n)))
@@ -383,12 +382,13 @@ class _GreedyEngine:
         return np.multiply(gain, self.weight[rows, None], order="C"), pending
 
     def _columns(self, cols) -> np.ndarray:
-        """Recompute ``net`` and ``_live`` of the columns ``cols``; return their ``net`` block.
+        """Recompute ``net`` of the columns ``cols``; return their ``net`` block.
 
         ``cols`` is a slice or an index array.  This is the one eligibility
         rule: ``net`` is ``_saving`` below the replica cap and 0 in a column
         at the cap, where ``_delta`` does not run.  The block is built whole
-        and written to ``net`` and ``_live`` once.
+        and written to ``net`` once; ``run`` reads a window's liveness from
+        it.
         """
         st = self.st
         counts = st.replica_counts[cols]
@@ -400,7 +400,6 @@ class _GreedyEngine:
             if below.size:
                 net[:, below] = self._saving(cols[below])
         self.net[:, cols] = net
-        self._live[cols] = np.logical_or.reduce(net > 0)  # any per column, without a Python frame
         return net
 
     def _saving(self, cols) -> np.ndarray:
@@ -536,9 +535,10 @@ class _GreedyEngine:
         The commit added object k and evicted the objects ``evicted``.
         Their columns' nearest index, placement and replica counts changed,
         so once all of the commit's mutations are done ``_columns``
-        recomputes their ``net`` and ``_live``, evictees outside the window
-        included; a commit that evicts nothing addresses its one column as
-        a slice, a view.  The window's touched columns are scored from the
+        recomputes their ``net``, evictees outside the window included, and
+        so whether each window holding them is dead when ``run`` enters it;
+        a commit that evicts nothing addresses its one column as a slice, a
+        view.  The window's touched columns are scored from the
         block ``_columns`` returns.  An evictable entry's damage and
         availability flag depend only on its own column, so only the cached
         servers holding a touched column have entries to redo (none while
@@ -683,8 +683,10 @@ class _GreedyEngine:
         The global planners use one window holding every object, the
         random-order planners one window per object, in seeded order.  Each
         sweep counts one iteration, the last one of a window committing
-        nothing.  A window with no ``_live`` column cannot commit, so it
-        counts one iteration without being swept.
+        nothing.  A window whose ``net`` holds no positive entry as ``run``
+        enters it cannot commit, so it counts one iteration without being
+        swept.  A window that dies after a commit ends with one sweep, which
+        reads only the row maxima.
         """
         n = self.st.objects.count
         if self.cfg.algorithm in ("aagg", "gg"):
@@ -694,14 +696,12 @@ class _GreedyEngine:
             random.Random(self.cfg.seed).shuffle(order)
             windows = [slice(k, k + 1) for k in order]
         for window in windows:
-            while True:
-                self.iterations += 1
-                if not self._live[window].any():
-                    break
-                best = self._sweep(window)
-                if best is None:
-                    break
+            self.iterations += 1
+            if self.net[:, window].max() <= 0:
+                continue
+            while (best := self._sweep(window)) is not None:
                 self._commit(*best)
+                self.iterations += 1
 
     def result(self) -> PlacementResult:
         st = self.st

@@ -23,8 +23,18 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .topology import (INT64_LIMIT, CostMatrix, _array, _binary, _count, _index, _integral,
-                       _read_json, _write_json)
+from .topology import (INT64_LIMIT, CostMatrix, _array, _binary, _count, _freeze, _index,
+                       _indices, _integral, _read_json, _write_json)
+
+
+def _positive(values, what: str) -> np.ndarray:
+    """``values`` as a new non-empty int64 vector of positive whole numbers, such as sizes."""
+    arr = np.array(_integral(values, what), dtype=np.int64)
+    if arr.ndim != 1 or arr.size == 0:
+        raise StructuralError(f"{what} must be a non-empty vector, got shape {arr.shape}")
+    if (arr <= 0).any():
+        raise ParameterError(f"{what} must be positive")
+    return arr
 
 
 def _loads(x, sizes: np.ndarray) -> np.ndarray:
@@ -40,18 +50,11 @@ class ServerCatalog:
     failure_probs: np.ndarray
 
     def __post_init__(self):
-        caps = np.array(_integral(self.capacities, "capacities"), dtype=np.int64)
+        caps = _positive(self.capacities, "capacities")
         probs = _failure_probs(self.failure_probs)
-        if caps.ndim != 1 or caps.size == 0:
-            raise StructuralError("capacities must be a non-empty vector")
         if probs.shape != caps.shape:
             raise StructuralError("failure_probs must match capacities in length")
-        if (caps <= 0).any():
-            raise ParameterError("capacities must be positive")
-        caps.setflags(write=False)
-        probs.setflags(write=False)
-        object.__setattr__(self, "capacities", caps)
-        object.__setattr__(self, "failure_probs", probs)
+        _freeze(self, capacities=caps, failure_probs=probs)
 
     @property
     def count(self) -> int:
@@ -66,22 +69,15 @@ class ObjectCatalog:
     primaries: np.ndarray
 
     def __post_init__(self):
-        sizes = np.array(_integral(self.sizes, "object sizes"), dtype=np.int64)
+        sizes = _positive(self.sizes, "object sizes")
         prim = np.array(_integral(self.primaries, "primary ids"), dtype=np.int64)
-        if sizes.ndim != 1 or sizes.size == 0:
-            raise StructuralError("sizes must be a non-empty vector")
         if prim.shape != sizes.shape:
             raise StructuralError("primaries must match sizes in length")
-        if (sizes <= 0).any():
-            raise ParameterError("object sizes must be positive")
         if (prim < 0).any():
             raise ParameterError("primary ids must be non-negative")
         if exact_sum(sizes) >= INT64_LIMIT:  # server loads could wrap in int64
             raise ParameterError("object sizes must sum to less than 2**63")
-        sizes.setflags(write=False)
-        prim.setflags(write=False)
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "primaries", prim)
+        _freeze(self, sizes=sizes, primaries=prim)
 
     @property
     def count(self) -> int:
@@ -101,8 +97,7 @@ class Scenario:
         m = self.servers.count
         r = np.array(_traffic(self.traffic, m, self.objects.count))  # frozen copy
         _primaries(self.objects, m)
-        r.setflags(write=False)
-        object.__setattr__(self, "traffic", r)
+        _freeze(self, traffic=r)
 
     def save(self, path) -> None:
         payload = {
@@ -128,11 +123,7 @@ class Scenario:
 
 def _primaries(objects: ObjectCatalog, m: int, cols=slice(None)) -> np.ndarray:
     """The primary ids of the objects ``cols``; refused unless each names one of ``m`` servers."""
-    primaries = objects.primaries[cols]
-    if (primaries >= m).any():
-        raise ParameterError(f"primary ids must reference existing servers, "
-                             f"got {int(primaries.max())} with {m} servers")
-    return primaries
+    return _indices(objects.primaries[cols], m, "primary ids", ParameterError)
 
 
 @dataclass(frozen=True)
@@ -186,16 +177,10 @@ def validate_placement(x, servers: ServerCatalog, objects: ObjectCatalog, *,
 
 
 def _subset(indices, count: int, what: str) -> np.ndarray:
-    """``indices`` as an int64 array of positions in ``range(count)``; None means all.
-
-    One range check: viewed as unsigned, a negative position is 2**63 or more.
-    """
+    """``indices`` as an int64 vector of positions in ``range(count)``; None means all."""
     if indices is None:
         return np.arange(count)
-    idx = np.asarray(_integral(indices, what), dtype=np.int64).reshape(-1)
-    if np.maximum.reduce(idx.view(np.uint64), initial=0) >= count:
-        raise StructuralError(f"{what} must lie in [0, {count}), got {idx.tolist()}")
-    return idx
+    return _indices(indices, count, what).reshape(-1)
 
 
 def primary_only_placement(servers: ServerCatalog, objects: ObjectCatalog) -> np.ndarray:

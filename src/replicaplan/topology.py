@@ -89,6 +89,14 @@ def _count(value, what: str, error=StructuralError) -> int:
     return count
 
 
+def _range(lo, hi, what: str) -> tuple[int, int]:
+    """The bounds of a ``what`` range: ``lo`` a count, ``hi`` a whole number of at least ``lo``."""
+    lo, hi = _count(lo, f"{what}_lo"), _whole(hi, f"{what}_hi")
+    if lo > hi:
+        raise ParameterError(f"{what} range must satisfy 0 < lo <= hi, got [{lo}, {hi}]")
+    return lo, hi
+
+
 def _items(values, what: str, error=StructuralError) -> tuple:
     """``values`` as a tuple; one that is not iterable is refused with ``error``."""
     try:
@@ -108,6 +116,26 @@ def _index(value, count: int, what: str) -> int:
     return i
 
 
+def _indices(values, count: int, what: str, error=StructuralError) -> np.ndarray:
+    """``values`` as an int64 array of ids, each in ``range(count)``; ``_index`` for arrays.
+
+    One range check: viewed as unsigned, a negative id is 2**63 or more.
+    A non-integer entry is a ParameterError, an id outside the range
+    ``error``.
+    """
+    ids = np.asarray(_integral(values, what), dtype=np.int64)
+    if ids.view(np.uint64).max(initial=0) >= count:
+        raise error(f"{what} must lie in [0, {count}), got ids from {ids.min()} to {ids.max()}")
+    return ids
+
+
+def _freeze(record, **arrays) -> None:
+    """Mark each array read-only and set it as the field of that name of the frozen ``record``."""
+    for name, array in arrays.items():
+        array.setflags(write=False)
+        object.__setattr__(record, name, array)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected server network; each edge carries a positive integer cost.
@@ -125,13 +153,13 @@ class Graph:
         normalized = []
         for edge in _items(self.edges, "edges"):
             try:
-                u, v, cost = (_whole(value, "edge entry") for value in edge)
+                u, v, cost = edge
             except (TypeError, ValueError) as exc:  # not iterable, or not three entries
                 raise StructuralError(f"edge {edge!r} must be a (u, v, cost) triple") from exc
+            u, v = _index(u, node_count, "edge node"), _index(v, node_count, "edge node")
+            cost = _whole(cost, "edge cost")
             if u == v:
                 raise StructuralError(f"self-loop at node {u}")
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise StructuralError(f"edge ({u}, {v}) references a missing node")
             if cost <= 0:
                 raise ParameterError(f"edge ({u}, {v}) has non-positive cost {cost}")
             key = (min(u, v), max(u, v))
@@ -162,8 +190,7 @@ class CostMatrix:
             raise StructuralError(f"cost matrix must be square, got shape {arr.shape}")
         if (arr < 0).any():
             raise ParameterError("link costs must be non-negative")
-        arr.setflags(write=False)
-        object.__setattr__(self, "l", arr)
+        _freeze(self, l=arr)
 
     @property
     def m(self) -> int:
@@ -226,10 +253,8 @@ def generate_ba_topology(n: int, m_links: int, seed: int) -> Graph:
 
 def assign_link_costs(graph: Graph, cost_lo: int, cost_hi: int, seed: int) -> Graph:
     """Return a copy of ``graph`` with integer costs drawn uniformly from [lo, hi]."""
-    cost_lo, cost_hi = _count(cost_lo, "cost_lo"), _whole(cost_hi, "cost_hi")
+    cost_lo, cost_hi = _range(cost_lo, cost_hi, "cost")
     seed = _whole(seed, "seed", ParameterError)
-    if cost_lo > cost_hi:
-        raise ParameterError(f"cost range must satisfy 0 < lo <= hi, got [{cost_lo}, {cost_hi}]")
     rng = random.Random(seed)
     # Edges are kept in canonical sorted order, so draws are reproducible.
     edges = tuple((u, v, rng.randint(cost_lo, cost_hi)) for u, v, _ in graph.edges)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ParameterError, TraceError
 from .model import INT64_LIMIT, ObjectCatalog
-from .topology import _count, _whole
+from .topology import _count, _range, _whole
 
 
 # Highest failure probability a trace estimate may take.
@@ -125,10 +125,8 @@ def generate_object_catalog(n_objects: int, size_lo: int, size_hi: int,
                             n_servers: int, seed: int) -> ObjectCatalog:
     """Draw object sizes uniformly from [lo, hi] and primaries uniformly over servers."""
     n_objects, n_servers = _count(n_objects, "object count"), _count(n_servers, "server count")
-    size_lo, size_hi = _count(size_lo, "size_lo"), _whole(size_hi, "size_hi")
+    size_lo, size_hi = _range(size_lo, size_hi, "size")
     seed = _whole(seed, "seed", ParameterError)
-    if size_lo > size_hi:
-        raise ParameterError(f"size range must satisfy 0 < lo <= hi, got [{size_lo}, {size_hi}]")
     rng = random.Random(seed)
     sizes = [rng.randint(size_lo, size_hi) for _ in range(n_objects)]
     primaries = [rng.randrange(n_servers) for _ in range(n_objects)]

@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 
 
 HEURISTICS = "tests/test_heuristics.py"
+WORK = "tests/test_engine_work.py"  # the work pins: each work-only mutant must fail one
 
 MUTANTS = (
     # The one eligibility rule, ``_columns``.
@@ -161,6 +162,31 @@ MUTANTS = (
            "arg = block.argmax(axis=1)",
            "arg = block.shape[1] - 1 - block[:, ::-1].argmax(axis=1)",
            (HEURISTICS, "-k", "TestSweepCache or TestColumnCaches")),
+    # Work-only mutants: each undoes one skip rule and keeps every plan.
+    Mutant("sweep-rescores-window", "heuristics.py",
+           "        if cs != self._window:\n",
+           "        if True:\n",
+           (WORK,)),
+    Mutant("invalidate-remaxes-every-row", "heuristics.py",
+           "        stale = stale.nonzero()[0]\n",
+           "        stale = np.arange(stale.size)\n",
+           (WORK,)),
+    Mutant("invalidate-rescores-skipped-rows", "heuristics.py",
+           "rows = [j for j in rows if int(st.free[j]) < self._largest]",
+           "rows = sorted(rows)",
+           (WORK,)),
+    Mutant("run-sweeps-dead-windows", "heuristics.py",
+           "            if self.net[:, window].max() <= 0:\n                continue\n",
+           "",
+           (WORK,)),
+    Mutant("score-no-floor", "heuristics.py",
+           "        if self._evict_cache:  # else every floor is 0\n",
+           "        if False:\n",
+           (WORK,)),
+    Mutant("every-holder-list-stored", "heuristics.py",
+           "if (pos.min() < ev.reach or",
+           "if (True or",
+           (WORK,)),
     # Set-up computes ``net`` in blocks; only a check at size spans several.
     Mutant("setup-skips-block-start", "heuristics.py",
            "self._columns(np.arange(start, min(start + width, n)))",
@@ -171,9 +197,9 @@ MUTANTS = (
            "pos = sub.argmin(axis=1)",
            "pos = sub.shape[1] - 1 - sub[:, ::-1].argmin(axis=1)",
            ("tests/test_model.py", "-k", "TestNearest or TestIncrementalIndex")),
-    Mutant("subset-accepts-count", "model.py",
-           "initial=0) >= count:",
-           "initial=0) > count:",
+    Mutant("subset-accepts-count", "topology.py",
+           "max(initial=0) >= count:",
+           "max(initial=0) > count:",
            ("tests/test_model.py", "-k", "TestValidate")),
     Mutant("remove-reads-negative-ids", "model.py",
            "        i, k = self._ids(i, k)\n        if not self.x[i, k]:",
@@ -196,6 +222,18 @@ MUTANTS = (
            "    if count < 1:\n",
            "    if count < 0:\n",
            ("tests/test_topology.py", "-k", "TestGenerate")),
+    Mutant("range-accepts-inverted", "topology.py",
+           "    if lo > hi:\n",
+           "    if False:\n",
+           ("tests/test_topology.py", "tests/test_workload.py", "-k", "range or bad_parameters")),
+    Mutant("positive-accepts-0", "model.py",
+           "    if (arr <= 0).any():\n",
+           "    if (arr < 0).any():\n",
+           ("tests/test_model.py", "-k", "TestCatalogs")),
+    Mutant("freeze-leaves-writable", "topology.py",
+           "        array.setflags(write=False)\n",
+           "",
+           ("tests/test_model.py", "-k", "TestScenario")),
     Mutant("cost-matrix-accepts-negative", "topology.py",
            "        if (arr < 0).any():\n",
            "        if False:\n",

@@ -256,6 +256,12 @@ class TestAvailability:
         with pytest.raises(ParameterError, match="failure probabilities"):
             ServerCatalog([10], probs)
 
+    def test_unknown_semantics(self):
+        with pytest.raises(ParameterError, match="semantics 'bogus'"):
+            availability_per_object([[1]], [0.1], semantics="bogus")
+        with pytest.raises(ParameterError, match="semantics 'bogus'"):
+            replicator_availability([0.1], [0], semantics="bogus")
+
     @pytest.mark.parametrize("x, probs", [
         ([[1, 1]], [0.1, 0.2]),   # one row for two servers
         ([1, 1], [0.1, 0.2]),     # not a matrix

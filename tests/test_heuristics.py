@@ -204,6 +204,10 @@ class TestReplay:
         with pytest.raises(StructuralError):
             replay_schedule(self.X_OLD, [action])
 
+    def test_evictee_must_be_held(self):
+        with pytest.raises(StructuralError, match="absent from server 1"):
+            replay_schedule(self.X_OLD, [Evict(1, 0)])
+
     def test_source_must_hold_the_object(self):
         with pytest.raises(StructuralError, match="non-replicator"):
             replay_schedule(self.X_OLD, [Add(1, 0, 2, 0)])
@@ -858,7 +862,8 @@ def checked_column_run(algorithm: str, cap: int, seed: int, semantics="corrected
 
     On entry to each commit and after it, ``_row_best`` and ``_row_arg``
     are each row's first maximum and argmax of the window's scores.  After
-    each commit, ``_live`` equals a fresh engine's, ``net`` equals
+    each commit, the live columns (those with a positive ``net``) equal a
+    fresh engine's, ``net`` equals
     ``_delta - size * d`` in the columns below the replica cap, except
     in the cells literal availability vetoes (adding server i to the
     replicators lowers the product over sorted ids by more than ``TOL``),
@@ -887,7 +892,8 @@ def checked_column_run(algorithm: str, cap: int, seed: int, semantics="corrected
         assert_row_maxima(engine)
         st = engine.st
         below = st.replica_counts < cap
-        assert np.array_equal(engine._live, _GreedyEngine(st, config)._live)
+        assert np.array_equal((engine.net > 0).any(axis=0),
+                              (_GreedyEngine(st, config).net > 0).any(axis=0))
         cols = np.flatnonzero(below)
         net = heuristics._delta(st, cols) - st.objects.sizes[cols] * st.d[:, cols]
         if semantics == "literal" and algorithm == "aagro":
@@ -921,7 +927,7 @@ def checked_column_runs(algorithm: str, cap: int, semantics="corrected") -> None
     def run(seed):
         engine, _ = checked_column_run(algorithm, cap, seed, semantics)
         if cap == 1:
-            assert not engine._live.any() and not engine.steps
+            assert not (engine.net > 0).any() and not engine.steps
         commits.append(len(engine.steps))
 
     run()
@@ -929,7 +935,7 @@ def checked_column_runs(algorithm: str, cap: int, semantics="corrected") -> None
 
 
 class TestColumnCaches:
-    """The one-column planners' liveness mask and ``net`` columns stay exact."""
+    """The one-column planners' live columns and ``net`` columns stay exact."""
 
     @pytest.mark.parametrize("cap", [1, 2])
     @pytest.mark.parametrize("algorithm", ["aagro", "gro"])
@@ -950,7 +956,7 @@ class TestColumnCaches:
         engine = _GreedyEngine(micro.state(),
                                SolverConfig(algorithm="aagro", max_replicas_per_object=1))
         engine._sweep = lambda window: pytest.fail("swept a dead window")
-        assert not engine._live.any()
+        assert not (engine.net > 0).any()
         engine.run()
         assert engine.iterations == micro.objects.count
 
@@ -961,7 +967,7 @@ class TestSetupMemory:
 
         The state copy and ``net`` keep about 25 bytes per cell and the
         starting access-cost sum briefly adds 16.  Set-up scores no column;
-        computing ``net`` and ``_live`` of all 8,000 columns in one call,
+        computing ``net`` of all 8,000 columns in one call,
         not in blocks, peaks near 50.
         """
         self.check_peak(AAGG)
@@ -1036,10 +1042,10 @@ class TestFixedPointAtSize:
         engine.run()
         result = engine.result()
         assert result.steps
-        net, live = engine.net.copy(), engine._live.copy()
+        net, live = engine.net.copy(), (engine.net > 0).any(axis=0)
         assert np.array_equal(engine._columns(np.arange(n)), net)
         assert np.array_equal(engine.net, net)
-        assert np.array_equal(engine._live, live)
+        assert np.array_equal((engine.net > 0).any(axis=0), live)
         assert engine._evict_cache
         for i, cached in list(engine._evict_cache.items()):
             fresh = engine._store(i, *engine._entries(i, np.arange(n)))

@@ -143,6 +143,18 @@ class TestScenario:
         with pytest.raises(ParameterError):
             Scenario(micro.servers, ObjectCatalog([10], [7]), [[0], [0], [0]])
 
+    def test_input_arrays_are_frozen(self, micro):
+        """A cost matrix, the catalogs and a scenario hold read-only copies of their arrays."""
+        traffic = micro.traffic.copy()
+        scenario = Scenario(micro.servers, micro.objects, traffic)
+        arrays = (micro.cost.l, micro.servers.capacities, micro.servers.failure_probs,
+                  micro.objects.sizes, micro.objects.primaries, scenario.traffic)
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+        traffic[0, 0] = 5  # the caller's array stays writable and is not shared
+        assert scenario.traffic[0, 0] == 0
+
     def test_ragged_traffic_file_rejected(self, micro, tmp_path):
         path = tmp_path / "scenario.json"
         Scenario(micro.servers, micro.objects, micro.traffic).save(path)

@@ -54,7 +54,6 @@ from .topology import (
 from .workload import (
     FailureTrace,
     TraceRecord,
-    TrafficModel,
     generate_object_catalog,
     generate_traffic,
     load_failure_trace,

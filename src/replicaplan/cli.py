@@ -106,6 +106,8 @@ def _parse_algs(text: str) -> tuple[str, ...]:
     unknown = [a for a in algs if a not in heuristics.ALGORITHMS]
     if unknown:
         raise argparse.ArgumentTypeError(f"unknown algorithm(s) {', '.join(unknown)}")
+    if len(set(algs)) < len(algs):
+        raise argparse.ArgumentTypeError(f"algorithms must not repeat, got {text!r}")
     return algs
 
 
@@ -149,13 +151,8 @@ def _build_instance(args) -> tuple[topology.Graph, topology.CostMatrix, Scenario
     catalog = workload.generate_object_catalog(
         args.objects, args.size_lo, args.size_hi, args.nodes, derive_seed(seed, "catalog")
     )
-    model = workload.TrafficModel(
-        kind=args.traffic,
-        zipf_skew=args.zipf_skew,
-        total_volume=args.traffic_volume,
-        seed=derive_seed(seed, "traffic"),
-    )
-    traffic = workload.generate_traffic(model, args.nodes, args.objects)
+    traffic = workload.generate_traffic(args.nodes, args.objects, args.traffic, args.zipf_skew,
+                                        args.traffic_volume, derive_seed(seed, "traffic"))
     meta: dict = {
         "master_seed": seed,
         "capacity_policy": args.capacity_policy,

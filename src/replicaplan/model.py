@@ -63,7 +63,11 @@ class ServerCatalog:
 
 @dataclass(frozen=True, eq=False)
 class ObjectCatalog:
-    """Per-object byte size and primary server id."""
+    """Per-object byte size and primary server id.
+
+    A catalog cannot know the server count, so its primary ids are checked
+    where a server catalog joins it, by ``_primaries``.
+    """
 
     sizes: np.ndarray
     primaries: np.ndarray
@@ -73,8 +77,6 @@ class ObjectCatalog:
         prim = np.array(_integral(self.primaries, "primary ids"), dtype=np.int64)
         if prim.shape != sizes.shape:
             raise StructuralError("primaries must match sizes in length")
-        if (prim < 0).any():
-            raise ParameterError("primary ids must be non-negative")
         if exact_sum(sizes) >= INT64_LIMIT:  # server loads could wrap in int64
             raise ParameterError("object sizes must sum to less than 2**63")
         _freeze(self, sizes=sizes, primaries=prim)

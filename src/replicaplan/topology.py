@@ -157,11 +157,9 @@ class Graph:
             except (TypeError, ValueError) as exc:  # not iterable, or not three entries
                 raise StructuralError(f"edge {edge!r} must be a (u, v, cost) triple") from exc
             u, v = _index(u, node_count, "edge node"), _index(v, node_count, "edge node")
-            cost = _whole(cost, "edge cost")
             if u == v:
                 raise StructuralError(f"self-loop at node {u}")
-            if cost <= 0:
-                raise ParameterError(f"edge ({u}, {v}) has non-positive cost {cost}")
+            cost = _count(cost, f"cost of edge ({u}, {v})")
             key = (min(u, v), max(u, v))
             if key in seen:
                 raise StructuralError(f"duplicate edge {key}")
@@ -177,7 +175,7 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class CostMatrix:
-    """Dense symmetric matrix of cheapest per-byte transfer costs; ``m`` is its size.
+    """Dense symmetric matrix of cheapest per-byte transfer costs.
 
     Entries must be non-negative integers below 2**63.
     """
@@ -192,10 +190,6 @@ class CostMatrix:
             raise ParameterError("link costs must be non-negative")
         _freeze(self, l=arr)
 
-    @property
-    def m(self) -> int:
-        return self.l.shape[0]
-
     def validate(self) -> None:
         """Check metric-style invariants; raises StructuralError on failure."""
         l = self.l
@@ -203,10 +197,10 @@ class CostMatrix:
             raise StructuralError("diagonal must be zero")
         if (l != l.T).any():
             raise StructuralError("matrix must be symmetric")
-        off = l[~np.eye(self.m, dtype=bool)]
+        off = l[~np.eye(len(l), dtype=bool)]
         if off.size and (off <= 0).any():
             raise StructuralError("off-diagonal costs must be positive")
-        for h in range(self.m):
+        for h in range(len(l)):
             if (l > l[:, h, None] + l[None, h, :]).any():
                 raise StructuralError(f"triangle inequality violated via node {h}")
 

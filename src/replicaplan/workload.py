@@ -27,33 +27,11 @@ import numpy as np
 
 from .errors import ParameterError, TraceError
 from .model import INT64_LIMIT, ObjectCatalog
-from .topology import _count, _range, _whole
+from .topology import _count, _items, _range, _whole
 
 
 # Highest failure probability a trace estimate may take.
 _F_MAX = 0.99
-
-
-@dataclass(frozen=True)
-class TrafficModel:
-    """How request volume is spread over objects and servers."""
-
-    kind: str = "zipf"
-    zipf_skew: float = 0.8
-    total_volume: int = 50_000_000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("uniform", "zipf"):
-            raise ParameterError(f"unknown traffic kind {self.kind!r}")
-        skew = self.zipf_skew
-        if (isinstance(skew, bool) or not isinstance(skew, numbers.Real)
-                or not (math.isfinite(skew) and skew >= 0)):
-            raise ParameterError(f"zipf skew must be a finite number >= 0, got {skew!r}")
-        object.__setattr__(self, "total_volume", _count(self.total_volume, "total volume"))
-        object.__setattr__(self, "seed", _whole(self.seed, "seed", ParameterError))
-        if self.total_volume >= INT64_LIMIT:
-            raise ParameterError("total volume must be below 2**63")
 
 
 def _time(value, what: str) -> float:
@@ -98,10 +76,7 @@ class FailureTrace:
     records: tuple[TraceRecord, ...]
 
     def __post_init__(self):
-        try:
-            records = tuple(self.records)
-        except TypeError as exc:
-            raise TraceError(f"trace records must be iterable, got {self.records!r}") from exc
+        records = _items(self.records, "trace records", TraceError)
         by_node: dict[int, list[TraceRecord]] = {}
         for rec in records:
             if not isinstance(rec, TraceRecord):
@@ -150,25 +125,36 @@ def _apportion(total: int, weights) -> np.ndarray:
     return result
 
 
-def generate_traffic(model: TrafficModel, n_servers: int, n_objects: int) -> np.ndarray:
-    """Build the request matrix for ``model``.
+def generate_traffic(n_servers: int, n_objects: int, kind: str = "zipf",
+                     zipf_skew: float = 0.8, total_volume: int = 50_000_000,
+                     seed: int = 0) -> np.ndarray:
+    """Build an ``n_servers`` x ``n_objects`` request matrix of ``total_volume`` bytes.
 
-    Volume is split by popularity alone, not by object size, so column shares
-    stay exactly Zipf.
+    ``kind`` is ``uniform`` or ``zipf``; ``zipf_skew`` must be a finite
+    number >= 0 and the volume a count below 2**63.  Volume is split by
+    popularity alone, not by object size, so column shares stay exactly Zipf.
     """
     n_servers, n_objects = _count(n_servers, "server count"), _count(n_objects, "object count")
-    rng = random.Random(model.seed)
+    if kind not in ("uniform", "zipf"):
+        raise ParameterError(f"unknown traffic kind {kind!r}")
+    if (isinstance(zipf_skew, bool) or not isinstance(zipf_skew, numbers.Real)
+            or not (math.isfinite(zipf_skew) and zipf_skew >= 0)):
+        raise ParameterError(f"zipf skew must be a finite number >= 0, got {zipf_skew!r}")
+    total_volume = _count(total_volume, "total volume")
+    if total_volume >= INT64_LIMIT:
+        raise ParameterError("total volume must be below 2**63")
+    rng = random.Random(_whole(seed, "seed", ParameterError))
     r = np.zeros((n_servers, n_objects), dtype=np.int64)
-    if model.kind == "uniform":
+    if kind == "uniform":
         cells = n_servers * n_objects
-        base, rem = divmod(model.total_volume, cells)
+        base, rem = divmod(total_volume, cells)
         r += base
         for idx in rng.sample(range(cells), rem):
             r.flat[idx] += 1
         return r
     # zipf: rank weights, seeded rank->object permutation, even server split.
-    weights = np.arange(1, n_objects + 1, dtype=np.float64) ** (-model.zipf_skew)
-    by_rank = _apportion(model.total_volume, weights)
+    weights = np.arange(1, n_objects + 1, dtype=np.float64) ** (-zipf_skew)
+    by_rank = _apportion(total_volume, weights)
     perm = list(range(n_objects))
     rng.shuffle(perm)
     for rank, k in enumerate(perm):

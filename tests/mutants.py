@@ -258,6 +258,22 @@ MUTANTS = (
            "    _check_headroom(l, np.empty(0, dtype=np.int64), r, INT64_LIMIT)\n",
            "",
            ("tests/test_costs.py", "-k", "TestAccessCost")),
+    Mutant("traffic-volume-unbounded", "workload.py",
+           "    if total_volume >= INT64_LIMIT:\n",
+           "    if False:\n",
+           ("tests/test_workload.py", "-k", "TestTrafficModelValidation")),
+    Mutant("traffic-any-kind", "workload.py",
+           '    if kind not in ("uniform", "zipf"):\n',
+           "    if False:\n",
+           ("tests/test_workload.py", "-k", "TestTrafficModelValidation")),
+    Mutant("trace-records-unchecked", "workload.py",
+           'records = _items(self.records, "trace records", TraceError)',
+           "records = tuple(self.records)",
+           ("tests/test_workload.py", "-k", "TestTraceInCode")),
+    Mutant("edge-cost-whole", "topology.py",
+           'cost = _count(cost, f"cost of edge ({u}, {v})")',
+           'cost = _whole(cost, f"cost of edge ({u}, {v})")',
+           ("tests/test_topology.py", "-k", "TestGraphValidation")),
 )
 
 

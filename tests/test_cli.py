@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -135,6 +136,24 @@ class TestGen:
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
         for name in ("topology.json", "cost_matrix.csv", "scenario.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("flags, digests", [
+        (["--seed", "42"],
+         ("e81489bee783114b5782ea48f744eac17deb458ae9c6f14f4fae76d2830bb5ee",
+          "20855d5868bb9fd8034b1c06f9646af42b226b419704b6c48cfc27b18a795c9b",
+          "3fa39ce3dcd4bf28b7078a16c3b49c3e04dca1a3d037355586dc1adafbf49b59")),
+        (["--nodes", "12", "--objects", "80", "--traffic", "uniform",
+          "--capacity-policy", "slack:0.6", "--caps", "1..3", "--seed", "7"],
+         ("524eebe63c941dcf59863fa45bd878eb782eade699e7859ea75cb186331ef658",
+          "8844c03e9caf4656376fa1d14717c469639b8197f13a5e2acc659adaa239d9c8",
+          "e0eaf9bbe748f9e5b9e5fd3c5c20e3e4241aade62395317f005a8528afd9e6e7")),
+    ], ids=["defaults-seed-42", "uniform-slack-seed-7"])
+    def test_bytes_are_pinned(self, tmp_path, flags, digests):
+        """The files' SHA-256 digests; generation may change only with these pins."""
+        out = tmp_path / "inst"
+        assert main(["gen", *flags, "--out", str(out)]) == 0
+        assert tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                     for name in ("scenario.json", "topology.json", "cost_matrix.csv")) == digests
 
     def test_seed_changes_instance(self, tmp_path):
         base = ["gen", "--nodes", "6", "--objects", "9", "--size-lo", "5",
@@ -427,6 +446,15 @@ class TestSweep:
                      "--out", str(tmp_path / "s"), "--algs", "aagg,anneal"])
         assert code == 2
         assert "anneal" in capsys.readouterr().err
+
+    def test_repeated_algorithm_exits_2(self, tmp_path, capsys):
+        # Each "gg" row was written twice, and --gnuplot plotted the curve twice.
+        topo, scen = write_micro_instance(tmp_path)
+        code = main(["sweep", "--topology", str(topo), "--scenario", str(scen),
+                     "--out", str(tmp_path / "s"), "--algs", "gg,aagg,gg"])
+        assert code == 2
+        assert "algorithms must not repeat, got 'gg,aagg,gg'" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_gnuplot_script(self, tmp_path):
         code, out = self.run_sweep(tmp_path, "--gnuplot")

@@ -36,7 +36,6 @@ from replicaplan import (
     StructuralError,
     TraceError,
     TraceRecord,
-    TrafficModel,
     action_from_dict,
     action_to_dict,
     assign_link_costs,
@@ -249,7 +248,7 @@ def test_cost_matrix(l):
     except ReplicaPlanError:
         return
     assert matrix.l.tolist() == l
-    assert type(matrix.m) is int and matrix.m == len(l)
+    assert matrix.l.shape == (len(l), len(l))
 
 
 @given(l=st.one_of(st.just(MICRO_COSTS), grid(3, 3)),
@@ -341,23 +340,26 @@ GENERATORS = {
     "assign_link_costs": lambda lo, hi: assign_link_costs(TRIANGLE, lo, hi, 0),
     "generate_object_catalog": lambda n, lo, hi, servers: generate_object_catalog(
         n, lo, hi, servers, 1),
-    "TrafficModel(uniform)": lambda volume: TrafficModel(kind="uniform", total_volume=volume),
-    "TrafficModel(zipf)": lambda volume: TrafficModel(kind="zipf", total_volume=volume),
-    "TrafficModel(zipf_skew)": lambda skew: TrafficModel(kind="zipf", zipf_skew=skew),
+    "generate_traffic(uniform volume)": lambda volume: generate_traffic(
+        2, 3, kind="uniform", total_volume=volume),
+    "generate_traffic(zipf volume)": lambda volume: generate_traffic(
+        2, 3, kind="zipf", total_volume=volume),
+    "generate_traffic(zipf_skew)": lambda skew: generate_traffic(
+        2, 3, kind="zipf", zipf_skew=skew),
     "generate_traffic(uniform)": lambda servers, objects: generate_traffic(
-        TrafficModel(kind="uniform", total_volume=10), servers, objects),
+        servers, objects, kind="uniform", total_volume=10),
     "generate_traffic(zipf)": lambda servers, objects: generate_traffic(
-        TrafficModel(kind="zipf", total_volume=10), servers, objects),
+        servers, objects, kind="zipf", total_volume=10),
     "synthetic_availability": lambda n: synthetic_availability(n, "constant:0.1", 1),
     "synthetic_availability(spec)": lambda spec: synthetic_availability(3, spec, 1),
     "trace_availability_for_servers": lambda n: trace_availability_for_servers(TRACE, n),
     "generate_ba_topology(seed)": lambda seed: generate_ba_topology(5, 1, seed),
     "assign_link_costs(seed)": lambda seed: assign_link_costs(TRIANGLE, 1, 3, seed),
     "generate_object_catalog(seed)": lambda seed: generate_object_catalog(3, 1, 2, 2, seed),
-    "TrafficModel(seed)": lambda seed: TrafficModel(seed=seed),
+    "generate_traffic(seed)": lambda seed: generate_traffic(2, 3, total_volume=10, seed=seed),
     "synthetic_availability(seed)": lambda seed: synthetic_availability(3, "uniform:0:0.5", seed),
 }
-REAL_ARGUMENTS = {"TrafficModel(zipf_skew)"}  # any finite number passes, not only whole ones
+REAL_ARGUMENTS = {"generate_traffic(zipf_skew)"}  # any finite number passes, not only whole ones
 
 
 @given(name=st.sampled_from(sorted(GENERATORS)), args=st.lists(counts, min_size=4, max_size=4))
@@ -367,17 +369,17 @@ REAL_ARGUMENTS = {"TrafficModel(zipf_skew)"}  # any finite number passes, not on
 @example(name="generate_object_catalog", args=[3, 1, 2, 2.5])
 @example(name="generate_object_catalog", args=[2.5, 1, 2, 3])
 @example(name="generate_traffic(zipf)", args=[2.5, 3])
-@example(name="TrafficModel(uniform)", args=[2.5])
-@example(name="TrafficModel(zipf)", args=[2.5])
-@example(name="TrafficModel(zipf_skew)", args=["a"])
-@example(name="TrafficModel(zipf_skew)", args=[None])
+@example(name="generate_traffic(uniform volume)", args=[2.5])
+@example(name="generate_traffic(zipf volume)", args=[2.5])
+@example(name="generate_traffic(zipf_skew)", args=["a"])
+@example(name="generate_traffic(zipf_skew)", args=[None])
 @example(name="synthetic_availability", args=[2.5])
 @example(name="synthetic_availability(spec)", args=[5])
 @example(name="trace_availability_for_servers", args=[2.5])
 @example(name="generate_ba_topology(seed)", args=[1.5])
 @example(name="assign_link_costs(seed)", args=[None])
 @example(name="generate_object_catalog(seed)", args=[[1]])
-@example(name="TrafficModel(seed)", args=[True])
+@example(name="generate_traffic(seed)", args=[True])
 @example(name="synthetic_availability(seed)", args=[None])
 @LIB_FUZZ
 def test_generators(name, args):

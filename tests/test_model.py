@@ -64,8 +64,10 @@ class TestCatalogs:
             ObjectCatalog([], [])
 
     def test_primary_ids_non_negative(self):
+        # A catalog cannot know the server count; the scenario that joins it refuses the id.
+        objects = ObjectCatalog([1], [-1])
         with pytest.raises(ParameterError, match="primary ids"):
-            ObjectCatalog([1], [-1])
+            Scenario(ServerCatalog([10], [0.1]), objects, [[0]])
 
     @pytest.mark.parametrize("bad", [1.7, float("nan"), float("inf"), 1e30, 2**70, "5"])
     def test_non_integral_inputs_rejected(self, micro, bad):
@@ -106,7 +108,7 @@ class TestCatalogs:
 
     def test_cost_matrix_size_comes_from_the_matrix(self):
         matrix = CostMatrix([[0, 2, 5], [2, 0, 3], [5, 3, 0]])
-        assert type(matrix.m) is int and matrix.m == 3
+        assert matrix.l.shape == (3, 3)
         for bad in ([[0, 1]], [0, 1], 5, [[[0]]]):
             with pytest.raises(StructuralError, match="square"):
                 CostMatrix(bad)
@@ -286,30 +288,40 @@ class TestPrimaryIds:
     """A primary id that names no server is refused as ``Scenario`` refuses it.
 
     The catalogs are checked apart, so only the calls that join them can
-    see it; each used to fail with a bare ``IndexError``.
+    see it; each used to fail with a bare ``IndexError``.  Object 1's
+    primary is one past the last server, or negative.
     """
 
     SERVERS = ServerCatalog([10, 10], [0.1, 0.2])
-    OBJECTS = ObjectCatalog([1, 1], [0, 2])  # object 1's primary names no server
     X = np.array([[1, 1], [0, 0]], dtype=np.int8)
+    CATALOGS = tuple(ObjectCatalog([1, 1], [0, bad]) for bad in (2, -1))
 
     def test_validate_placement(self):
-        with pytest.raises(ParameterError, match="primary ids"):
-            validate_placement(self.X, self.SERVERS, self.OBJECTS)
-        with pytest.raises(ParameterError, match="primary ids"):
-            validate_placement(self.X, self.SERVERS, self.OBJECTS, cols=[1])
+        for objects in self.CATALOGS:
+            with pytest.raises(ParameterError, match="primary ids"):
+                validate_placement(self.X, self.SERVERS, objects)
+            with pytest.raises(ParameterError, match="primary ids"):
+                validate_placement(self.X, self.SERVERS, objects, cols=[1])
 
     def test_narrowed_check_reads_only_listed_primaries(self):
-        assert validate_placement(self.X, self.SERVERS, self.OBJECTS, cols=[0]) == []
+        for objects in self.CATALOGS:
+            assert validate_placement(self.X, self.SERVERS, objects, cols=[0]) == []
 
     def test_primary_only_placement(self):
-        with pytest.raises(ParameterError, match="primary ids"):
-            primary_only_placement(self.SERVERS, self.OBJECTS)
+        for objects in self.CATALOGS:
+            with pytest.raises(ParameterError, match="primary ids"):
+                primary_only_placement(self.SERVERS, objects)
 
     def test_placement_state(self):
-        with pytest.raises(ParameterError, match="primary ids"):
-            PlacementState(CostMatrix([[0, 1], [1, 0]]), self.SERVERS, self.OBJECTS,
-                           [[0, 0], [0, 0]], self.X)
+        for objects in self.CATALOGS:
+            with pytest.raises(ParameterError, match="primary ids"):
+                PlacementState(CostMatrix([[0, 1], [1, 0]]), self.SERVERS, objects,
+                               [[0, 0], [0, 0]], self.X)
+
+    def test_scenario(self):
+        for objects in self.CATALOGS:
+            with pytest.raises(ParameterError, match="primary ids"):
+                Scenario(self.SERVERS, objects, [[0, 0], [0, 0]])
 
 
 class TestNearest:

@@ -170,6 +170,16 @@ class TestGraphValidation:
         with pytest.raises(ParameterError):
             Graph(2, ((0, 1, 0),))
 
+    @pytest.mark.parametrize("edge, error", [
+        ((0, 1, -2), ParameterError),
+        ((0, 1, 1.5), StructuralError),
+        ((0, 0, 0), StructuralError),      # a self-loop is refused before its cost is read
+        ((0, 0, 1.5), StructuralError),
+    ], ids=["-2", "1.5", "self-loop-0", "self-loop-1.5"])
+    def test_edge_cost_is_a_count(self, edge, error):
+        with pytest.raises(error):
+            Graph(2, (edge,))
+
     def test_out_of_range(self):
         with pytest.raises(StructuralError):
             Graph(2, ((0, 5, 1),))

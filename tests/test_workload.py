@@ -6,7 +6,6 @@ from replicaplan import (
     ParameterError,
     TraceError,
     TraceRecord,
-    TrafficModel,
     generate_object_catalog,
     generate_traffic,
     load_failure_trace,
@@ -59,81 +58,86 @@ class TestObjectCatalog:
 
 
 class TestTrafficModelValidation:
+    """``generate_traffic`` refuses a traffic model out of its domain."""
+
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
-            TrafficModel(kind="bursty")
+            generate_traffic(2, 3, kind="bursty")
 
     def test_negative_skew(self):
         with pytest.raises(ParameterError):
-            TrafficModel(zipf_skew=-0.1)
+            generate_traffic(2, 3, zipf_skew=-0.1)
 
     @pytest.mark.parametrize("skew", ["a", None, True])
     def test_non_numeric_skew(self, skew):
         with pytest.raises(ParameterError, match="zipf skew"):
-            TrafficModel(zipf_skew=skew)
+            generate_traffic(2, 3, zipf_skew=skew)
 
     @pytest.mark.parametrize("volume", [-1, 0])
     def test_non_positive_volume(self, volume):
         with pytest.raises(ParameterError):
-            TrafficModel(total_volume=volume)
+            generate_traffic(2, 3, total_volume=volume)
+
+    @pytest.mark.parametrize("kind", ["uniform", "zipf"])
+    def test_volume_below_2_63(self, kind):
+        # A uniform split of 2**63 over six cells fits int64, but the matrix total does not.
+        with pytest.raises(ParameterError, match=r"2\*\*63"):
+            generate_traffic(2, 3, kind=kind, total_volume=2**63)
+        assert int(generate_traffic(2, 3, kind=kind, total_volume=2**63 - 1).sum()) == 2**63 - 1
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ParameterError):
-            generate_traffic(TrafficModel(), 0, 5)
+            generate_traffic(0, 5)
 
 
 class TestUniformTraffic:
     def test_exact_division_is_flat(self):
-        model = TrafficModel(kind="uniform", total_volume=1200, seed=5)
-        r = generate_traffic(model, 3, 4)
+        r = generate_traffic(3, 4, kind="uniform", total_volume=1200, seed=5)
         assert r.shape == (3, 4)
         assert (r == 100).all()
 
     def test_remainder_spread_and_exact_total(self):
-        model = TrafficModel(kind="uniform", total_volume=1203, seed=5)
-        r = generate_traffic(model, 3, 4)
+        r = generate_traffic(3, 4, kind="uniform", total_volume=1203, seed=5)
         assert int(r.sum()) == 1203
         assert np.unique(r).tolist() == [100, 101]
         assert int((r == 101).sum()) == 3
 
     def test_deterministic(self):
-        model = TrafficModel(kind="uniform", total_volume=1003, seed=8)
-        assert np.array_equal(generate_traffic(model, 5, 7), generate_traffic(model, 5, 7))
+        model = {"kind": "uniform", "total_volume": 1003, "seed": 8}
+        assert np.array_equal(generate_traffic(5, 7, **model), generate_traffic(5, 7, **model))
 
 
 class TestZipfTraffic:
     def test_total_is_exact(self):
-        model = TrafficModel(kind="zipf", zipf_skew=0.8, total_volume=999_983, seed=1)
-        r = generate_traffic(model, 7, 40)
+        r = generate_traffic(7, 40, kind="zipf", zipf_skew=0.8, total_volume=999_983, seed=1)
         assert int(r.sum()) == 999_983
 
     def test_skew_zero_is_balanced(self):
-        model = TrafficModel(kind="zipf", zipf_skew=0.0, total_volume=100_000, seed=2)
-        sums = generate_traffic(model, 5, 17).sum(axis=0)
+        r = generate_traffic(5, 17, kind="zipf", zipf_skew=0.0, total_volume=100_000, seed=2)
+        sums = r.sum(axis=0)
         assert int(sums.max() - sums.min()) <= 1
 
     def test_skew_one_top_object_share(self):
         # With rank^-1 popularity over 1000 objects the hottest object takes
         # 1/H_1000 of the volume, about 13.4 percent.
-        model = TrafficModel(kind="zipf", zipf_skew=1.0, total_volume=10_000_000, seed=3)
-        r = generate_traffic(model, 10, 1000)
+        r = generate_traffic(10, 1000, kind="zipf", zipf_skew=1.0, total_volume=10_000_000,
+                             seed=3)
         share = r.sum(axis=0).max() / r.sum()
         assert 0.1236 <= share <= 0.1436
 
     def test_columns_split_evenly_across_servers(self):
-        model = TrafficModel(kind="zipf", zipf_skew=0.8, total_volume=123_457, seed=4)
-        r = generate_traffic(model, 6, 30)
+        r = generate_traffic(6, 30, kind="zipf", zipf_skew=0.8, total_volume=123_457, seed=4)
         spread = r.max(axis=0) - r.min(axis=0)
         assert int(spread.max()) <= 1
 
     def test_permutation_varies_with_seed(self):
-        a = generate_traffic(TrafficModel(total_volume=10_000, seed=1), 4, 50)
-        b = generate_traffic(TrafficModel(total_volume=10_000, seed=2), 4, 50)
+        a = generate_traffic(4, 50, total_volume=10_000, seed=1)
+        b = generate_traffic(4, 50, total_volume=10_000, seed=2)
         assert not np.array_equal(a, b)
         assert sorted(a.sum(axis=0).tolist()) == sorted(b.sum(axis=0).tolist())
 
     def test_tiny_volume_still_sums_exactly(self):
-        r = generate_traffic(TrafficModel(total_volume=3, zipf_skew=1.5, seed=6), 4, 9)
+        r = generate_traffic(4, 9, total_volume=3, zipf_skew=1.5, seed=6)
         assert int(r.sum()) == 3
 
 
@@ -244,6 +248,11 @@ class TestTraceInCode:
     ])
     def test_non_record_entries(self, records):
         with pytest.raises(TraceError):
+            FailureTrace(records)
+
+    @pytest.mark.parametrize("records", [5, None])
+    def test_records_must_be_iterable(self, records):
+        with pytest.raises(TraceError, match="must be iterable"):
             FailureTrace(records)
 
     def test_zero_length_horizon_never_divides(self):

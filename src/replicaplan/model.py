@@ -316,15 +316,26 @@ def save_placement(x, path) -> None:
 
 
 def load_placement(path, m: int, n: int) -> np.ndarray:
-    """The m x n placement in ``path``; ``m`` and ``n`` are read by the count rule first."""
+    """The m x n placement in ``path``; ``m`` and ``n`` are read by the count rule first.
+
+    Each object id may appear once, and each server once in its entry.
+    """
     m, n = _count(m, "server count"), _count(n, "object count")
 
     def parse(payload):
         x = np.zeros((m, n), dtype=np.int8)
+        listed = set()
         for entry in payload["objects"]:
             k = _index(entry["id"], n, "object id")
+            if k in listed:
+                raise StructuralError(f"placement file {path}: repeated object id {k}")
+            listed.add(k)
             for i in entry["replicators"]:
-                x[_index(i, m, "server id"), k] = 1
+                i = _index(i, m, "server id")
+                if x[i, k]:
+                    raise StructuralError(f"placement file {path}: object {k} has a repeated "
+                                          f"server id {i}")
+                x[i, k] = 1
         return x
 
     return _read_json(path, "placement", parse)

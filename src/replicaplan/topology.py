@@ -207,8 +207,8 @@ class CostMatrix:
     def to_csv(self, path) -> None:
         """Write the matrix as plain CSV, one row per source node, no header."""
         with open(path, "w", newline="") as fh:
-            for row in self.l:
-                fh.write(",".join(str(int(v)) for v in row))
+            for row in self.l.tolist():
+                fh.write(",".join(map(str, row)))
                 fh.write("\n")
 
 

@@ -18,6 +18,7 @@ time inside the horizon not covered by a ``down`` record counts as up.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import numbers
 import random
@@ -144,26 +145,25 @@ def generate_traffic(n_servers: int, n_objects: int, kind: str = "zipf",
     if total_volume >= INT64_LIMIT:
         raise ParameterError("total volume must be below 2**63")
     rng = random.Random(_whole(seed, "seed", ParameterError))
-    r = np.zeros((n_servers, n_objects), dtype=np.int64)
+    r = np.empty((n_servers, n_objects), dtype=np.int64)
     if kind == "uniform":
         cells = n_servers * n_objects
         base, rem = divmod(total_volume, cells)
-        r += base
-        for idx in rng.sample(range(cells), rem):
-            r.flat[idx] += 1
+        r.fill(base)
+        r.flat[rng.sample(range(cells), rem)] += 1
         return r
     # zipf: rank weights, seeded rank->object permutation, even server split.
+    # Each object's +1 rows are one sample of distinct servers, so no
+    # (server, object) pair repeats and one fancy-indexed += is exact.
     weights = np.arange(1, n_objects + 1, dtype=np.float64) ** (-zipf_skew)
-    by_rank = _apportion(total_volume, weights)
+    base, rem = np.divmod(_apportion(total_volume, weights), n_servers)
     perm = list(range(n_objects))
     rng.shuffle(perm)
-    for rank, k in enumerate(perm):
-        volume = int(by_rank[rank])
-        base, rem = divmod(volume, n_servers)
-        r[:, k] += base
-        if rem:
-            for i in rng.sample(range(n_servers), rem):
-                r[i, k] += 1
+    r[:, perm] = base
+    servers = range(n_servers)
+    rows = np.fromiter(itertools.chain.from_iterable(rng.sample(servers, c) for c in rem.tolist()),
+                       dtype=np.intp, count=int(rem.sum()))
+    r[rows, np.repeat(perm, rem)] += 1
     return r
 
 

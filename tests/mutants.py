@@ -45,6 +45,7 @@ class Mutant(NamedTuple):
 
 HEURISTICS = "tests/test_heuristics.py"
 WORK = "tests/test_engine_work.py"  # the work pins: each work-only mutant must fail one
+TRAFFIC = "tests/test_workload.py::TestTrafficBytes"
 
 MUTANTS = (
     # The one eligibility rule, ``_columns``.
@@ -266,6 +267,35 @@ MUTANTS = (
            '    if kind not in ("uniform", "zipf"):\n',
            "    if False:\n",
            ("tests/test_workload.py", "-k", "TestTrafficModelValidation")),
+    # Traffic: whole-array writes that keep the per-entry loop's draws and bytes.
+    Mutant("traffic-base-in-rank-order", "workload.py",
+           "    r[:, perm] = base\n",
+           "    r[:] = base\n",
+           (TRAFFIC,)),
+    Mutant("traffic-ones-in-id-order", "workload.py",
+           "r[rows, np.repeat(perm, rem)] += 1",
+           "r[rows, np.repeat(np.arange(n_objects), rem)] += 1",
+           (TRAFFIC,)),
+    Mutant("traffic-draws-in-size-order", "workload.py",
+           "for c in rem.tolist()",
+           "for c in sorted(rem.tolist())",
+           (TRAFFIC, "-k", "draws")),
+    Mutant("traffic-uniform-drops-remainder", "workload.py",
+           "r.flat[rng.sample(range(cells), rem)] += 1",
+           "rng.sample(range(cells), rem)",
+           (TRAFFIC,)),
+    Mutant("csv-no-newline", "topology.py",
+           '                fh.write("\\n")\n',
+           "",
+           ("tests/test_cli.py", "-k", "test_bytes_are_pinned")),
+    Mutant("load-placement-merges-objects", "model.py",
+           "            if k in listed:\n",
+           "            if False:\n",
+           ("tests/test_model.py", "-k", "TestPlacementFiles")),
+    Mutant("load-placement-merges-servers", "model.py",
+           "                if x[i, k]:\n",
+           "                if False:\n",
+           ("tests/test_model.py", "-k", "TestPlacementFiles")),
     Mutant("trace-records-unchecked", "workload.py",
            'records = _items(self.records, "trace records", TraceError)',
            "records = tuple(self.records)",

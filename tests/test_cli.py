@@ -147,7 +147,12 @@ class TestGen:
          ("524eebe63c941dcf59863fa45bd878eb782eade699e7859ea75cb186331ef658",
           "8844c03e9caf4656376fa1d14717c469639b8197f13a5e2acc659adaa239d9c8",
           "e0eaf9bbe748f9e5b9e5fd3c5c20e3e4241aade62395317f005a8528afd9e6e7")),
-    ], ids=["defaults-seed-42", "uniform-slack-seed-7"])
+        (["--nodes", "100", "--objects", "10000", "--capacity-policy", "slack:0.6",
+          "--caps", "1..3", "--seed", "42"],
+         ("932e93b3e53253e36615f2134d8a8fdb27eeffc810c71ccd141461c29f4c0f6e",
+          "7994cbe88879a31e35f429e0ca6d0bdcb17be2a47d5667613fe3fada896ce2e6",
+          "764099ef46f598eaa60520ec5eff036a0ed581a6ca5aef5d50021f7668507d21")),
+    ], ids=["defaults-seed-42", "uniform-slack-seed-7", "replan-tight-seed-42"])
     def test_bytes_are_pinned(self, tmp_path, flags, digests):
         """The files' SHA-256 digests; generation may change only with these pins."""
         out = tmp_path / "inst"
@@ -510,3 +515,17 @@ class TestInspect:
         assert (report_dir / "report.json").read_text() == (
             '{"valid":false,"violations":[{"detail":"object 0 has no replica on its primary '
             'server 0","index":0,"kind":"primary"}]}\n')
+
+    def test_repeated_object_exits_1(self, tmp_path, capsys):
+        # Used to merge both entries into one object with servers 0, 1 and 2.
+        topo, scen = write_micro_instance(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"objects": [
+            {"id": 0, "replicators": [0, 1]},
+            {"id": 0, "replicators": [2]},
+            {"id": 1, "replicators": [1]},
+        ]}))
+        code = main(["inspect", "--placement", str(bad),
+                     "--topology", str(topo), "--scenario", str(scen)])
+        assert code == 1
+        assert "repeated object id 0" in capsys.readouterr().err

@@ -595,6 +595,19 @@ class TestPlacementFiles:
         path.write_text('{"objects":[{"id":1.0,"replicators":[2.0]}]}')
         assert load_placement(path, 3, 2).tolist() == [[0, 0], [0, 0], [0, 1]]
 
+    @pytest.mark.parametrize("objects, repeated", [
+        ([{"id": 0, "replicators": [1]}, {"id": 0, "replicators": [2]}], "object id 0"),
+        ([{"id": 1, "replicators": [0]}, {"id": 1.0, "replicators": []}], "object id 1"),
+        ([{"id": 1, "replicators": [0, 0]}], "server id 0"),
+        ([{"id": 0, "replicators": [2, 2.0]}], "server id 2"),
+    ], ids=["object-twice", "object-as-float", "server-twice", "server-as-float"])
+    def test_repeated_ids_refused(self, tmp_path, objects, repeated):
+        # Used to merge the entries: object 0 took both servers, and [0, 0] counted once.
+        path = tmp_path / "placement.json"
+        path.write_text(json.dumps({"objects": objects}))
+        with pytest.raises(StructuralError, match=f"repeated {repeated}"):
+            load_placement(path, 3, 2)
+
     def test_unknown_object_rejected(self, tmp_path):
         path = tmp_path / "placement.json"
         path.write_text('{"objects":[{"id":1,"replicators":[0]}]}')

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,8 @@ from replicaplan import (
     synthetic_availability,
     trace_availability_for_servers,
 )
+from replicaplan.cli import derive_seed
+from replicaplan.workload import _apportion
 
 
 def write_trace(tmp_path, body: str):
@@ -139,6 +144,81 @@ class TestZipfTraffic:
     def test_tiny_volume_still_sums_exactly(self):
         r = generate_traffic(4, 9, total_volume=3, zipf_skew=1.5, seed=6)
         assert int(r.sum()) == 3
+
+
+class TestTrafficBytes:
+    """The matrices' bytes and the draws behind them; both may change only with these pins."""
+
+    @pytest.mark.parametrize("args, digest", [
+        # gen's traffic for replan_tight: M = 100 > 21, so sample takes its set and pool paths.
+        (dict(n_servers=100, n_objects=10_000, seed=derive_seed(42, "traffic")),
+         "74d7948284158570b2d5a37af40838523ba1ec9b960b1a675490b04b11af4e26"),
+        (dict(n_servers=30, n_objects=40, kind="uniform", total_volume=123_457, seed=3),
+         "df24670c1a5ff0a9937d0e7a7702db76a7fb7f8bf037abba7850934d31f9f131"),
+        (dict(n_servers=12, n_objects=300, total_volume=98_765, seed=5),
+         "9a609035933cc51fbd6e83eb2f6df22a5e7bb5e0cc7c6859b5aecce74c626cc1"),
+        (dict(n_servers=1, n_objects=50, total_volume=9_999, seed=8),
+         "abb7cb9f833ed2fbc22007a581cc9e9b466efd2539480a4e134d8185d4967b67"),
+        (dict(n_servers=7, n_objects=33, zipf_skew=0.0, total_volume=7 * 33 * 5, seed=9),
+         "13aff39eb053adc8fb33d678e9f427a06f94dd7871fccc42db103c42d8225322"),
+        (dict(n_servers=6, n_objects=9, kind="uniform", total_volume=6 * 9 * 11, seed=10),
+         "72876d89eef03dcbfe028fb84f63974a06a05705ed1866a968516bdac1a386f7"),
+    ], ids=["zipf-replan-tight", "uniform-30x40", "zipf-pool-only", "zipf-one-server",
+            "zipf-no-remainder", "uniform-no-remainder"])
+    def test_bytes_are_pinned(self, args, digest):
+        r = generate_traffic(**args)
+        assert r.dtype == np.int64 and r.shape == (args["n_servers"], args["n_objects"])
+        assert hashlib.sha256(r.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("args", [
+        dict(n_servers=m, n_objects=n, kind=kind, zipf_skew=skew, total_volume=volume, seed=seed)
+        for seed, (m, n, kind, skew, volume) in enumerate([
+            (3, 5, "zipf", 0.8, 2), (21, 40, "zipf", 1.2, 9_999), (22, 40, "zipf", 0.5, 12_345),
+            (64, 150, "zipf", 0.8, 10**6 + 7), (9, 11, "uniform", 0.8, 1_000_003),
+            (1, 1, "zipf", 0.8, 5), (40, 3, "uniform", 0.8, 2**63 - 1)])
+    ])
+    def test_matches_the_loop(self, args):
+        """The matrix the per-entry loop writes from the same draws."""
+        rng = random.Random(args["seed"])
+        m, n = args["n_servers"], args["n_objects"]
+        want = np.zeros((m, n), dtype=np.int64)
+        if args["kind"] == "uniform":
+            base, rem = divmod(args["total_volume"], m * n)
+            want += base
+            for idx in rng.sample(range(m * n), rem):
+                want.flat[idx] += 1
+        else:
+            weights = np.arange(1, n + 1, dtype=np.float64) ** (-args["zipf_skew"])
+            by_rank = _apportion(args["total_volume"], weights)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for rank, k in enumerate(perm):
+                base, rem = divmod(int(by_rank[rank]), m)
+                want[:, k] += base
+                if rem:
+                    for i in rng.sample(range(m), rem):
+                        want[i, k] += 1
+        assert np.array_equal(generate_traffic(**args), want)
+
+    @pytest.mark.parametrize("args, draws", [
+        (dict(n_servers=4, n_objects=9, total_volume=1003, seed=6),
+         [(4, 3), (4, 1), (4, 2), (4, 1), (4, 1), (4, 2), (4, 2), (4, 3)]),
+        (dict(n_servers=5, n_objects=7, kind="uniform", total_volume=1003, seed=6),
+         [(35, 23)]),
+    ], ids=["zipf", "uniform"])
+    def test_draws_are_pinned(self, monkeypatch, args, draws):
+        """Every ``sample`` that draws, as (population size, k), in order."""
+        calls = []
+        sample = random.Random.sample
+
+        def recording(rng, population, k, **kwargs):
+            if k > 0:
+                calls.append((len(population), k))
+            return sample(rng, population, k, **kwargs)
+
+        monkeypatch.setattr(random.Random, "sample", recording)
+        generate_traffic(**args)
+        assert calls == draws
 
 
 class TestTraceParsing:

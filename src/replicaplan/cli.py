@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import sys
 import time
 from dataclasses import asdict, astuple, dataclass, fields
@@ -83,7 +82,7 @@ def _parse_caps(text: str) -> tuple[int, ...]:
             caps = tuple(range(int(lo), int(hi) + 1))
         else:
             caps = tuple(int(part) for part in text.split(","))
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:  # MemoryError: too many caps to hold
         raise argparse.ArgumentTypeError(f"bad caps list {text!r}: {exc}") from exc
     if not caps or caps[0] != 1 or any(b <= a for a, b in zip(caps, caps[1:])):
         raise argparse.ArgumentTypeError(
@@ -129,8 +128,7 @@ def _capacities(policy: str, caps: tuple[int, ...], objects, n_servers: int) -> 
             factor = float(policy.split(":", 1)[1])
         except ValueError as exc:
             raise ParameterError(f"bad capacity policy {policy!r}") from exc
-        if not (math.isfinite(factor) and factor >= 0):
-            raise ParameterError(f"slack factor must be a finite number >= 0, got {factor}")
+        topology._nonnegative(factor, "slack factor")
         extra_replicas = max(caps) - 1
         # Capped at 2**63 (an inf product included) so the check below refuses it.
         extra = int(min(factor * total_size * extra_replicas / n_servers, INT64_LIMIT))

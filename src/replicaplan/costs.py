@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, StructuralError
-from .topology import (INT64_LIMIT, CostMatrix, _array, _binary, _index, _indices, _integral,
-                       _items)
+from .topology import (INT64_LIMIT, CostMatrix, _array, _binary, _choice, _index, _indices,
+                       _integral, _items)
 
 SEMANTICS = ("corrected", "literal")
 
@@ -150,11 +150,9 @@ def _fell(after, before):
 def _availability(held, failure_probs, semantics: str) -> np.ndarray:
     """Availability of each column of the bool server x object matrix ``held``."""
     probs = np.asarray(failure_probs, dtype=np.float64)[:, None]
-    if semantics == "corrected":
+    if _choice(semantics, SEMANTICS, "availability semantics") == "corrected":
         return 1.0 - np.where(held, probs, 1.0).prod(axis=0)
-    if semantics == "literal":
-        return np.where(held, 1.0 - probs, 1.0).prod(axis=0)
-    raise ParameterError(f"unknown availability semantics {semantics!r}")
+    return np.where(held, 1.0 - probs, 1.0).prod(axis=0)
 
 
 def replicator_availability(failure_probs, replicators, semantics: str = "corrected") -> float:

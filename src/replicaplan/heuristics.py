@@ -85,7 +85,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import operator
-import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -94,7 +93,7 @@ import numpy as np
 from . import costs
 from .errors import ParameterError, StructuralError
 from .model import PlacementState, validate_placement
-from .topology import _binary, _count, _index, _items, _whole
+from .topology import _binary, _choice, _count, _index, _items, _rng, _whole
 
 ALGORITHMS = ("aagg", "aagro", "gg", "gro")
 SCOPES = ("focal_object", "all_changed_objects")
@@ -114,18 +113,13 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ParameterError(f"unknown algorithm {self.algorithm!r}")
+        _choice(self.algorithm, ALGORITHMS, "algorithm")
         cap = self.max_replicas_per_object
         if cap is not None:
             _count(cap, "max_replicas_per_object", ParameterError)
         object.__setattr__(self, "seed", _whole(self.seed, "seed", ParameterError))
-        if self.availability_scope not in SCOPES:
-            raise ParameterError(f"unknown availability scope {self.availability_scope!r}")
-        if self.availability_semantics not in costs.SEMANTICS:
-            raise ParameterError(
-                f"unknown availability semantics {self.availability_semantics!r}"
-            )
+        _choice(self.availability_scope, SCOPES, "availability scope")
+        _choice(self.availability_semantics, costs.SEMANTICS, "availability semantics")
 
 
 @dataclass(frozen=True)
@@ -693,7 +687,7 @@ class _GreedyEngine:
             windows = [slice(0, n)]
         else:
             order = list(range(n))
-            random.Random(self.cfg.seed).shuffle(order)
+            _rng(self.cfg.seed).shuffle(order)
             windows = [slice(k, k + 1) for k in order]
         for window in windows:
             self.iterations += 1

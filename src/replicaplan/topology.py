@@ -8,6 +8,7 @@ cheapest-path costs between every pair of servers.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import random
 from dataclasses import dataclass
@@ -79,6 +80,38 @@ def _whole(value, what: str, error=StructuralError) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise error(f"{what} must be an integer, got {value!r}")
+
+
+def _choice(value, options: tuple[str, ...], what: str) -> str:
+    """``value``, refused with a ParameterError unless it is one of the named ``options``.
+
+    A non-string is refused before any comparison, so an array is not
+    compared entry by entry.
+    """
+    if not (isinstance(value, str) and value in options):
+        raise ParameterError(f"unknown {what} {value!r}")
+    return value
+
+
+def _nonnegative(value, what: str) -> float:
+    """``value`` as a float, refused with a ParameterError unless it is a finite number >= 0.
+
+    Bools are not numbers here, and an int too large for a float is
+    refused too, where ``math.isfinite`` would raise OverflowError.  A
+    float, unlike a NumPy unsigned int, does not wrap when negated.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value) and value >= 0:
+                return float(value)
+        except OverflowError:
+            pass
+    raise ParameterError(f"{what} must be a finite number >= 0, got {value!r}")
+
+
+def _rng(seed) -> random.Random:
+    """A random generator seeded by ``seed``, a whole number; the one seed rule."""
+    return random.Random(_whole(seed, "seed", ParameterError))
 
 
 def _count(value, what: str, error=StructuralError) -> int:
@@ -221,14 +254,12 @@ def generate_ba_topology(n: int, m_links: int, seed: int) -> Graph:
     attaches to all of them.  ``m_links=1`` yields a tree.  Edge costs are a
     placeholder 1 until :func:`assign_link_costs` runs.
     """
-    n, m_links = _count(n, "node count"), _count(m_links, "m_links")
-    seed = _whole(seed, "seed", ParameterError)
+    n, m_links, rng = _count(n, "node count"), _count(m_links, "m_links"), _rng(seed)
     if n > 1 and m_links >= n:
         raise ParameterError(f"m_links={m_links} must be < node count {n}")
     if n == 1:
         return Graph(1, ())
 
-    rng = random.Random(seed)
     edges = [(0, 1)]
     # One entry per degree unit; sampling from it is degree-proportional.
     repeated = [0, 1]
@@ -248,8 +279,7 @@ def generate_ba_topology(n: int, m_links: int, seed: int) -> Graph:
 def assign_link_costs(graph: Graph, cost_lo: int, cost_hi: int, seed: int) -> Graph:
     """Return a copy of ``graph`` with integer costs drawn uniformly from [lo, hi]."""
     cost_lo, cost_hi = _range(cost_lo, cost_hi, "cost")
-    seed = _whole(seed, "seed", ParameterError)
-    rng = random.Random(seed)
+    rng = _rng(seed)
     # Edges are kept in canonical sorted order, so draws are reproducible.
     edges = tuple((u, v, rng.randint(cost_lo, cost_hi)) for u, v, _ in graph.edges)
     return Graph(graph.node_count, edges)

@@ -21,14 +21,13 @@ import csv
 import itertools
 import math
 import numbers
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, TraceError
 from .model import INT64_LIMIT, ObjectCatalog
-from .topology import _count, _items, _range, _whole
+from .topology import _choice, _count, _items, _nonnegative, _range, _rng, _whole
 
 
 # Highest failure probability a trace estimate may take.
@@ -102,8 +101,7 @@ def generate_object_catalog(n_objects: int, size_lo: int, size_hi: int,
     """Draw object sizes uniformly from [lo, hi] and primaries uniformly over servers."""
     n_objects, n_servers = _count(n_objects, "object count"), _count(n_servers, "server count")
     size_lo, size_hi = _range(size_lo, size_hi, "size")
-    seed = _whole(seed, "seed", ParameterError)
-    rng = random.Random(seed)
+    rng = _rng(seed)
     sizes = [rng.randint(size_lo, size_hi) for _ in range(n_objects)]
     primaries = [rng.randrange(n_servers) for _ in range(n_objects)]
     return ObjectCatalog(sizes, primaries)
@@ -136,15 +134,12 @@ def generate_traffic(n_servers: int, n_objects: int, kind: str = "zipf",
     popularity alone, not by object size, so column shares stay exactly Zipf.
     """
     n_servers, n_objects = _count(n_servers, "server count"), _count(n_objects, "object count")
-    if kind not in ("uniform", "zipf"):
-        raise ParameterError(f"unknown traffic kind {kind!r}")
-    if (isinstance(zipf_skew, bool) or not isinstance(zipf_skew, numbers.Real)
-            or not (math.isfinite(zipf_skew) and zipf_skew >= 0)):
-        raise ParameterError(f"zipf skew must be a finite number >= 0, got {zipf_skew!r}")
+    _choice(kind, ("uniform", "zipf"), "traffic kind")
+    zipf_skew = _nonnegative(zipf_skew, "zipf skew")
     total_volume = _count(total_volume, "total volume")
     if total_volume >= INT64_LIMIT:
         raise ParameterError("total volume must be below 2**63")
-    rng = random.Random(_whole(seed, "seed", ParameterError))
+    rng = _rng(seed)
     r = np.empty((n_servers, n_objects), dtype=np.int64)
     if kind == "uniform":
         cells = n_servers * n_objects
@@ -208,6 +203,8 @@ def trace_availability_for_servers(trace: FailureTrace, n_servers: int) -> np.nd
     probability 0.  No array is sized by the node ids, so a huge id costs
     nothing.
     """
+    if not isinstance(trace, FailureTrace):
+        raise TraceError(f"trace must be a FailureTrace, got {trace!r}")
     n_servers = _count(n_servers, "server count")
     spans: dict[int, list[float]] = {}  # node -> [first start, last end, downtime]
     for rec in trace.records:
@@ -228,7 +225,7 @@ def trace_availability_for_servers(trace: FailureTrace, n_servers: int) -> np.nd
 
 def synthetic_availability(n_servers: int, spec: str, seed: int) -> np.ndarray:
     """Draw per-server failure probabilities from 'constant:F' or 'uniform:LO:HI'."""
-    n_servers, seed = _count(n_servers, "server count"), _whole(seed, "seed", ParameterError)
+    n_servers, rng = _count(n_servers, "server count"), _rng(seed)
     if not isinstance(spec, str):
         raise ParameterError(f"availability spec must be a string, got {spec!r}")
     kind, *bounds = spec.split(":")
@@ -244,5 +241,4 @@ def synthetic_availability(n_servers: int, spec: str, seed: int) -> np.ndarray:
         raise ParameterError(f"availability spec bounds must satisfy 0 <= lo <= hi < 1: {spec!r}")
     if kind == "constant":
         return np.full(n_servers, lo, dtype=np.float64)
-    rng = random.Random(seed)
     return np.array([rng.uniform(lo, hi) for _ in range(n_servers)], dtype=np.float64)

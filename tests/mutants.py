@@ -125,6 +125,15 @@ MUTANTS = (
            "if (pos.min() < ev.reach or min(",
            "if (pos.min() < ev.reach or False and min(",
            (HEURISTICS, "-k", "TestEvictionCache")),
+    # The engine's self-checks: each must fire when its invariant breaks.
+    Mutant("commit-skips-placement-check", "heuristics.py",
+           "        if bad:\n            raise RuntimeError(f\"commit produced",
+           "        if False:\n            raise RuntimeError(f\"commit produced",
+           (HEURISTICS, "-k", "TestCommitCheck")),
+    Mutant("result-skips-drift-check", "heuristics.py",
+           "        if ground_truth != self.c:\n",
+           "        if False:\n",
+           (HEURISTICS, "-k", "TestCommitCheck")),
     # Row maxima of the swept window.
     Mutant("sweep-no-window-refresh", "heuristics.py",
            "self.st.objects.sizes[cs])\n            self._refresh(slice(None))\n",
@@ -235,6 +244,34 @@ MUTANTS = (
            "        array.setflags(write=False)\n",
            "",
            ("tests/test_model.py", "-k", "TestScenario")),
+    Mutant("traffic-any-kind", "topology.py",
+           "    if not (isinstance(value, str) and value in options):\n",
+           "    if False:\n",
+           ("tests/test_workload.py", "-k", "TestTrafficModelValidation")),
+    Mutant("choice-returns-first-option", "topology.py",
+           "        raise ParameterError(f\"unknown {what} {value!r}\")\n    return value\n",
+           "        raise ParameterError(f\"unknown {what} {value!r}\")\n    return options[0]\n",
+           ("tests/test_costs.py", "-k", "literal")),
+    Mutant("nonnegative-accepts-negative", "topology.py",
+           "if math.isfinite(value) and value >= 0:",
+           "if math.isfinite(value):",
+           ("tests/test_workload.py", "-k", "TestTrafficModelValidation")),
+    Mutant("nonnegative-lets-overflow-escape", "topology.py",
+           "        except OverflowError:\n",
+           "        except ZeroDivisionError:\n",
+           ("tests/test_workload.py", "-k", "TestTrafficModelValidation")),
+    Mutant("nonnegative-keeps-numpy-type", "topology.py",
+           "                return float(value)\n",
+           "                return value\n",
+           ("tests/test_workload.py", "-k", "TestTrafficModelValidation")),
+    Mutant("rng-accepts-any-seed", "topology.py",
+           'return random.Random(_whole(seed, "seed", ParameterError))',
+           "return random.Random(seed)",
+           ("tests/test_fuzz_loaders.py", "-k", "test_generators")),
+    Mutant("trace-availability-any-trace", "workload.py",
+           "    if not isinstance(trace, FailureTrace):\n",
+           "    if False:\n",
+           ("tests/test_workload.py", "-k", "TestTraceFolding")),
     Mutant("cost-matrix-accepts-negative", "topology.py",
            "        if (arr < 0).any():\n",
            "        if False:\n",
@@ -261,10 +298,6 @@ MUTANTS = (
            ("tests/test_costs.py", "-k", "TestAccessCost")),
     Mutant("traffic-volume-unbounded", "workload.py",
            "    if total_volume >= INT64_LIMIT:\n",
-           "    if False:\n",
-           ("tests/test_workload.py", "-k", "TestTrafficModelValidation")),
-    Mutant("traffic-any-kind", "workload.py",
-           '    if kind not in ("uniform", "zipf"):\n',
            "    if False:\n",
            ("tests/test_workload.py", "-k", "TestTrafficModelValidation")),
     # Traffic: whole-array writes that keep the per-entry loop's draws and bytes.

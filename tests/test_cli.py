@@ -78,7 +78,7 @@ class TestArgParsing:
         assert _parse_caps("1,3,9") == (1, 3, 9)
 
     @pytest.mark.parametrize("text", ["3", "2..5", "1,1,2", "5..1", "abc", "1,abc",
-                                      "1..99999999999999999999"])
+                                      "1..99999999999999999999", "1..1000000000000000"])
     def test_caps_rejects(self, text):
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_caps(text)
@@ -87,6 +87,14 @@ class TestArgParsing:
         code = main(["gen", "--caps", "1..99999999999999999999", "--out", str(tmp_path / "x")])
         assert code == 2
         assert "bad caps list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gen", "sweep"])
+    def test_caps_too_large_to_hold_is_a_usage_error(self, tmp_path, capsys, command):
+        # 10**15 caps need 8 PB; building them escaped as a MemoryError traceback.
+        code = main([command, "--caps", "1..1000000000000000", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "bad caps list" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_cap_values(self):
         assert _parse_cap("3") == 3

@@ -287,6 +287,29 @@ class TestCommitCheck:
             evictions += result.evictions
         assert evictions > 0
 
+    @pytest.mark.parametrize("config", [AAGG, GG])
+    def test_overfilled_server_is_refused(self, micro, config):
+        """A commit whose add overfills its server raises, though the engine's books said it fit.
+
+        Every server is full by its capacity, but its ``free`` is inflated
+        before the first sweep, so the winning add needs no eviction.
+        """
+        engine = _GreedyEngine(micro.with_capacities([10, 1, 20]).state(), config)
+        engine.st.free += 10**6
+        best = engine._sweep(slice(0, micro.objects.count))
+        assert best is not None
+        with pytest.raises(RuntimeError, match="commit produced an invalid placement"):
+            engine._commit(*best)
+
+    @pytest.mark.parametrize("config", [AAGG, GG])
+    def test_drifted_cost_is_refused(self, micro, config):
+        """``result`` recomputes the access cost and refuses a tracked total that differs."""
+        engine = _GreedyEngine(micro.state(), config)
+        engine.run()
+        engine.c += 1
+        with pytest.raises(RuntimeError, match="incrementally tracked cost drifted"):
+            engine.result()
+
 
 class TestBaselinesOnMicro:
     def test_gg_ignores_availability(self, micro):
@@ -404,6 +427,13 @@ class TestConfigValidation:
     def test_unknown_algorithm(self):
         with pytest.raises(ParameterError):
             SolverConfig(algorithm="simulated-annealing")
+
+    @pytest.mark.parametrize("field", ["algorithm", "availability_scope",
+                                       "availability_semantics"])
+    def test_array_option_is_refused(self, field):
+        # Escaped as numpy's "truth value of an array ... is ambiguous" ValueError.
+        with pytest.raises(ParameterError, match="unknown"):
+            SolverConfig(**{field: np.array(["aagg", "gg"])})
 
     def test_bad_cap(self):
         with pytest.raises(ParameterError):

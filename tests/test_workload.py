@@ -69,6 +69,11 @@ class TestTrafficModelValidation:
         with pytest.raises(ParameterError):
             generate_traffic(2, 3, kind="bursty")
 
+    def test_array_kind_is_refused(self):
+        # Escaped as numpy's "truth value of an array ... is ambiguous" ValueError.
+        with pytest.raises(ParameterError, match="unknown traffic kind"):
+            generate_traffic(2, 3, kind=np.array(["uniform", "zipf"]))
+
     def test_negative_skew(self):
         with pytest.raises(ParameterError):
             generate_traffic(2, 3, zipf_skew=-0.1)
@@ -77,6 +82,19 @@ class TestTrafficModelValidation:
     def test_non_numeric_skew(self, skew):
         with pytest.raises(ParameterError, match="zipf skew"):
             generate_traffic(2, 3, zipf_skew=skew)
+
+    @pytest.mark.parametrize("skew", [10**400, -10**400], ids=["10^400", "-10^400"])
+    def test_skew_too_large_for_a_float(self, skew):
+        # math.isfinite escaped with OverflowError on an int too large for a float.
+        with pytest.raises(ParameterError, match="zipf skew must be a finite number >= 0"):
+            generate_traffic(2, 3, "zipf", skew)
+
+    @pytest.mark.parametrize("skew", [np.uint64(1), np.uint8(2), np.int64(1), np.float32(0.5)],
+                             ids=repr)
+    def test_numpy_skew_draws_as_its_float(self, skew):
+        # An unsigned skew wrapped under negation: a RuntimeWarning, then OverflowError.
+        assert np.array_equal(generate_traffic(2, 5, zipf_skew=skew, seed=3),
+                              generate_traffic(2, 5, zipf_skew=float(skew), seed=3))
 
     @pytest.mark.parametrize("volume", [-1, 0])
     def test_non_positive_volume(self, volume):
@@ -412,6 +430,12 @@ class TestTraceFolding:
     def test_empty_trace(self):
         f = trace_availability_for_servers(FailureTrace(records=()), 3)
         assert (f == 0.0).all()
+
+    @pytest.mark.parametrize("trace", [None, [], "trace.csv", (TraceRecord(0, 0, 1, "up"),)])
+    def test_trace_must_be_a_failure_trace(self, trace):
+        # Each escaped as AttributeError: ... has no attribute 'records'.
+        with pytest.raises(TraceError, match="trace must be a FailureTrace"):
+            trace_availability_for_servers(trace, 3)
 
 
 class TestSyntheticAvailability:

@@ -82,7 +82,7 @@ def _parse_caps(text: str) -> tuple[int, ...]:
             caps = tuple(range(int(lo), int(hi) + 1))
         else:
             caps = tuple(int(part) for part in text.split(","))
-    except (ValueError, OverflowError, MemoryError) as exc:  # MemoryError: too many caps to hold
+    except (ValueError, OverflowError, MemoryError) as exc:  # MemoryError: too long to allocate
         raise argparse.ArgumentTypeError(f"bad caps list {text!r}: {exc}") from exc
     if not caps or caps[0] != 1 or any(b <= a for a, b in zip(caps, caps[1:])):
         raise argparse.ArgumentTypeError(

@@ -148,9 +148,14 @@ def _fell(after, before):
 
 
 def _availability(held, failure_probs, semantics: str) -> np.ndarray:
-    """Availability of each column of the bool server x object matrix ``held``."""
+    """Availability of each column of the bool server x object matrix ``held``.
+
+    ``semantics`` is one of :data:`SEMANTICS`, already checked by the
+    caller: the public readers below and ``SolverConfig``.  The planners
+    call this per window, so it does not check again.
+    """
     probs = np.asarray(failure_probs, dtype=np.float64)[:, None]
-    if _choice(semantics, SEMANTICS, "availability semantics") == "corrected":
+    if semantics == "corrected":
         return 1.0 - np.where(held, probs, 1.0).prod(axis=0)
     return np.where(held, 1.0 - probs, 1.0).prod(axis=0)
 
@@ -162,6 +167,7 @@ def replicator_availability(failure_probs, replicators, semantics: str = "correc
     for i in _items(replicators, "replicators"):
         held[_index(i, failure_probs.size, "replicator id")] = True
     _replicated(held)
+    semantics = _choice(semantics, SEMANTICS, "availability semantics")
     return float(_availability(held, failure_probs, semantics)[0])
 
 
@@ -174,4 +180,5 @@ def availability_per_object(x, failure_probs, semantics: str = "corrected") -> n
                               f"({probs.size}), got shape {x.shape}")
     held = x == 1
     _replicated(held)
+    semantics = _choice(semantics, SEMANTICS, "availability semantics")
     return _availability(held, probs, semantics)

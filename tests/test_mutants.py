@@ -7,6 +7,7 @@ without running a mutant, what that check would need: unique names, each
 """
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -40,4 +41,5 @@ def test_named_tests_exist(mutant):
         assert (ROOT / file).is_file(), file
         text = (ROOT / file).read_text()
         for name in names:
-            assert f"class {name}" in text or f"def {name}" in text, path
+            # The whole name: ``TestGen`` must not pass on ``class TestGenerator``.
+            assert re.search(rf"^\s*(class|def) {re.escape(name)}\b", text, re.M), path

@@ -101,10 +101,11 @@ def _parse_cap(text: str) -> int | None:
 
 
 def _parse_algs(text: str) -> tuple[str, ...]:
-    algs = tuple(text.split(","))
-    unknown = [a for a in algs if a not in heuristics.ALGORITHMS]
-    if unknown:
-        raise argparse.ArgumentTypeError(f"unknown algorithm(s) {', '.join(unknown)}")
+    try:
+        algs = tuple(topology._choice(a, heuristics.ALGORITHMS, "algorithm")
+                     for a in text.split(","))
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     if len(set(algs)) < len(algs):
         raise argparse.ArgumentTypeError(f"algorithms must not repeat, got {text!r}")
     return algs
@@ -117,23 +118,18 @@ def _capacities(policy: str, caps: tuple[int, ...], objects, n_servers: int) -> 
     even spread of the largest swept cap would need.  ``unbounded``: every
     server can hold the full catalog.  Capacities must stay below 2**63.
     """
+    kind, args = topology._spec(policy, {"unbounded": 0, "slack": 1}, "capacity policy")
     sizes = objects.sizes
     primary_load = np.zeros(n_servers, dtype=np.int64)
     np.add.at(primary_load, objects.primaries, sizes)
     total_size = int(sizes.sum())
-    if policy == "unbounded":
+    if kind == "unbounded":
         extra = total_size
-    elif policy.startswith("slack:"):
-        try:
-            factor = float(policy.split(":", 1)[1])
-        except ValueError as exc:
-            raise ParameterError(f"bad capacity policy {policy!r}") from exc
-        topology._nonnegative(factor, "slack factor")
+    else:
+        factor = topology._real(args[0], "slack factor", low=0)
         extra_replicas = max(caps) - 1
         # Capped at 2**63 (an inf product included) so the check below refuses it.
         extra = int(min(factor * total_size * extra_replicas / n_servers, INT64_LIMIT))
-    else:
-        raise ParameterError(f"unknown capacity policy {policy!r}")
     if int(primary_load.max(initial=1)) + extra >= INT64_LIMIT:
         raise ParameterError(f"capacity policy {policy!r} gives capacities reaching 2**63")
     return np.maximum(primary_load, 1) + extra
@@ -336,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--objects", type=int, default=1000)
     gen.add_argument("--size-lo", type=int, default=1000)
     gen.add_argument("--size-hi", type=int, default=5000)
-    gen.add_argument("--traffic", choices=["uniform", "zipf"], default="zipf")
+    gen.add_argument("--traffic", choices=workload.TRAFFIC_KINDS, default="zipf")
     gen.add_argument("--zipf-skew", type=float, default=0.8)
     gen.add_argument("--traffic-volume", type=int, default=50_000_000)
     avail = gen.add_mutually_exclusive_group()
@@ -354,16 +350,16 @@ def build_parser() -> argparse.ArgumentParser:
     def add_solver_flags(p):
         p.add_argument("--topology", required=True)
         p.add_argument("--scenario", required=True)
-        p.add_argument("--availability-scope", choices=list(heuristics.SCOPES),
+        p.add_argument("--availability-scope", choices=heuristics.SCOPES,
                        default="focal_object")
-        p.add_argument("--availability-semantics", choices=list(costs.SEMANTICS),
+        p.add_argument("--availability-semantics", choices=costs.SEMANTICS,
                        default="corrected")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True)
 
     solve = sub.add_parser("solve", help="run one planner")
     add_solver_flags(solve)
-    solve.add_argument("--alg", choices=list(heuristics.ALGORITHMS), required=True)
+    solve.add_argument("--alg", choices=heuristics.ALGORITHMS, required=True)
     solve.add_argument("--cap", type=_parse_cap, default=None,
                        help="max replicas per object, integer or 'unlimited'")
     solve.add_argument("--x-old", default=None,
@@ -383,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     inspect.add_argument("--placement", required=True)
     inspect.add_argument("--topology", required=True)
     inspect.add_argument("--scenario", required=True)
-    inspect.add_argument("--availability-semantics", choices=list(costs.SEMANTICS),
+    inspect.add_argument("--availability-semantics", choices=costs.SEMANTICS,
                          default="corrected")
     inspect.add_argument("--out", default=None)
     inspect.set_defaults(func=cmd_inspect)
@@ -398,7 +394,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ReplicaPlanError, ValueError) as exc:
+    except ReplicaPlanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -195,14 +195,13 @@ def action_from_dict(payload: dict):
     """The ``Add`` or ``Evict`` a schedule record describes; every field must be a whole number."""
     if not isinstance(payload, dict):
         raise ParameterError(f"schedule action must be a JSON object, got {payload!r}")
-    for cls in (Add, Evict):
-        if payload.get("action") == cls.__name__.lower():
-            try:
-                return cls(*(_whole(payload[_key(f.name)], f"schedule {_key(f.name)}",
-                                    ParameterError) for f in dataclasses.fields(cls)))
-            except KeyError as exc:
-                raise ParameterError(f"schedule action {payload!r} lacks field {exc}") from exc
-    raise ParameterError(f"unknown schedule action {payload.get('action')!r}")
+    action = _choice(payload.get("action"), ("add", "evict"), "schedule action")
+    cls = Add if action == "add" else Evict
+    try:
+        return cls(*(_whole(payload[_key(f.name)], f"schedule {_key(f.name)}", ParameterError)
+                     for f in dataclasses.fields(cls)))
+    except KeyError as exc:
+        raise ParameterError(f"schedule action {payload!r} lacks field {exc}") from exc
 
 
 def replay_schedule(x_old, schedule) -> np.ndarray:

@@ -82,31 +82,51 @@ def _whole(value, what: str, error=StructuralError) -> int:
     raise error(f"{what} must be an integer, got {value!r}")
 
 
-def _choice(value, options: tuple[str, ...], what: str) -> str:
-    """``value``, refused with a ParameterError unless it is one of the named ``options``.
+def _choice(value, options: tuple[str, ...], what: str, error=ParameterError) -> str:
+    """``value``, refused with ``error`` unless it is one of the named ``options``.
 
     A non-string is refused before any comparison, so an array is not
     compared entry by entry.
     """
     if not (isinstance(value, str) and value in options):
-        raise ParameterError(f"unknown {what} {value!r}")
+        raise error(f"unknown {what} {value!r}")
     return value
 
 
-def _nonnegative(value, what: str) -> float:
-    """``value`` as a float, refused with a ParameterError unless it is a finite number >= 0.
+def _spec(text, forms: dict[str, int], what: str) -> tuple[str, list[float]]:
+    """A ``KIND:ARGS`` spec string as its kind and its numbers.
+
+    ``forms`` maps each kind to how many ``:``-separated numbers it takes.
+    """
+    if not isinstance(text, str):
+        raise ParameterError(f"{what} must be a string, got {text!r}")
+    kind, *args = text.split(":")
+    _choice(kind, tuple(forms), what)
+    if len(args) != forms[kind]:
+        raise ParameterError(f"bad {what} {text!r}: {kind} takes {forms[kind]} number(s)")
+    try:
+        return kind, [float(arg) for arg in args]
+    except ValueError as exc:
+        raise ParameterError(f"bad {what} {text!r}: {exc}") from exc
+
+
+def _real(value, what: str, error=ParameterError, low=None) -> float:
+    """``value`` as a float: a finite number, at least ``low`` if given, that a float holds exactly.
 
     Bools are not numbers here, and an int too large for a float is
-    refused too, where ``math.isfinite`` would raise OverflowError.  A
-    float, unlike a NumPy unsigned int, does not wrap when negated.
+    refused too, where ``float`` would raise OverflowError.  ``2**53 + 1``
+    and ``Fraction(4, 5)`` are refused, not rounded.  A float, unlike a
+    NumPy unsigned int, does not wrap when negated.
     """
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
-            if math.isfinite(value) and value >= 0:
-                return float(value)
+            real = float(value)
         except OverflowError:
-            pass
-    raise ParameterError(f"{what} must be a finite number >= 0, got {value!r}")
+            real = math.inf
+        if math.isfinite(real) and real == value and (low is None or real >= low):
+            return real
+    bound = "" if low is None else f" >= {low}"
+    raise error(f"{what} must be a finite number{bound} exact as a float, got {value!r}")
 
 
 def _rng(seed) -> random.Random:

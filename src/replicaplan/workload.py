@@ -20,30 +20,19 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .costs import _failure_probs
 from .errors import ParameterError, TraceError
 from .model import INT64_LIMIT, ObjectCatalog
-from .topology import _choice, _count, _items, _nonnegative, _range, _rng, _whole
+from .topology import _choice, _count, _items, _range, _real, _rng, _spec, _whole
 
+TRAFFIC_KINDS = ("uniform", "zipf")
 
 # Highest failure probability a trace estimate may take.
 _F_MAX = 0.99
-
-
-def _time(value, what: str) -> float:
-    """``value`` as a float; refuses bools, non-numbers, NaN, infinities and inexact values."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            time = float(value)
-        except OverflowError:  # an int too large for a float
-            time = math.inf
-        if math.isfinite(time) and time == value:
-            return time
-    raise TraceError(f"interval times must be finite and exact as floats, got {what} {value!r}")
 
 
 @dataclass(frozen=True)
@@ -59,11 +48,11 @@ class TraceRecord:
         node = _whole(self.node, "node id", TraceError)
         if node < 0:
             raise TraceError(f"negative node id {node}")
-        start, end = _time(self.start, "start"), _time(self.end, "end")
+        start = _real(self.start, "interval start", TraceError)
+        end = _real(self.end, "interval end", TraceError)
         if end <= start:
             raise TraceError(f"interval end {end} <= start {start}")
-        if not isinstance(self.state, str) or self.state not in ("up", "down"):
-            raise TraceError(f"state must be 'up' or 'down', got {self.state!r}")
+        _choice(self.state, ("up", "down"), "state", TraceError)
         object.__setattr__(self, "node", node)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "end", end)
@@ -129,13 +118,14 @@ def generate_traffic(n_servers: int, n_objects: int, kind: str = "zipf",
                      seed: int = 0) -> np.ndarray:
     """Build an ``n_servers`` x ``n_objects`` request matrix of ``total_volume`` bytes.
 
-    ``kind`` is ``uniform`` or ``zipf``; ``zipf_skew`` must be a finite
-    number >= 0 and the volume a count below 2**63.  Volume is split by
-    popularity alone, not by object size, so column shares stay exactly Zipf.
+    ``kind`` is one of ``TRAFFIC_KINDS``; ``zipf_skew`` must be a finite
+    number >= 0 that a float holds exactly, and the volume a count below
+    2**63.  Volume is split by popularity alone, not by object size, so
+    column shares stay exactly Zipf.
     """
     n_servers, n_objects = _count(n_servers, "server count"), _count(n_objects, "object count")
-    _choice(kind, ("uniform", "zipf"), "traffic kind")
-    zipf_skew = _nonnegative(zipf_skew, "zipf skew")
+    _choice(kind, TRAFFIC_KINDS, "traffic kind")
+    zipf_skew = _real(zipf_skew, "zipf skew", low=0)
     total_volume = _count(total_volume, "total volume")
     if total_volume >= INT64_LIMIT:
         raise ParameterError("total volume must be below 2**63")
@@ -226,19 +216,10 @@ def trace_availability_for_servers(trace: FailureTrace, n_servers: int) -> np.nd
 def synthetic_availability(n_servers: int, spec: str, seed: int) -> np.ndarray:
     """Draw per-server failure probabilities from 'constant:F' or 'uniform:LO:HI'."""
     n_servers, rng = _count(n_servers, "server count"), _rng(seed)
-    if not isinstance(spec, str):
-        raise ParameterError(f"availability spec must be a string, got {spec!r}")
-    kind, *bounds = spec.split(":")
-    if (kind, len(bounds)) not in (("constant", 1), ("uniform", 2)):
-        raise ParameterError(
-            f"availability spec must be 'constant:F' or 'uniform:LO:HI', got {spec!r}"
-        )
-    try:
-        lo, hi = float(bounds[0]), float(bounds[-1])
-    except ValueError as exc:
-        raise ParameterError(f"malformed availability spec {spec!r}: {exc}") from exc
-    if not (0.0 <= lo <= hi < 1.0):
-        raise ParameterError(f"availability spec bounds must satisfy 0 <= lo <= hi < 1: {spec!r}")
+    kind, bounds = _spec(spec, {"constant": 1, "uniform": 2}, "availability spec")
+    lo, hi = _failure_probs(bounds)[[0, -1]].tolist()
+    if lo > hi:
+        raise ParameterError(f"availability spec bounds must satisfy lo <= hi: {spec!r}")
     if kind == "constant":
         return np.full(n_servers, lo, dtype=np.float64)
     return np.array([rng.uniform(lo, hi) for _ in range(n_servers)], dtype=np.float64)

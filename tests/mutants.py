@@ -249,20 +249,32 @@ MUTANTS = (
            "    if False:\n",
            ("tests/test_workload.py", "-k", "TestTrafficModelValidation")),
     Mutant("choice-returns-first-option", "topology.py",
-           "        raise ParameterError(f\"unknown {what} {value!r}\")\n    return value\n",
-           "        raise ParameterError(f\"unknown {what} {value!r}\")\n    return options[0]\n",
+           "        raise error(f\"unknown {what} {value!r}\")\n    return value\n",
+           "        raise error(f\"unknown {what} {value!r}\")\n    return options[0]\n",
            ("tests/test_costs.py", "-k", "literal")),
+    Mutant("choice-ignores-error-type", "topology.py",
+           "        raise error(f\"unknown {what} {value!r}\")\n",
+           "        raise ParameterError(f\"unknown {what} {value!r}\")\n",
+           ("tests/test_workload.py", "-k", "TestTraceInCode")),
+    Mutant("spec-skips-arity", "topology.py",
+           "    if len(args) != forms[kind]:\n",
+           "    if False:\n",
+           ("tests/test_cli.py", "-k", "arity")),
     Mutant("nonnegative-accepts-negative", "topology.py",
-           "if math.isfinite(value) and value >= 0:",
-           "if math.isfinite(value):",
+           "(low is None or real >= low)",
+           "True",
            ("tests/test_workload.py", "-k", "TestTrafficModelValidation")),
     Mutant("nonnegative-lets-overflow-escape", "topology.py",
            "        except OverflowError:\n",
            "        except ZeroDivisionError:\n",
            ("tests/test_workload.py", "-k", "TestTrafficModelValidation")),
     Mutant("nonnegative-keeps-numpy-type", "topology.py",
-           "                return float(value)\n",
-           "                return value\n",
+           "            return real\n",
+           "            return value\n",
+           ("tests/test_workload.py", "-k", "TestTrafficModelValidation")),
+    Mutant("real-accepts-inexact", "topology.py",
+           "math.isfinite(real) and real == value and",
+           "math.isfinite(real) and",
            ("tests/test_workload.py", "-k", "TestTrafficModelValidation")),
     Mutant("rng-accepts-any-seed", "topology.py",
            'return random.Random(_whole(seed, "seed", ParameterError))',

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from replicaplan import (
+    ALGORITHMS,
+    SCOPES,
+    SEMANTICS,
     ConstraintError,
     ObjectCatalog,
     ParameterError,
@@ -13,6 +16,7 @@ from replicaplan import (
     StructuralError,
     load_placement,
 )
+from replicaplan import cli
 from replicaplan.cli import (
     RESULTS_HEADER,
     ResultRow,
@@ -23,6 +27,7 @@ from replicaplan.cli import (
     derive_seed,
     main,
 )
+from replicaplan.workload import TRAFFIC_KINDS
 
 
 MICRO_TOPOLOGY = {"nodes": 3, "edges": [[0, 1, 2], [1, 2, 3]]}
@@ -105,6 +110,23 @@ class TestArgParsing:
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_cap(text)
 
+    @pytest.mark.parametrize("command, flag, options", [
+        ("gen", "traffic", TRAFFIC_KINDS),
+        ("solve", "alg", ALGORITHMS),
+        ("solve", "availability_scope", SCOPES),
+        ("sweep", "availability_scope", SCOPES),
+        ("solve", "availability_semantics", SEMANTICS),
+        ("sweep", "availability_semantics", SEMANTICS),
+        ("inspect", "availability_semantics", SEMANTICS),
+    ], ids=["gen-traffic", "solve-alg", "solve-scope", "sweep-scope", "solve-semantics",
+            "sweep-semantics", "inspect-semantics"])
+    def test_choices_are_the_library_tuples(self, command, flag, options):
+        # The same tuple, not an equal copy that could drift from it.
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        action = next(a for a in sub.choices[command]._actions if a.dest == flag)
+        assert action.choices is options
+
 
 class TestResultsCsv:
     def test_header_columns(self):
@@ -179,6 +201,14 @@ class TestGen:
     def test_invalid_knob_exits_1(self, tmp_path):
         assert main(["gen", "--nodes", "0", "--out", str(tmp_path / "x")]) == 1
 
+    def test_untyped_error_is_not_caught(self, tmp_path, monkeypatch):
+        # main() used to turn any ValueError into exit code 1, hiding a missing check.
+        def broken(args):
+            raise ValueError("untyped")
+        monkeypatch.setattr(cli, "_build_instance", broken)
+        with pytest.raises(ValueError, match="^untyped$"):
+            main(["gen", "--out", str(tmp_path / "x")])
+
     @pytest.mark.parametrize("flags, message", [
         (["--capacity-policy", "slack:inf"], "slack factor"),
         (["--capacity-policy", "slack:nan"], "slack factor"),
@@ -188,8 +218,13 @@ class TestGen:
         (["--zipf-skew", "inf"], "zipf skew"),
         (["--capacity-policy", "slack:abc"], "bad capacity policy"),
         (["--capacity-policy", "bogus"], "unknown capacity policy"),
+        # "slack:1:2" failed to parse "1:2" as a float; "unbounded:5" was an unknown policy.
+        (["--capacity-policy", "slack:1:2"],
+         "bad capacity policy 'slack:1:2': slack takes 1 number(s)\n"),
+        (["--capacity-policy", "unbounded:5"],
+         "bad capacity policy 'unbounded:5': unbounded takes 0 number(s)\n"),
     ], ids=["slack-inf", "slack-nan", "slack-1e300", "volume-1e20", "skew-nan", "skew-inf",
-            "slack-abc", "policy-bogus"])
+            "slack-abc", "policy-bogus", "slack-arity", "unbounded-arity"])
     def test_out_of_range_flag_exits_1(self, tmp_path, capsys, flags, message):
         out = tmp_path / "inst"
         args = ["gen", "--nodes", "5", "--objects", "10", *flags, "--out", str(out)]
@@ -198,9 +233,9 @@ class TestGen:
         assert err.startswith("error: ") and message in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("policy", ["slack:abc", "bogus"])
+    @pytest.mark.parametrize("policy", ["slack:abc", "bogus", 5])
     def test_bad_capacity_policy_is_a_parameter_error(self, policy):
-        # Used to raise the base class ReplicaPlanError.
+        # Used to raise the base class ReplicaPlanError; 5 raised AttributeError.
         with pytest.raises(ParameterError, match="capacity policy"):
             _capacities(policy, (1, 2), ObjectCatalog([1, 2], [0, 1]), 2)
 
@@ -459,6 +494,14 @@ class TestSweep:
                      "--out", str(tmp_path / "s"), "--algs", "aagg,anneal"])
         assert code == 2
         assert "anneal" in capsys.readouterr().err
+
+    def test_empty_algorithm_is_named(self, tmp_path, capsys):
+        # The trailing comma's empty name was listed as nothing: "unknown algorithm(s) ".
+        topo, scen = write_micro_instance(tmp_path)
+        code = main(["sweep", "--topology", str(topo), "--scenario", str(scen),
+                     "--out", str(tmp_path / "s"), "--algs", "aagg,"])
+        assert code == 2
+        assert "argument --algs: unknown algorithm ''\n" in capsys.readouterr().err
 
     def test_repeated_algorithm_exits_2(self, tmp_path, capsys):
         # Each "gg" row was written twice, and --gnuplot plotted the curve twice.

@@ -6,8 +6,9 @@ when the generated file happens to be valid, else 1, 2 or 3) and never
 raise.  Inputs are either arbitrary JSON or CSV, or a valid file with one
 field set to an arbitrary value, which reaches the checks behind the first.
 
-``main()`` turns any ``ValueError`` into exit code 1, so the library tests
-call the constructors directly: every error they raise must be a
+``main()`` catches only ``ReplicaPlanError`` and ``OSError``, so an untyped
+error a file reaches escapes it and fails the test.  The library tests call
+the constructors directly: every error they raise must be a
 ``ReplicaPlanError``, and every input they accept must be kept exactly.
 """
 

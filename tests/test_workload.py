@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -88,6 +89,12 @@ class TestTrafficModelValidation:
         # math.isfinite escaped with OverflowError on an int too large for a float.
         with pytest.raises(ParameterError, match="zipf skew must be a finite number >= 0"):
             generate_traffic(2, 3, "zipf", skew)
+
+    @pytest.mark.parametrize("skew", [2**53 + 1, Fraction(4, 5)], ids=["2^53+1", "4/5"])
+    def test_inexact_skew_is_refused(self, skew):
+        # Each used to be rounded to the nearest float.
+        with pytest.raises(ParameterError, match="zipf skew .* exact as a float"):
+            generate_traffic(2, 3, zipf_skew=skew)
 
     @pytest.mark.parametrize("skew", [np.uint64(1), np.uint8(2), np.int64(1), np.float32(0.5)],
                              ids=repr)
@@ -283,7 +290,7 @@ class TestTraceParsing:
                                      "0,-inf,30,up"])
     def test_non_finite_time_names_the_line(self, tmp_path, row):
         path = write_trace(tmp_path, f"0,0,10,up\n{row}\n")
-        with pytest.raises(TraceError, match=":3: interval times must be finite"):
+        with pytest.raises(TraceError, match=r":3: interval (start|end) must be a finite number"):
             load_failure_trace(path)
 
     def test_overlap(self, tmp_path):
@@ -327,6 +334,11 @@ class TestTraceInCode:
     def test_bad_record(self, node, start, end, state):
         with pytest.raises(TraceError):
             TraceRecord(node, start, end, state)
+
+    def test_bad_state_is_named(self):
+        # Used to read "state must be 'up' or 'down', got 'flaky'".
+        with pytest.raises(TraceError, match="^unknown state 'flaky'$"):
+            TraceRecord(0, 0.0, 5.0, "flaky")
 
     def test_horizon_too_long_for_a_float(self):
         # Its downtime share used to be inf / inf = NaN.
@@ -474,6 +486,10 @@ class TestSyntheticAvailability:
     def test_unknown_kind_reported_once(self):
         with pytest.raises(ParameterError) as info:
             synthetic_availability(3, "gauss:0.1", seed=1)
-        assert str(info.value) == (
-            "availability spec must be 'constant:F' or 'uniform:LO:HI', got 'gauss:0.1'"
-        )
+        assert str(info.value) == "unknown availability spec 'gauss'"
+
+    @pytest.mark.parametrize("spec", ["constant:1.0", "uniform:-0.1:0.2", "constant:nan"])
+    def test_bounds_follow_the_failure_probability_rule(self, spec):
+        # Used to be refused by the spec's own "0 <= lo <= hi < 1" test.
+        with pytest.raises(ParameterError, match=r"^failure probabilities must lie in \[0, 1\)$"):
+            synthetic_availability(3, spec, seed=1)
